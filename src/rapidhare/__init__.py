@@ -20,6 +20,7 @@ from .data import (
     full_sensor_channels,
     load_dataset,
     parse_recording,
+    read_header,
     split_loso,
     write_dataset,
     write_recording,

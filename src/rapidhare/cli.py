@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -15,10 +14,10 @@ from .bench import BENCH_METHODS, run_bench
 from .data import (
     ALL_LABELS,
     ActivityLabel,
-    channels_from_names,
     frames_by_label,
     load_dataset,
     parse_recording,
+    read_header,
     write_dataset,
 )
 from .errors import DataError, NumericError
@@ -27,7 +26,6 @@ from .features import (
     DEFAULT_DIRECTIONAL_LAG,
     DirectionalConfig,
     FeatureConfig,
-    StreamingDirectional,
     directional_sources_by_name,
 )
 from .gmm import (
@@ -86,11 +84,9 @@ def _parse_df(text: str) -> dict:
     return spec
 
 
-def _feature_config(args, channels) -> FeatureConfig | None:
+def _feature_config(args, channels) -> FeatureConfig:
     keep = getattr(args, "channels", None)
     df = getattr(args, "df", None)
-    if keep is None and df is None:
-        return None
     directional = None
     if df is not None:
         sources = df["channels"]
@@ -124,7 +120,7 @@ def _component_counts(args) -> dict[ActivityLabel, int]:
 def cmd_train(args) -> int:
     dataset = load_dataset(args.data_dir)
     feat = _feature_config(args, dataset.channels)
-    sequences = dataset.sequences if feat is None else [feat.apply(s) for s in dataset.sequences]
+    sequences = [feat.apply(s) for s in dataset.sequences]
     model_set, final_ll = fit_activity_models(
         frames_by_label(sequences), _component_counts(args), _em_config(args)
     )
@@ -140,24 +136,10 @@ def _emit_prediction(index: int, label: ActivityLabel, post: np.ndarray) -> None
 
 
 def _predict_stream(model_set, args) -> int:
-    keep = list(args.channels) if args.channels is not None else None
-    df = getattr(args, "df", None)
-    directional = None
-    if df is not None:
-        sources = df["channels"]
-        if sources is None:
-            raise DataError(
-                "streaming input has no channel names; pass --df channels=... explicitly"
-            )
-        if keep is not None:
-            pos = {orig: i for i, orig in enumerate(keep)}
-            missing = [c for c in sources if c not in pos]
-            if missing:
-                raise DataError(f"directional source channels {missing} are not kept")
-            sources = tuple(pos[c] for c in sources)
-        directional = DirectionalConfig(df["lag"], tuple(sources))
-
-    session = None
+    feat = _feature_config(args, None)
+    session = PredictorSession(
+        model_set, PredictorConfig(window_k=args.window, resync_interval=args.resync)
+    )
     streamer = None
     for index, line in enumerate(sys.stdin):
         line = line.rstrip("\n")
@@ -167,40 +149,21 @@ def _predict_stream(model_set, args) -> int:
             x = np.array([float(v) for v in line.split("\t")], dtype=np.float64)
         except ValueError:
             raise DataError(f"stdin:{index + 1}: non-numeric frame value") from None
-        if keep is not None:
-            if max(keep) >= len(x):
-                raise DataError(f"stdin:{index + 1}: channel selection out of range")
-            x = x[keep]
-        if directional is not None:
-            if streamer is None:
-                streamer = StreamingDirectional(directional, len(x))
-            x = streamer.push(x)
-        if session is None:
-            session = PredictorSession(
-                model_set,
-                PredictorConfig(window_k=args.window, resync_interval=args.resync),
+        if streamer is None:
+            streamer = feat.streamer(len(x))
+        elif len(x) != streamer.n_channels:
+            raise DataError(
+                f"stdin:{index + 1}: {len(x)} values, the first frame had {streamer.n_channels}"
             )
-        pred = session.push_frame(x)
+        pred = session.push_frame(streamer.push(x))
         _emit_prediction(index, pred.label, pred.posterior)
     return 0
 
 
 def _predict_file(model_set, args) -> int:
-    path = Path(args.input)
-    if not path.is_file():
-        raise DataError(f"no such recording file: {path}")
-    header = None
-    for line in path.read_text(encoding="ascii").splitlines():
-        if line and not line.startswith("#"):
-            header = line.split("\t")
-            break
-    if header is None or header[-1] != "act":
-        raise DataError(f"{path}: missing recording header")
-    channels = channels_from_names(header[:-1])
-    seq = parse_recording(path, channels)
-    feat = _feature_config(args, channels)
-    if feat is not None:
-        seq = feat.apply(seq)
+    channels = read_header(args.input)
+    seq = parse_recording(args.input, channels)
+    seq = _feature_config(args, channels).apply(seq)
     cfg = PredictorConfig(window_k=args.window, resync_interval=args.resync)
     if args.oracle:
         scores = naive_window_scores(model_set, seq.frames, cfg)

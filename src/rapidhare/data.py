@@ -170,6 +170,22 @@ class Dataset:
         return sorted({seq.subject_id for seq in self.sequences})
 
 
+def read_header(path) -> list[ChannelSpec]:
+    """Channel specs inferred from a recording's header, its first non-metadata line."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"no such recording file: {path}")
+    with open(path, encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if line and not line.startswith("#"):
+                names = line.split("\t")
+                if len(names) < 2 or names[-1] != "act":
+                    raise DataError(f"{path}:{lineno}: header must end with an 'act' column")
+                return channels_from_names(names[:-1])
+    raise DataError(f"{path}: missing header line")
+
+
 def _scale_columns(raw: np.ndarray, channels: list[ChannelSpec]) -> np.ndarray:
     mins = np.array([c.raw_min for c in channels], dtype=np.float64)
     spans = np.array([c.raw_max - c.raw_min for c in channels], dtype=np.float64)
@@ -279,16 +295,7 @@ def load_dataset(data_dir) -> Dataset:
     files = sorted(p for p in data_dir.iterdir() if p.is_file())
     if not files:
         raise DataError(f"no recording files in {data_dir}")
-    channels = None
-    for line in files[0].read_text(encoding="ascii").splitlines():
-        if line and not line.startswith("#"):
-            names = line.split("\t")
-            if names[-1] != "act":
-                raise DataError(f"{files[0]}: header must end with an 'act' column")
-            channels = channels_from_names(names[:-1])
-            break
-    if channels is None:
-        raise DataError(f"{files[0]}: missing header line")
+    channels = read_header(files[0])
     sequences = [parse_recording(p, channels) for p in files]
     return Dataset(sequences, channels)
 

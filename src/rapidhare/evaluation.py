@@ -146,16 +146,12 @@ def apply_border_tolerance(true_labels, predicted, tol: int) -> np.ndarray:
     return current
 
 
-def _identity(seq):
-    return seq
-
-
 def _run_fold(
     dataset: Dataset,
     test_subject: str,
     counts,
     em_cfg: EmConfig,
-    feat_cfg: FeatureConfig | None,
+    feat_cfg: FeatureConfig,
     pred_cfg: PredictorConfig,
     trans: TransitionMatrix,
     hmm_cfg: HmmConfig,
@@ -163,14 +159,13 @@ def _run_fold(
     method: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     train, _validation, test = split_loso(dataset, test_subject)
-    transform = feat_cfg.apply if feat_cfg is not None else _identity
-    train_frames = frames_by_label([transform(s) for s in train.sequences])
+    train_frames = frames_by_label([feat_cfg.apply(s) for s in train.sequences])
     model_set, _ = fit_activity_models(train_frames, counts, em_cfg)
 
     conf_raw = np.zeros((N_ACTIVITIES, N_ACTIVITIES), dtype=np.int64)
     conf_tol = np.zeros_like(conf_raw)
     for seq in test.sequences:
-        fseq = transform(seq)
+        fseq = feat_cfg.apply(seq)
         if method == "rapidhare":
             session = PredictorSession(model_set, pred_cfg)
             pred = np.fromiter(
@@ -212,7 +207,7 @@ def run_cv(
     dataset: Dataset,
     counts=None,
     em_cfg: EmConfig = EmConfig(),
-    feat_cfg: FeatureConfig | None = None,
+    feat_cfg: FeatureConfig = FeatureConfig(),
     pred_cfg: PredictorConfig = PredictorConfig(),
     trans: TransitionMatrix | None = None,
     hmm_cfg: HmmConfig = HmmConfig(),

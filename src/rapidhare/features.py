@@ -96,18 +96,25 @@ class FeatureConfig:
                         f"directional source channels {sorted(missing)} are not kept"
                     )
 
-    def apply(self, seq: LabeledSequence) -> LabeledSequence:
-        out = seq
+    def _selected_directional(self) -> DirectionalConfig | None:
+        """The directional config with its sources renumbered into the kept channels."""
         directional = self.directional
+        if directional is None or self.keep_channels is None:
+            return directional
+        pos = {orig: i for i, orig in enumerate(self.keep_channels)}
+        return DirectionalConfig(directional.lag, tuple(pos[c] for c in directional.source_channels))
+
+    def apply(self, seq: LabeledSequence) -> LabeledSequence:
         if self.keep_channels is not None:
-            out = select_channels(out, self.keep_channels)
-            if directional is not None:
-                pos = {orig: i for i, orig in enumerate(self.keep_channels)}
-                remapped = tuple(pos[c] for c in directional.source_channels)
-                directional = DirectionalConfig(directional.lag, remapped)
+            seq = select_channels(seq, self.keep_channels)
+        directional = self._selected_directional()
         if directional is not None:
-            out = augment_directional(out, directional)
-        return out
+            seq = augment_directional(seq, directional)
+        return seq
+
+    def streamer(self, n_channels: int) -> FeatureStreamer:
+        """The streaming form of ``apply`` for frames of ``n_channels`` values."""
+        return FeatureStreamer(self, n_channels)
 
     def output_dim(self, n_channels: int) -> int:
         d = n_channels if self.keep_channels is None else len(self.keep_channels)
@@ -167,3 +174,24 @@ class StreamingDirectional:
         self._pos = (self._pos + 1) % self._lag
         self._seen += 1
         return np.concatenate([x, d])
+
+
+class FeatureStreamer:
+    """Streaming form of FeatureConfig.apply, for frames of ``n_channels`` values each."""
+
+    def __init__(self, cfg: FeatureConfig, n_channels: int):
+        self.n_channels = n_channels
+        self._keep = None if cfg.keep_channels is None else list(cfg.keep_channels)
+        if self._keep is not None:
+            _check_indices(self._keep, n_channels, "channel selection")
+        directional = cfg._selected_directional()
+        self._directional = None if directional is None else StreamingDirectional(
+            directional, n_channels if self._keep is None else len(self._keep)
+        )
+
+    def push(self, x: np.ndarray) -> np.ndarray:
+        if self._keep is not None:
+            x = x[self._keep]
+        if self._directional is not None:
+            x = self._directional.push(x)
+        return x

@@ -3,6 +3,16 @@
 One mixture models the frame distribution of one activity. Densities are
 always evaluated in the log domain through log-sum-exp, and training floors
 every variance so the log-density stays finite for any finite input.
+
+There are two density evaluators. The reference, ``log_pdf`` and
+``log_pdf_batch``, sums squared standardized differences directly: it backs
+HMM emissions through ``ActivityModelSet.frame_log_likelihoods`` and the
+naive window oracle, and the tests hold it to extended precision. The fast
+one uses that log(w N(x)) is linear in (x*x, x, 1): ``expansion_coefficients``
+makes one row per component and ``expansion_lift`` lifts the input, so all
+component densities are one matrix product. EM's E-step and the streaming
+frame scorer use it. Its absolute error grows with sum_d (x_d^2 + mu_d^2) /
+var_d, since the three terms cancel near a mean.
 """
 
 from __future__ import annotations
@@ -82,35 +92,35 @@ def log_pdf(model: GmmModel, x) -> float:
     return float(m + np.log(np.exp(comp - m).sum()))
 
 
-def _component_log_density(means, variances, log_norm, X, chunk=2048):
-    """Per-row, per-component log densities, chunked to bound temporary memory."""
-    n = len(X)
-    out = np.empty((n, len(means)))
-    for lo in range(0, n, chunk):
-        sub = X[lo : lo + chunk]
-        diff = sub[:, None, :] - means[None, :, :]
-        out[lo : lo + chunk] = log_norm - 0.5 * ((diff * diff) / variances).sum(axis=2)
-    return out
-
-
 def log_pdf_batch(model: GmmModel, X) -> np.ndarray:
     """Log mixture density for every row of X."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise DataError(f"expected an (n, {model.dim}) matrix, got shape {X.shape}")
-    comp = _component_log_density(model.means, model.variances, model._log_norm, X)
-    m = comp.max(axis=1)
-    return m + np.log(np.exp(comp - m[:, None]).sum(axis=1))
-
-
-def _pairwise_sq_dists(X, centers, chunk=4096):
-    n = len(X)
-    out = np.empty((n, len(centers)))
-    for lo in range(0, n, chunk):
-        sub = X[lo : lo + chunk]
-        diff = sub[:, None, :] - centers[None, :, :]
-        out[lo : lo + chunk] = (diff * diff).sum(axis=2)
+    out = np.empty(len(X))
+    chunk = 2048  # rows at a time, bounding the (rows, components, dim) temporary
+    for lo in range(0, len(X), chunk):
+        diff = X[lo : lo + chunk, None, :] - model.means
+        comp = model._log_norm - 0.5 * ((diff * diff) / model.variances).sum(axis=2)
+        m = comp.max(axis=1)
+        out[lo : lo + chunk] = m + np.log(np.exp(comp - m[:, None]).sum(axis=1))
     return out
+
+
+def expansion_coefficients(weights, means, variances) -> np.ndarray:
+    """One row c_j per component with log(w_j N(x; mu_j, var_j)) = c_j . expansion_lift(x)."""
+    inv_var = 1.0 / variances
+    const = (
+        np.log(weights)
+        - 0.5 * np.sum(_LOG_2PI + np.log(variances), axis=1)
+        - 0.5 * np.sum(means * means * inv_var, axis=1)
+    )
+    return np.hstack([-0.5 * inv_var, means * inv_var, const[:, None]])
+
+
+def expansion_lift(X) -> np.ndarray:
+    """Each row x of a float array X as (x*x, x, 1), the input side of expansion_coefficients."""
+    return np.hstack([X * X, X, np.ones((len(X), 1))])
 
 
 def _kmeans_pp_seeds(data, k, rng):
@@ -156,8 +166,10 @@ def kmeans_init(data, k: int, seed: int, variance_floor: float = DEFAULT_VARIANC
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_seeds(data, k, rng)
     assign = np.zeros(n, dtype=np.intp)
+    sq_norms = (data * data).sum(axis=1)
     for _ in range(max_iters):
-        dists = _pairwise_sq_dists(data, centers)
+        # |x - c|^2 = |x|^2 - 2 x.c + |c|^2, one product per Lloyd step.
+        dists = sq_norms[:, None] - 2.0 * (data @ centers.T) + (centers * centers).sum(axis=1)
         assign = dists.argmin(axis=1)
         d2min = dists[np.arange(n), assign]
         for j in range(k):
@@ -203,15 +215,15 @@ class EmConfig:
 
 
 def _em(data, init: GmmModel, cfg: EmConfig, rng) -> tuple[GmmModel, list[float]]:
-    n = len(data)
+    n, dim = data.shape
+    lifted = expansion_lift(data)
     weights = init.weights.copy()
     means = init.means.copy()
     variances = init.variances.copy()
     trace: list[float] = []
     prev = -np.inf
     for it in range(cfg.max_iters):
-        log_norm = np.log(weights) - 0.5 * np.sum(_LOG_2PI + np.log(variances), axis=1)
-        comp = _component_log_density(means, variances, log_norm, data)
+        comp = lifted @ expansion_coefficients(weights, means, variances).T
         rowmax = comp.max(axis=1)
         shifted = np.exp(comp - rowmax[:, None])
         rowsum = shifted.sum(axis=1)
@@ -228,9 +240,9 @@ def _em(data, init: GmmModel, cfg: EmConfig, rng) -> tuple[GmmModel, list[float]
         resp = shifted / rowsum[:, None]
         nk = resp.sum(axis=0)
         safe_nk = np.maximum(nk, 1e-300)
-        means = (resp.T @ data) / safe_nk[:, None]
-        ex2 = (resp.T @ (data * data)) / safe_nk[:, None]
-        variances = np.maximum(ex2 - means * means, cfg.variance_floor)
+        moments = (resp.T @ lifted) / safe_nk[:, None]  # E[x*x], E[x], 1
+        means = moments[:, dim : 2 * dim].copy()
+        variances = np.maximum(moments[:, :dim] - means * means, cfg.variance_floor)
         weights = nk / n
         # Starved components restart from a random data point.
         tiny = nk < 1e-10 * n
@@ -357,43 +369,49 @@ class _ModelReader:
     def fail(self, msg: str):
         raise DataError(f"{self.path}:{self.pos}: {msg}")
 
+    def fields(self, keyword: str, n: int, usage: str) -> list[str]:
+        """The n fields after ``keyword`` on the next line."""
+        parts = self.next(usage).split()
+        if len(parts) != n + 1 or parts[0] != keyword:
+            self.fail(f"expected '{usage}'")
+        return parts[1:]
+
+    def count(self, text: str, what: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            self.fail(f"{what} must be an integer, got {text!r}")
+        if value < 1:
+            self.fail(f"{what} must be at least 1, got {value}")
+        return value
+
+    def reals(self, keyword: str, n: int) -> list[float]:
+        """The n reals after ``keyword`` on the next line."""
+        texts = self.fields(keyword, n, f"{keyword} <{n} values>")
+        try:
+            return [float(t) for t in texts]
+        except ValueError:
+            self.fail(f"non-numeric {keyword} value")
+
 
 def load_model_set(path) -> ActivityModelSet:
     """Parse a serialized model set, validating structure and invariants."""
     r = _ModelReader(path)
     if r.next("format tag") != MODEL_FORMAT_TAG:
         r.fail(f"expected format tag {MODEL_FORMAT_TAG!r}")
-    parts = r.next("dim").split()
-    if len(parts) != 2 or parts[0] != "dim":
-        r.fail("expected 'dim <d>'")
-    dim = int(parts[1])
-    parts = r.next("activities").split()
-    if len(parts) != 2 or parts[0] != "activities":
-        r.fail("expected 'activities <n>'")
-    n_activities = int(parts[1])
-
+    dim = r.count(r.fields("dim", 1, "dim <d>")[0], "dim")
+    n_activities = r.count(r.fields("activities", 1, "activities <n>")[0], "activities")
     models = {}
     for _ in range(n_activities):
-        parts = r.next("activity header").split()
-        if len(parts) != 4 or parts[0] != "activity" or parts[2] != "components":
+        name, keyword, k = r.fields("activity", 3, "activity <name> components <k>")
+        if keyword != "components":
             r.fail("expected 'activity <name> components <k>'")
-        label = ActivityLabel.from_name(parts[1])
-        k = int(parts[3])
-        weights = np.empty(k)
-        means = np.empty((k, dim))
-        variances = np.empty((k, dim))
-        for j in range(k):
-            parts = r.next("component weight").split()
-            if len(parts) != 2 or parts[0] != "component":
-                r.fail("expected 'component <weight>'")
-            weights[j] = float(parts[1])
-            parts = r.next("component mean").split()
-            if len(parts) != dim + 1 or parts[0] != "mean":
-                r.fail(f"expected 'mean' with {dim} values")
-            means[j] = [float(v) for v in parts[1:]]
-            parts = r.next("component variance").split()
-            if len(parts) != dim + 1 or parts[0] != "var":
-                r.fail(f"expected 'var' with {dim} values")
-            variances[j] = [float(v) for v in parts[1:]]
-        models[label] = GmmModel(weights, means, variances)
+        label = ActivityLabel.from_name(name)
+        # Collected, not preallocated: a huge declared size fails at the first missing line.
+        weights, means, variances = [], [], []
+        for _ in range(r.count(k, "components")):
+            weights.append(r.reals("component", 1)[0])
+            means.append(r.reals("mean", dim))
+            variances.append(r.reals("var", dim))
+        models[label] = GmmModel(np.array(weights), np.array(means), np.array(variances))
     return ActivityModelSet(models)

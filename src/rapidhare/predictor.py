@@ -16,9 +16,7 @@ import numpy as np
 
 from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel
 from .errors import DataError
-from .gmm import ActivityModelSet, log_pdf_batch
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
+from .gmm import ActivityModelSet, expansion_coefficients, log_pdf_batch
 
 
 @dataclass(frozen=True)
@@ -81,35 +79,23 @@ class Prediction:
 class _FrameScorer:
     """All activities' log-densities from one precompiled matrix-vector product.
 
-    For a diagonal Gaussian, log N(x) is linear in (x*x, x, 1), so every
-    component of every activity becomes one row of a single coefficient
-    matrix. One product plus one segmented log-sum-exp yields the
+    Every component of every activity is one row of ``expansion_coefficients``
+    stacked into a single matrix, and ``_x_buf`` holds the frame's
+    ``expansion_lift``. One product plus one segmented log-sum-exp yields the
     per-activity log-likelihood vector without per-frame allocation.
     """
 
     def __init__(self, model_set: ActivityModelSet):
-        dim = model_set.dim
-        counts = [model_set.models[label].n_components for label in ALL_LABELS]
+        models = [model_set.models[label] for label in ALL_LABELS]
+        counts = [m.n_components for m in models]
         total = sum(counts)
-        coef = np.empty((total, 2 * dim + 1))
-        row = 0
-        for label in ALL_LABELS:
-            m = model_set.models[label]
-            k = m.n_components
-            inv_var = 1.0 / m.variances
-            coef[row : row + k, :dim] = -0.5 * inv_var
-            coef[row : row + k, dim : 2 * dim] = m.means * inv_var
-            coef[row : row + k, 2 * dim] = (
-                np.log(m.weights)
-                - 0.5 * np.sum(_LOG_2PI + np.log(m.variances), axis=1)
-                - 0.5 * np.sum(m.means * m.means * inv_var, axis=1)
-            )
-            row += k
-        self.dim = dim
-        self._coef = np.ascontiguousarray(coef)
+        self.dim = model_set.dim
+        self._coef = np.vstack(
+            [expansion_coefficients(m.weights, m.means, m.variances) for m in models]
+        )
         self._starts = np.cumsum([0] + counts[:-1])
         self._segment_of = np.repeat(np.arange(N_ACTIVITIES), counts)
-        self._x_buf = np.ones(2 * dim + 1)
+        self._x_buf = np.ones(2 * self.dim + 1)
         self._comp = np.empty(total)
         self._seg_max = np.empty(N_ACTIVITIES)
         self._max_rep = np.empty(total)

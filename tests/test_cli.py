@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rapidhare.cli import main
-from rapidhare import load_model_set
+from rapidhare import load_model_set, parse_recording, read_header
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +146,47 @@ def test_predict_file_streaming_equals_oracle_output(synth_dir, model_path, caps
     assert main(base + ["--oracle"]) == 0
     oracled = capsys.readouterr().out
     assert streamed == oracled
+
+
+def test_predict_stdin_features_match_file_oracle(synth_dir, tmp_path, capsys, monkeypatch):
+    features = ["--channels", "3,0,2", "--df", "lag=5,channels=2,3"]
+    path = tmp_path / "model.txt"
+    train = [
+        "train", str(synth_dir),
+        "--out", str(path),
+        "--components", "walking=2,running=2,going_up=2,going_down=2,"
+        "sitting=2,sitting_down=2,standing_up=2,standing=2",
+        "--em-iters", "10",
+        "--seed", "5",
+    ]
+    assert main(train + features) == 0
+    capsys.readouterr()
+    recording = sorted(synth_dir.iterdir())[0]
+    predict = ["--model", str(path), "--window", "8"] + features
+    assert main(["predict", str(recording), "--oracle"] + predict) == 0
+    oracle_out = capsys.readouterr().out
+
+    frames = parse_recording(recording, read_header(recording)).frames
+    stream = "".join("\t".join(repr(float(v)) for v in x) + "\n" for x in frames)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+    assert main(["predict", "-"] + predict) == 0
+    assert capsys.readouterr().out == oracle_out
+
+
+def test_predict_stdin_width_change_names_the_line(model_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0.1\t0.2\t0.3\t0.4\n\n0.1\t0.2\n"))
+    assert main(["predict", "-", "--model", str(model_path)]) == 2
+    assert "stdin:3: 2 values, the first frame had 4" in capsys.readouterr().err
+
+
+def test_predict_bad_model_number_exits_two(synth_dir, model_path, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    lines = model_path.read_text().splitlines()
+    lines[1] = "dim x"
+    bad.write_text("\n".join(lines) + "\n")
+    recording = sorted(synth_dir.iterdir())[0]
+    assert main(["predict", str(recording), "--model", str(bad)]) == 2
+    assert "bad.txt:2: dim must be an integer" in capsys.readouterr().err
 
 
 def test_predict_oracle_on_stdin_is_rejected(model_path, capsys):

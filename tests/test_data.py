@@ -11,6 +11,7 @@ from rapidhare import (
     full_sensor_channels,
     load_dataset,
     parse_recording,
+    read_header,
     split_loso,
     write_recording,
 )
@@ -99,6 +100,19 @@ def test_parse_requires_subject(tmp_path):
 def test_parse_missing_file(tmp_path):
     with pytest.raises(DataError, match="no such recording"):
         parse_recording(tmp_path / "absent.tsv", TWO_CHANNELS)
+
+
+def test_read_header(tmp_path):
+    p = make_recording(tmp_path / "r.tsv", [[0, 10, 1]])
+    assert read_header(p) == TWO_CHANNELS
+    p.write_text("#subject 01\nacc_rt_x\temg_r\n")
+    with pytest.raises(DataError, match="r.tsv:2: header must end with an 'act' column"):
+        read_header(p)
+    p.write_text("#subject 01\n")
+    with pytest.raises(DataError, match="missing header line"):
+        read_header(p)
+    with pytest.raises(DataError, match="no such recording file"):
+        read_header(tmp_path / "absent.tsv")
 
 
 def test_round_trip_is_bit_exact(tmp_path, rng):

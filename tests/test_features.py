@@ -149,3 +149,9 @@ def test_streaming_matches_batch(rng):
     streamer = StreamingDirectional(cfg, dim=5)
     streamed = np.vstack([streamer.push(x) for x in frames])
     assert np.array_equal(streamed, batch.frames)
+
+    # The FeatureConfig forms agree too when a permuted selection renumbers the sources.
+    for feat in (FeatureConfig((4, 0, 3), cfg), FeatureConfig((2, 0)), FeatureConfig()):
+        streamer = feat.streamer(5)
+        streamed = np.vstack([streamer.push(x) for x in frames])
+        assert np.array_equal(streamed, feat.apply(seq_of(frames)).frames)

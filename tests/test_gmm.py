@@ -216,6 +216,28 @@ def test_model_set_load_errors(tmp_path):
         load_model_set(tmp_path / "absent.txt")
 
 
+@pytest.mark.parametrize(
+    "lineno,line",
+    [
+        (2, "dim x"),
+        (2, "dim -1"),
+        (3, "activities x"),
+        (4, "activity walking components x"),
+        (4, "activity walking components -1"),
+        (5, "component x"),
+        (6, "mean x x"),
+    ],
+)
+def test_model_set_bad_numbers_name_the_line(tmp_path, lineno, line):
+    path = tmp_path / "model.txt"
+    save_model_set(random_model_set(np.random.default_rng(3), dim=2), path)
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"model.txt:{lineno}: "):
+        load_model_set(path)
+
+
 def test_fit_activity_models_insufficient_data(rng):
     frames = {label: rng.normal(size=(40, 3)) for label in ActivityLabel}
     frames[ActivityLabel.WALKING] = rng.normal(size=(5, 3))

@@ -14,7 +14,8 @@ from rapidhare import (
     posterior,
     predict_sequence_naive,
 )
-from conftest import random_model_set
+from rapidhare.gmm import DEFAULT_COMPONENT_COUNTS
+from conftest import log_pdf_oracle, random_model_set
 
 
 def identical_model_set(dim=3):
@@ -49,6 +50,45 @@ def test_k0_equals_single_frame_argmax(rng):
         direct = np.array([log_pdf(models.models[label], x) for label in ALL_LABELS])
         assert int(pred.label) == int(np.argmax(direct)) + 1
         assert np.allclose(pred.scores, direct, atol=1e-12)
+
+
+def test_frame_scores_error_bound_at_variance_floor():
+    """The (x*x, x, 1) scorer is within 8 eps S of extended precision at floor variances.
+
+    S = max_j sum_d (x_d^2 + mu_jd^2) / (2 var_jd) over an activity's components:
+    the expansion's terms have that size and cancel when x is near a mean.
+    """
+    eps = np.finfo(np.float64).eps
+    dim = 38
+    checked = 0
+    for trial in range(100):
+        rng = np.random.default_rng(9000 + trial)
+        models = {}
+        for label in ALL_LABELS:
+            k = DEFAULT_COMPONENT_COUNTS[label]
+            weights = rng.uniform(0.2, 1.0, size=k)
+            means = rng.uniform(-1.0, 1.0, size=(k, dim))
+            variances = 10.0 ** rng.uniform(-6.0, -4.0, size=(k, dim))
+            models[label] = GmmModel(weights / weights.sum(), means, variances)
+        model_set = ActivityModelSet(models)
+        session = new_session(model_set, PredictorConfig(window_k=0))  # scores = one frame
+        for _ in range(5):
+            near = model_set.models[ALL_LABELS[rng.integers(len(ALL_LABELS))]]
+            j = rng.integers(near.n_components)
+            noise = np.sqrt(near.variances[j]) * rng.standard_normal(dim)
+            x = np.clip(near.means[j] + noise, -1.0, 1.0)
+            scores = session.push_frame(x).scores
+            for a, label in enumerate(ALL_LABELS):
+                m = model_set.models[label]
+                with np.errstate(divide="ignore"):
+                    want = log_pdf_oracle(m, x)
+                if not np.isfinite(want):
+                    continue
+                s = float(np.max(0.5 * np.sum((x * x + m.means * m.means) / m.variances, axis=1)))
+                err = abs(scores[a] - want)
+                assert err <= 8.0 * eps * s, (trial, label, err, eps * s)
+                checked += 1
+    assert checked >= 500  # at least the activity each frame was drawn near
 
 
 def test_tie_breaks_to_lowest_id(rng):
