@@ -60,7 +60,6 @@ from .gmm import (
     save_model_set,
 )
 from .hmm import (
-    HmmConfig,
     TransitionMatrix,
     default_transition_matrix,
     load_transition_matrix,
@@ -69,10 +68,8 @@ from .hmm import (
 )
 from .predictor import (
     Prediction,
-    PredictorConfig,
     PredictorSession,
     naive_window_scores,
-    new_session,
     posterior,
     predict_sequence_naive,
 )

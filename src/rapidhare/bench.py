@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import N_ACTIVITIES
 from .errors import DataError
 from .gmm import ActivityModelSet
-from .hmm import HmmConfig, TransitionMatrix, default_transition_matrix, viterbi_block
-from .predictor import PredictorConfig, PredictorSession
+from .hmm import block_starts, default_transition_matrix, viterbi_block
+from .predictor import PredictorSession
 
 BENCH_METHODS = ("rapidhare", "hmm")
 
@@ -37,8 +38,8 @@ def _bench_frames(dim: int, frames: int, seed: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(frames, dim))
 
 
-def _time_rapidhare(models, cfg, X) -> np.ndarray:
-    session = PredictorSession(models, cfg)
+def _time_rapidhare(models, window_k, X) -> np.ndarray:
+    session = PredictorSession(models, window_k)
     samples = np.empty(len(X))
     clock = time.perf_counter
     for i, x in enumerate(X):
@@ -48,13 +49,12 @@ def _time_rapidhare(models, cfg, X) -> np.ndarray:
     return samples
 
 
-def _time_hmm(models, trans, hmm_cfg, X) -> np.ndarray:
+def _time_hmm(models, trans, window_w, X) -> np.ndarray:
     samples = np.empty(len(X))
     clock = time.perf_counter
-    prior = np.asarray(hmm_cfg.initial_probs, dtype=np.float64)
-    w = hmm_cfg.window_w
-    for lo in range(0, len(X), w):
-        block = X[lo : lo + w]
+    prior = np.full(N_ACTIVITIES, 1 / N_ACTIVITIES)
+    for lo in block_starts(len(X), window_w):
+        block = X[lo : lo + window_w]
         t0 = clock()
         path = viterbi_block(models, trans, prior, block)
         dt = clock() - t0
@@ -68,15 +68,15 @@ def run_bench(
     method: str = "rapidhare",
     frames: int = 2000,
     repeats: int = 5,
-    pred_cfg: PredictorConfig = PredictorConfig(),
-    trans: TransitionMatrix | None = None,
-    hmm_cfg: HmmConfig = HmmConfig(),
+    window_k: int = 26,
+    window_w: int = 10,
     seed: int = 0,
 ) -> BenchStats:
     """Measure mean/std/p99 per-frame wall time over several passes of a fixed stream.
 
     The mean and std summarize per-repeat means; the p99 pools every
-    individual per-frame sample across repeats.
+    individual per-frame sample across repeats. The HMM baseline decodes with
+    the default transition matrix.
     """
     if frames <= 0:
         raise DataError("frames must be positive")
@@ -84,12 +84,12 @@ def run_bench(
         raise DataError("repeats must be positive")
     if method not in BENCH_METHODS:
         raise DataError(f"unknown bench method: {method!r}")
-    trans = default_transition_matrix() if trans is None else trans
+    trans = default_transition_matrix()
     X = _bench_frames(models.dim, frames, seed)
 
     runner = {
-        "rapidhare": lambda: _time_rapidhare(models, pred_cfg, X),
-        "hmm": lambda: _time_hmm(models, trans, hmm_cfg, X),
+        "rapidhare": lambda: _time_rapidhare(models, window_k, X),
+        "hmm": lambda: _time_hmm(models, trans, window_w, X),
     }[method]
 
     runner()  # warm-up pass, untimed

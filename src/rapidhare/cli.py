@@ -35,8 +35,8 @@ from .gmm import (
     load_model_set,
     save_model_set,
 )
-from .hmm import HmmConfig, load_transition_matrix
-from .predictor import PredictorConfig, PredictorSession, naive_window_scores, posterior
+from .hmm import load_transition_matrix
+from .predictor import PredictorSession, naive_window_scores, posterior
 from .synth import default_spec, generate, load_spec
 
 
@@ -137,9 +137,7 @@ def _emit_prediction(index: int, label: ActivityLabel, post: np.ndarray) -> None
 
 def _predict_stream(model_set, args) -> int:
     feat = _feature_config(args, None)
-    session = PredictorSession(
-        model_set, PredictorConfig(window_k=args.window, resync_interval=args.resync)
-    )
+    session = PredictorSession(model_set, args.window)
     streamer = None
     for index, line in enumerate(sys.stdin):
         line = line.rstrip("\n")
@@ -155,8 +153,12 @@ def _predict_stream(model_set, args) -> int:
             raise DataError(
                 f"stdin:{index + 1}: {len(x)} values, the first frame had {streamer.n_channels}"
             )
-        pred = session.push_frame(streamer.push(x))
+        try:
+            pred = session.push_frame(streamer.push(x))
+        except DataError as exc:
+            raise DataError(f"stdin:{index + 1}: {exc}") from None
         _emit_prediction(index, pred.label, pred.posterior)
+        sys.stdout.flush()
     return 0
 
 
@@ -164,14 +166,13 @@ def _predict_file(model_set, args) -> int:
     channels = read_header(args.input)
     seq = parse_recording(args.input, channels)
     seq = _feature_config(args, channels).apply(seq)
-    cfg = PredictorConfig(window_k=args.window, resync_interval=args.resync)
     if args.oracle:
-        scores = naive_window_scores(model_set, seq.frames, cfg)
+        scores = naive_window_scores(model_set, seq.frames, args.window)
         for index, s in enumerate(scores):
             label = ALL_LABELS[int(np.argmax(s))]
             _emit_prediction(index, label, posterior(s))
     else:
-        session = PredictorSession(model_set, cfg)
+        session = PredictorSession(model_set, args.window)
         for index, x in enumerate(seq.frames):
             pred = session.push_frame(x)
             _emit_prediction(index, pred.label, pred.posterior)
@@ -180,11 +181,14 @@ def _predict_file(model_set, args) -> int:
 
 def cmd_predict(args) -> int:
     model_set = load_model_set(args.model)
-    if args.input == "-":
-        if args.oracle:
-            raise DataError("--oracle needs a recording file, not streaming input")
-        return _predict_stream(model_set, args)
-    return _predict_file(model_set, args)
+    # A frame too large to score is rejected with DataError; numpy's overflow
+    # warnings on the way there would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.input == "-":
+            if args.oracle:
+                raise DataError("--oracle needs a recording file, not streaming input")
+            return _predict_stream(model_set, args)
+        return _predict_file(model_set, args)
 
 
 def _format_value(v: float, fmt: str) -> str:
@@ -226,9 +230,9 @@ def cmd_evaluate(args) -> int:
         counts=_component_counts(args),
         em_cfg=_em_config(args),
         feat_cfg=feat,
-        pred_cfg=PredictorConfig(window_k=args.window),
+        window_k=args.window,
         trans=trans,
-        hmm_cfg=HmmConfig(window_w=args.hmm_window),
+        window_w=args.hmm_window,
         tolerance=args.tolerance,
         method=args.method,
         jobs=args.jobs,
@@ -245,8 +249,8 @@ def cmd_bench(args) -> int:
         method=args.method,
         frames=args.frames,
         repeats=args.repeats,
-        pred_cfg=PredictorConfig(window_k=args.window),
-        hmm_cfg=HmmConfig(window_w=args.hmm_window),
+        window_k=args.window,
+        window_w=args.hmm_window,
         seed=args.seed,
     )
     fields = [
@@ -289,8 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p):
+    def seed_flag(p):
         p.add_argument("--seed", type=int, default=1, help="base random seed (default: 1)")
+
+    def format_flag(p):
         p.add_argument(
             "--format", choices=("table", "tsv"), default="table",
             help="output layout (default: table)",
@@ -320,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit per-activity mixtures and write a model file")
     p.add_argument("data_dir", help="directory of recording files")
     p.add_argument("--out", required=True, help="output model path")
-    common(p)
+    seed_flag(p)
     em_flags(p)
     feature_flags(p)
     p.set_defaults(func=cmd_train)
@@ -330,11 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model file to load")
     p.add_argument("--window", type=int, default=26,
                    help="context window look-back K (default: 26)")
-    p.add_argument("--resync", type=int, default=1024,
-                   help="frames between exact window-sum recomputations (default: 1024)")
     p.add_argument("--oracle", action="store_true",
                    help="batch reference path that recomputes each window from scratch")
-    common(p)
     feature_flags(p)
     p.set_defaults(func=cmd_predict)
 
@@ -352,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="transition matrix file (default: built-in matrix)")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel CV folds (default: 1)")
-    common(p)
+    seed_flag(p)
+    format_flag(p)
     em_flags(p)
     feature_flags(p)
     p.set_defaults(func=cmd_evaluate)
@@ -369,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="context window look-back K (default: 26)")
     p.add_argument("--hmm-window", type=int, default=10,
                    help="Viterbi block length (default: 10)")
-    common(p)
+    seed_flag(p)
+    format_flag(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
@@ -382,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=6, help="channels per frame (default: 6)")
     p.add_argument("--min-segment", type=int, default=200,
                    help="minimum activity segment length in frames (default: 200)")
-    common(p)
+    seed_flag(p)
     p.set_defaults(func=cmd_synth)
 
     return parser

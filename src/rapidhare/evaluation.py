@@ -11,8 +11,8 @@ from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel, Dataset, frames_by_la
 from .errors import DataError
 from .features import FeatureConfig
 from .gmm import EmConfig, fit_activity_models
-from .hmm import HmmConfig, TransitionMatrix, default_transition_matrix, predict_stream_hmm
-from .predictor import PredictorConfig, PredictorSession
+from .hmm import TransitionMatrix, default_transition_matrix, predict_stream_hmm
+from .predictor import PredictorSession
 
 
 def _as_label_ids(labels) -> np.ndarray:
@@ -82,13 +82,7 @@ def metrics(conf: np.ndarray, tolerance_frames: int = 0) -> EvalReport:
         f1 = _safe_ratio(2.0 * precision * recall, precision + recall)
         accuracy = _safe_ratio(tp + tn, total)
         per[label] = ClassMetrics(100.0 * recall, 100.0 * precision, 100.0 * f1, 100.0 * accuracy)
-    macro = ClassMetrics(
-        float(np.mean([m.recall for m in per.values()])),
-        float(np.mean([m.precision for m in per.values()])),
-        float(np.mean([m.f1 for m in per.values()])),
-        float(np.mean([m.accuracy for m in per.values()])),
-    )
-    return EvalReport(conf, per, macro, tolerance_frames)
+    return EvalReport(conf, per, _mean_metrics(list(per.values())), tolerance_frames)
 
 
 def _segments(labels: np.ndarray) -> list[tuple[int, int, int]]:
@@ -152,9 +146,9 @@ def _run_fold(
     counts,
     em_cfg: EmConfig,
     feat_cfg: FeatureConfig,
-    pred_cfg: PredictorConfig,
+    window_k: int,
     trans: TransitionMatrix,
-    hmm_cfg: HmmConfig,
+    window_w: int,
     tolerance: int,
     method: str,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -167,14 +161,14 @@ def _run_fold(
     for seq in test.sequences:
         fseq = feat_cfg.apply(seq)
         if method == "rapidhare":
-            session = PredictorSession(model_set, pred_cfg)
+            session = PredictorSession(model_set, window_k)
             pred = np.fromiter(
                 (int(session.push_frame(x).label) for x in fseq.frames),
                 dtype=np.int64,
                 count=fseq.n_frames,
             )
         else:
-            decoded = predict_stream_hmm(model_set, trans, hmm_cfg, fseq.frames)
+            decoded = predict_stream_hmm(model_set, trans, window_w, fseq.frames)
             pred = np.asarray([int(label) for label in decoded])
         conf_raw += confusion(fseq.labels, pred)
         adjusted = apply_border_tolerance(fseq.labels, pred, tolerance)
@@ -208,9 +202,9 @@ def run_cv(
     counts=None,
     em_cfg: EmConfig = EmConfig(),
     feat_cfg: FeatureConfig = FeatureConfig(),
-    pred_cfg: PredictorConfig = PredictorConfig(),
+    window_k: int = 26,
     trans: TransitionMatrix | None = None,
-    hmm_cfg: HmmConfig = HmmConfig(),
+    window_w: int = 10,
     tolerance: int = 25,
     method: str = "rapidhare",
     jobs: int = 1,
@@ -233,7 +227,7 @@ def run_cv(
         i, subject = i_subject
         fold_cfg = replace(em_cfg, seed=em_cfg.seed + 1009 * i)
         return _run_fold(
-            dataset, subject, counts, fold_cfg, feat_cfg, pred_cfg, trans, hmm_cfg,
+            dataset, subject, counts, fold_cfg, feat_cfg, window_k, trans, window_w,
             tolerance, method,
         )
 

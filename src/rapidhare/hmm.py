@@ -56,24 +56,6 @@ def default_transition_matrix() -> TransitionMatrix:
     return TransitionMatrix(np.array(rows))
 
 
-@dataclass(frozen=True)
-class HmmConfig:
-    """Viterbi block length and the first block's state prior."""
-
-    window_w: int = 10
-    initial_probs: tuple[float, ...] = (0.125,) * N_ACTIVITIES
-
-    def __post_init__(self):
-        if self.window_w < 1:
-            raise DataError("window_w must be positive")
-        p = np.asarray(self.initial_probs, dtype=np.float64)
-        if p.shape != (N_ACTIVITIES,) or (p < 0).any() or not np.isfinite(p).all():
-            raise DataError(f"initial_probs must be {N_ACTIVITIES} non-negative values")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise DataError("initial_probs must sum to 1")
-        object.__setattr__(self, "initial_probs", tuple(float(v) for v in p))
-
-
 def viterbi_block(
     models: ActivityModelSet, trans: TransitionMatrix, prior, frames
 ) -> list[ActivityLabel]:
@@ -114,25 +96,32 @@ def viterbi_block(
     return [ALL_LABELS[s] for s in path]
 
 
+def block_starts(n_frames: int, window_w: int) -> range:
+    """First frame of each consecutive ``window_w``-frame decoding block."""
+    if window_w < 1:
+        raise DataError("window_w must be positive")
+    return range(0, n_frames, window_w)
+
+
 def predict_stream_hmm(
     models: ActivityModelSet,
     trans: TransitionMatrix,
-    cfg: HmmConfig,
+    window_w: int,
     frames,
 ) -> list[ActivityLabel]:
     """Decode a stream in consecutive blocks of ``window_w`` frames.
 
-    The first block starts from the configured initial probabilities; each
-    later block starts from the transition row of the previous block's final
-    decoded state, so decoding latency stays bounded by one block.
+    The first block starts from the uniform state prior; each later block
+    starts from the transition row of the previous block's final decoded
+    state, so decoding latency stays bounded by one block.
     """
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     if frames.size == 0:
         raise DataError("predict_stream_hmm needs a non-empty sequence")
-    prior = np.asarray(cfg.initial_probs, dtype=np.float64)
+    prior = np.full(N_ACTIVITIES, 1 / N_ACTIVITIES)
     labels: list[ActivityLabel] = []
-    for lo in range(0, len(frames), cfg.window_w):
-        block = viterbi_block(models, trans, prior, frames[lo : lo + cfg.window_w])
+    for lo in block_starts(len(frames), window_w):
+        block = viterbi_block(models, trans, prior, frames[lo : lo + window_w])
         labels.extend(block)
         prior = trans.probs[int(block[-1]) - 1]
     return labels

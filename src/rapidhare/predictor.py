@@ -4,13 +4,15 @@ Every incoming frame is scored once against each activity mixture; the scores
 enter a fixed-size ring whose running per-activity sums are the window
 log-likelihoods. Per-frame cost is therefore independent of the window length:
 exactly one mixture evaluation per activity plus O(1) bookkeeping. Running
-sums are recomputed exactly from the ring at a fixed interval to bound
-floating-point drift.
+sums are recomputed exactly from the ring every ``RESYNC_INTERVAL`` frames to
+bound floating-point drift. The window length ``window_k`` is the one setting:
+it counts the look-back depth, so a window spans at most ``window_k + 1``
+frames including the current one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -18,42 +20,21 @@ from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel
 from .errors import DataError
 from .gmm import ActivityModelSet, expansion_coefficients, log_pdf_batch
 
-
-@dataclass(frozen=True)
-class PredictorConfig:
-    """Window length, optional class log-priors, and the drift resync interval.
-
-    ``window_k`` counts the look-back depth, so the window spans at most
-    ``window_k + 1`` frames including the current one. Absent priors mean
-    uniform priors, which drop out of the arg-max entirely.
-    """
-
-    window_k: int = 26
-    log_priors: tuple[float, ...] | None = None
-    resync_interval: int = 1024
-
-    def __post_init__(self):
-        if self.window_k < 0:
-            raise DataError("window_k must be non-negative")
-        if self.resync_interval < 1:
-            raise DataError("resync_interval must be positive")
-        if self.log_priors is not None:
-            priors = np.asarray(self.log_priors, dtype=np.float64)
-            if priors.shape != (N_ACTIVITIES,) or not np.isfinite(np.exp(priors)).all():
-                raise DataError(f"log_priors must be {N_ACTIVITIES} finite values")
-            if abs(float(np.exp(priors).sum()) - 1.0) > 1e-9:
-                raise DataError("exp(log_priors) must sum to 1")
-            object.__setattr__(self, "log_priors", tuple(float(p) for p in priors))
+RESYNC_INTERVAL = 1024  # frames between exact recomputations of the window sums
 
 
-def posterior(scores, log_priors=None) -> np.ndarray:
-    """Normalize scores (plus optional log-priors) into class probabilities.
+def _checked_window(window_k: int) -> int:
+    if window_k < 0:
+        raise DataError("window_k must be non-negative")
+    return window_k
+
+
+def posterior(scores) -> np.ndarray:
+    """Normalize scores into class probabilities.
 
     Softmax with max-subtraction, so any common shift of the scores cancels.
     """
     z = np.asarray(scores, dtype=np.float64)
-    if log_priors is not None:
-        z = z + np.asarray(log_priors, dtype=np.float64)
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
@@ -124,83 +105,79 @@ class PredictorSession:
     pushes and may share one immutable model set with other sessions.
     """
 
-    def __init__(self, models: ActivityModelSet, cfg: PredictorConfig = PredictorConfig()):
+    def __init__(self, models: ActivityModelSet, window_k: int = 26):
         self.models = models
-        self.cfg = cfg
         self.frames_seen = 0
         self.gmm_evaluations = 0
         self._scorer = _FrameScorer(models)
-        self._capacity = cfg.window_k + 1
+        self._capacity = _checked_window(window_k) + 1
         self._ring = np.zeros((self._capacity, N_ACTIVITIES))
         self._sums = np.zeros(N_ACTIVITIES)
+        self._next_sums = np.empty(N_ACTIVITIES)
         self._pos = 0
         self._count = 0
         self._ll = np.empty(N_ACTIVITIES)
-        self._scored = np.empty(N_ACTIVITIES)
-        self._priors = None if cfg.log_priors is None else np.asarray(cfg.log_priors)
 
     def push_frame(self, x) -> Prediction:
         """Score one frame, advance the window, and return the current decision.
 
         Exactly one mixture evaluation per activity happens here regardless of
-        the window length; eviction and the running sums cover the rest.
+        the window length; eviction and the running sums cover the rest. A
+        frame after which the window scores or their total would not be
+        finite (NaN or infinite input, or log-likelihoods too large to sum)
+        raises DataError and leaves the session exactly as it was.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._scorer.dim,):
             raise DataError(f"expected a length-{self._scorer.dim} frame, got shape {x.shape}")
         ll = self._scorer.scores(x, out=self._ll)
-        self.gmm_evaluations += N_ACTIVITIES
-        if self._count == self._capacity:
-            np.subtract(self._sums, self._ring[self._pos], out=self._sums)
+        sums = self._next_sums
+        full = self._count == self._capacity
+        if full:
+            np.subtract(self._sums, self._ring[self._pos], out=sums)
+            np.add(sums, ll, out=sums)
         else:
+            np.add(self._sums, ll, out=sums)
+        if not math.isfinite(sums.sum()):
+            raise DataError("frame gives non-finite activity scores")
+        self._next_sums, self._sums = self._sums, sums
+        self.gmm_evaluations += N_ACTIVITIES
+        if not full:
             self._count += 1
         self._ring[self._pos] = ll
-        np.add(self._sums, ll, out=self._sums)
         self._pos += 1
         if self._pos == self._capacity:
             self._pos = 0
         self.frames_seen += 1
-        if self.frames_seen % self.cfg.resync_interval == 0:
-            np.sum(self._ring[: self._count], axis=0, out=self._sums)
-        if self._priors is None:
-            scores = self._sums
-        else:
-            scores = np.add(self._sums, self._priors, out=self._scored)
-        label = ALL_LABELS[int(np.argmax(scores))]
-        return Prediction(label, scores.copy())
+        if self.frames_seen % RESYNC_INTERVAL == 0:
+            np.sum(self._ring[: self._count], axis=0, out=sums)
+        label = ALL_LABELS[int(np.argmax(sums))]
+        return Prediction(label, sums.copy())
 
 
-def new_session(models: ActivityModelSet, cfg: PredictorConfig = PredictorConfig()) -> PredictorSession:
-    return PredictorSession(models, cfg)
-
-
-def naive_window_scores(
-    models: ActivityModelSet, frames, cfg: PredictorConfig = PredictorConfig()
-) -> np.ndarray:
+def naive_window_scores(models: ActivityModelSet, frames, window_k: int = 26) -> np.ndarray:
     """Per-frame window scores recomputed from scratch, with no incremental state.
 
     Densities come from the plain per-model batch evaluator and each frame's
     window sum is a fresh slice reduction, so this path shares none of the
     streaming session's caching and serves as its oracle.
     """
+    k = _checked_window(window_k)
     frames = np.asarray(frames, dtype=np.float64)
     if frames.size == 0:
         return np.empty((0, N_ACTIVITIES))
     if frames.ndim != 2 or frames.shape[1] != models.dim:
         raise DataError(f"expected an (n, {models.dim}) matrix, got shape {frames.shape}")
     ll = np.column_stack([log_pdf_batch(models.models[label], frames) for label in ALL_LABELS])
-    priors = None if cfg.log_priors is None else np.asarray(cfg.log_priors)
-    k = cfg.window_k
     scores = np.empty_like(ll)
     for t in range(len(frames)):
-        s = ll[max(0, t - k) : t + 1].sum(axis=0)
-        scores[t] = s if priors is None else s + priors
+        scores[t] = ll[max(0, t - k) : t + 1].sum(axis=0)
     return scores
 
 
 def predict_sequence_naive(
-    models: ActivityModelSet, frames, cfg: PredictorConfig = PredictorConfig()
+    models: ActivityModelSet, frames, window_k: int = 26
 ) -> list[ActivityLabel]:
     """Reference predictor over naive_window_scores; the oracle for push_frame."""
-    scores = naive_window_scores(models, frames, cfg)
+    scores = naive_window_scores(models, frames, window_k)
     return [ALL_LABELS[int(np.argmax(s))] for s in scores]

@@ -17,7 +17,6 @@ from rapidhare import (
     DirectionalConfig,
     EmConfig,
     FeatureConfig,
-    PredictorConfig,
     PredictorSession,
     TransitionMatrix,
     apply_border_tolerance,
@@ -30,7 +29,6 @@ from rapidhare import (
     log_pdf,
     metrics,
     naive_window_scores,
-    new_session,
     predict_sequence_naive,
     run_bench,
     run_cv,
@@ -57,11 +55,10 @@ def test_criterion_1_streaming_equals_naive():
         k = windows[instance % len(windows)]
         models = random_model_set(rng, dim=5, k_lo=1, k_hi=3)
         frames = rng.uniform(-1.5, 1.5, size=(n_frames, 5))
-        cfg = PredictorConfig(window_k=k)
 
-        naive_labels = predict_sequence_naive(models, frames, cfg)
-        naive_scores = naive_window_scores(models, frames, cfg)
-        session = new_session(models, cfg)
+        naive_labels = predict_sequence_naive(models, frames, k)
+        naive_scores = naive_window_scores(models, frames, k)
+        session = PredictorSession(models, k)
         for t, x in enumerate(frames):
             pred = session.push_frame(x)
             assert pred.label is naive_labels[t], (instance, k, t)
@@ -206,7 +203,6 @@ def test_criterion_6_synthetic_cv_end_to_end():
     """Full pipeline on the default synthetic spec must be near-perfect per fold."""
     t_start = time.perf_counter()
     dataset = generate(default_spec())
-    pred_cfg = PredictorConfig(window_k=26)
     fold_stats = []
     for i, subject in enumerate(dataset.subjects()):
         train, _validation, test = split_loso(dataset, subject)
@@ -216,7 +212,7 @@ def test_criterion_6_synthetic_cv_end_to_end():
             EmConfig(seed=11 + i),
         )
         for seq in test.sequences:
-            session = PredictorSession(model_set, pred_cfg)
+            session = PredictorSession(model_set, 26)
             pred = np.fromiter(
                 (int(session.push_frame(x).label) for x in seq.frames),
                 dtype=np.int64,
@@ -251,7 +247,7 @@ def test_criterion_7_latency_ratio():
     assert models.n_total_components == 86
     fast = run_bench(
         models, method="rapidhare", frames=1500, repeats=3,
-        pred_cfg=PredictorConfig(window_k=26), seed=3,
+        window_k=26, seed=3,
     )
     slow = run_bench(models, method="hmm", frames=1500, repeats=3, seed=3)
     ratio = slow.mean_us / fast.mean_us
@@ -268,7 +264,7 @@ def test_criterion_8_evaluations_per_frame():
     rng = np.random.default_rng(13)
     models = random_model_set(rng, dim=4)
     for k in (0, 5, 26, 100):
-        session = new_session(models, PredictorConfig(window_k=k))
+        session = PredictorSession(models, k)
         for _ in range(137):
             session.push_frame(rng.uniform(-1, 1, size=4))
         assert session.gmm_evaluations == 137 * 8, k
@@ -291,7 +287,7 @@ def test_criterion_9_optional_recorded_dataset():
     _raw, tol = run_cv(
         dataset,
         feat_cfg=feat,
-        pred_cfg=PredictorConfig(window_k=26),
+        window_k=26,
         tolerance=25,
     )
     assert tol.macro.f1 >= 90.0

@@ -1,8 +1,14 @@
 import io
+import os
+import selectors
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rapidhare
 from rapidhare.cli import main
 from rapidhare import load_model_set, parse_recording, read_header
 
@@ -177,6 +183,56 @@ def test_predict_stdin_width_change_names_the_line(model_path, capsys, monkeypat
     monkeypatch.setattr("sys.stdin", io.StringIO("0.1\t0.2\t0.3\t0.4\n\n0.1\t0.2\n"))
     assert main(["predict", "-", "--model", str(model_path)]) == 2
     assert "stdin:3: 2 values, the first frame had 4" in capsys.readouterr().err
+
+
+def test_predict_stdin_non_finite_frame_names_the_line(model_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("nan\t0.1\t0.2\t0.3\n0.1\t0.1\t0.2\t0.3\n"))
+    assert main(["predict", "-", "--model", str(model_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stdin:1: frame gives non-finite activity scores" in captured.err
+    assert "Warning" not in captured.err
+
+
+def test_predict_stdin_sends_each_line_before_more_input(model_path):
+    """A client that writes one frame and waits gets its label line, even through a pipe."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(rapidhare.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "rapidhare.cli", "predict", "-", "--model", str(model_path)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        child.stdin.write(b"0.1\t0.2\t0.3\t0.4\n")
+        child.stdin.flush()
+        with selectors.DefaultSelector() as sel:
+            sel.register(child.stdout, selectors.EVENT_READ)
+            ready = sel.select(timeout=10.0)
+        assert ready, "no label line within 10 s while stdin stayed open"
+        assert child.stdout.readline().startswith(b"0\t")
+    finally:
+        child.kill()
+        child.communicate()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["predict", "REC", "--model", "MODEL", "--seed", "3"],
+        ["predict", "REC", "--model", "MODEL", "--format", "tsv"],
+        ["predict", "REC", "--model", "MODEL", "--resync", "5"],
+        ["train", "DATA", "--out", "OUT", "--format", "tsv"],
+        ["synth", "--out", "OUT", "--format", "tsv"],
+    ],
+)
+def test_removed_flags_are_usage_errors(extra, synth_dir, model_path, tmp_path, capsys):
+    recording = sorted(synth_dir.iterdir())[0]
+    subst = {"REC": str(recording), "MODEL": str(model_path), "DATA": str(synth_dir),
+             "OUT": str(tmp_path / "out")}
+    with pytest.raises(SystemExit) as err:
+        main([subst.get(a, a) for a in extra])
+    assert err.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_predict_bad_model_number_exits_two(synth_dir, model_path, tmp_path, capsys):

@@ -8,7 +8,6 @@ from rapidhare import (
     Dataset,
     EmConfig,
     LabeledSequence,
-    PredictorConfig,
     aggregate_reports,
     apply_border_tolerance,
     channel,
@@ -226,7 +225,7 @@ def test_run_cv_rapidhare_small():
         ds,
         counts=counts,
         em_cfg=EmConfig(seed=3, max_iters=30),
-        pred_cfg=PredictorConfig(window_k=8),
+        window_k=8,
         tolerance=10,
     )
     assert tol.macro.accuracy >= raw.macro.accuracy
@@ -255,7 +254,7 @@ def test_run_cv_parallel_matches_serial():
     kwargs = dict(
         counts=counts,
         em_cfg=EmConfig(seed=3, max_iters=30),
-        pred_cfg=PredictorConfig(window_k=8),
+        window_k=8,
         tolerance=10,
     )
     raw_serial, _ = run_cv(ds, **kwargs)

@@ -9,7 +9,6 @@ from rapidhare import (
     ActivityModelSet,
     DataError,
     GmmModel,
-    HmmConfig,
     TransitionMatrix,
     default_transition_matrix,
     load_transition_matrix,
@@ -55,12 +54,10 @@ def test_transition_matrix_validation():
         TransitionMatrix(np.eye(8) + np.full((8, 8), -1e-3) + np.eye(8) * 8e-3)
 
 
-def test_hmm_config_validation():
-    assert np.isclose(sum(HmmConfig().initial_probs), 1.0)
-    with pytest.raises(DataError):
-        HmmConfig(window_w=0)
-    with pytest.raises(DataError, match="sum to 1"):
-        HmmConfig(initial_probs=(1.0,) * 8)
+def test_hmm_config_validation(rng):
+    models = random_model_set(rng, dim=2)
+    with pytest.raises(DataError, match="window_w"):
+        predict_stream_hmm(models, default_transition_matrix(), 0, rng.uniform(-1, 1, (3, 2)))
 
 
 def test_single_frame_block_is_prior_weighted_argmax(rng):
@@ -81,9 +78,7 @@ def test_dominant_state_yields_constant_path(rng):
     models[ActivityLabel.SITTING] = tight
     model_set = ActivityModelSet(models)
     frames = 0.5 + 0.001 * rng.standard_normal((20, 2))
-    path = predict_stream_hmm(
-        model_set, default_transition_matrix(), HmmConfig(window_w=10), frames
-    )
+    path = predict_stream_hmm(model_set, default_transition_matrix(), 10, frames)
     assert all(label is ActivityLabel.SITTING for label in path)
 
 
@@ -140,12 +135,11 @@ def test_viterbi_rejects_inadmissible_prior(rng):
 def test_stream_blocks_partition_sequence(rng):
     models = random_model_set(rng, dim=2)
     trans = default_transition_matrix()
-    cfg = HmmConfig(window_w=10)
     frames = rng.uniform(-1, 1, size=(25, 2))
-    got = predict_stream_hmm(models, trans, cfg, frames)
+    got = predict_stream_hmm(models, trans, 10, frames)
     assert len(got) == 25
 
-    prior = np.asarray(cfg.initial_probs)
+    prior = np.full(8, 0.125)
     manual = []
     for lo in (0, 10, 20):
         block = viterbi_block(models, trans, prior, frames[lo : lo + 10])
@@ -157,7 +151,7 @@ def test_stream_blocks_partition_sequence(rng):
 def test_stream_single_block(rng):
     models = random_model_set(rng, dim=2)
     frames = rng.uniform(-1, 1, size=(10, 2))
-    got = predict_stream_hmm(models, default_transition_matrix(), HmmConfig(window_w=10), frames)
+    got = predict_stream_hmm(models, default_transition_matrix(), 10, frames)
     direct = viterbi_block(models, default_transition_matrix(), np.full(8, 0.125), frames)
     assert got == direct
 
@@ -166,7 +160,7 @@ def test_decoded_stream_never_crosses_forbidden_transitions(rng):
     models = random_model_set(rng, dim=2)
     trans = default_transition_matrix()
     frames = rng.uniform(-1, 1, size=(400, 2))
-    path = predict_stream_hmm(models, trans, HmmConfig(window_w=10), frames)
+    path = predict_stream_hmm(models, trans, 10, frames)
     for a, b in zip(path, path[1:]):
         assert trans.probs[int(a) - 1, int(b) - 1] > 0.0
 
@@ -182,12 +176,12 @@ def test_per_frame_time_grows_as_blocks_shrink(rng):
         for _ in range(8):
             for w in widths:  # interleaved so clock drift hits every width equally
                 t0 = time.perf_counter()
-                predict_stream_hmm(models, trans, HmmConfig(window_w=w), frames)
+                predict_stream_hmm(models, trans, w, frames)
                 best[w] = min(best[w], (time.perf_counter() - t0) / len(frames))
         return [best[w] for w in widths]
 
     for w in widths:  # warm caches before timing anything
-        predict_stream_hmm(models, trans, HmmConfig(window_w=w), frames[:100])
+        predict_stream_hmm(models, trans, w, frames[:100])
 
     # Adjacent widths differ by well under timer noise on a shared machine,
     # so tolerate 3% pairwise and retry the whole measurement a few times.

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rapidhare import (
     ALL_LABELS,
@@ -7,13 +10,13 @@ from rapidhare import (
     ActivityModelSet,
     DataError,
     GmmModel,
-    PredictorConfig,
+    PredictorSession,
     log_pdf,
     naive_window_scores,
-    new_session,
     posterior,
     predict_sequence_naive,
 )
+from rapidhare import predictor
 from rapidhare.gmm import DEFAULT_COMPONENT_COUNTS
 from conftest import log_pdf_oracle, random_model_set
 
@@ -25,25 +28,23 @@ def identical_model_set(dim=3):
 
 def test_new_session_starts_empty(rng):
     models = random_model_set(rng, dim=3)
-    session = new_session(models, PredictorConfig(window_k=26))
+    session = PredictorSession(models, 26)
     assert session.frames_seen == 0
     assert session.gmm_evaluations == 0
 
 
-def test_config_validation():
-    with pytest.raises(DataError):
-        PredictorConfig(window_k=-1)
-    with pytest.raises(DataError):
-        PredictorConfig(resync_interval=0)
-    with pytest.raises(DataError, match="sum to 1"):
-        PredictorConfig(log_priors=tuple(np.zeros(8)))
-    PredictorConfig(window_k=0)  # degenerate single-frame window is allowed
-    PredictorConfig(log_priors=tuple(np.log(np.full(8, 0.125))))
+def test_config_validation(rng):
+    models = random_model_set(rng, dim=3)
+    with pytest.raises(DataError, match="window_k"):
+        PredictorSession(models, -1)
+    with pytest.raises(DataError, match="window_k"):
+        naive_window_scores(models, np.zeros((2, 3)), -1)
+    PredictorSession(models, 0)  # degenerate single-frame window is allowed
 
 
 def test_k0_equals_single_frame_argmax(rng):
     models = random_model_set(rng, dim=4)
-    session = new_session(models, PredictorConfig(window_k=0))
+    session = PredictorSession(models, 0)
     for _ in range(20):
         x = rng.uniform(-1, 1, size=4)
         pred = session.push_frame(x)
@@ -71,7 +72,7 @@ def test_frame_scores_error_bound_at_variance_floor():
             variances = 10.0 ** rng.uniform(-6.0, -4.0, size=(k, dim))
             models[label] = GmmModel(weights / weights.sum(), means, variances)
         model_set = ActivityModelSet(models)
-        session = new_session(model_set, PredictorConfig(window_k=0))  # scores = one frame
+        session = PredictorSession(model_set, 0)  # scores = one frame
         for _ in range(5):
             near = model_set.models[ALL_LABELS[rng.integers(len(ALL_LABELS))]]
             j = rng.integers(near.n_components)
@@ -92,7 +93,7 @@ def test_frame_scores_error_bound_at_variance_floor():
 
 
 def test_tie_breaks_to_lowest_id(rng):
-    session = new_session(identical_model_set(), PredictorConfig(window_k=5))
+    session = PredictorSession(identical_model_set(), 5)
     for _ in range(12):
         pred = session.push_frame(rng.uniform(-1, 1, size=3))
         assert pred.label is ActivityLabel.WALKING
@@ -103,10 +104,9 @@ def test_streaming_matches_naive_across_windows(rng):
     for k in (0, 1, 5, 26):
         models = random_model_set(rng, dim=4)
         frames = rng.uniform(-1.5, 1.5, size=(600, 4))
-        cfg = PredictorConfig(window_k=k)
-        naive_labels = predict_sequence_naive(models, frames, cfg)
-        naive_scores = naive_window_scores(models, frames, cfg)
-        session = new_session(models, cfg)
+        naive_labels = predict_sequence_naive(models, frames, k)
+        naive_scores = naive_window_scores(models, frames, k)
+        session = PredictorSession(models, k)
         for t, x in enumerate(frames):
             pred = session.push_frame(x)
             assert pred.label is naive_labels[t]
@@ -116,41 +116,31 @@ def test_streaming_matches_naive_across_windows(rng):
 def test_streaming_exact_evaluation_count(rng):
     models = random_model_set(rng, dim=3)
     for k in (0, 26):
-        session = new_session(models, PredictorConfig(window_k=k))
+        session = PredictorSession(models, k)
         for _ in range(50):
             session.push_frame(rng.uniform(-1, 1, size=3))
         assert session.gmm_evaluations == 50 * 8
 
 
-def test_uniform_priors_match_omitted_priors(rng):
-    models = random_model_set(rng, dim=3)
-    frames = rng.uniform(-1, 1, size=(200, 3))
-    plain = new_session(models, PredictorConfig(window_k=7))
-    uniform = new_session(
-        models, PredictorConfig(window_k=7, log_priors=tuple(np.log(np.full(8, 0.125))))
-    )
-    for x in frames:
-        assert plain.push_frame(x).label is uniform.push_frame(x).label
-
-
 def test_streaming_is_causal(rng):
     models = random_model_set(rng, dim=3)
     frames = rng.uniform(-1, 1, size=(100, 3))
-    cfg = PredictorConfig(window_k=9)
-    full = predict_sequence_naive(models, frames, cfg)
+    full = predict_sequence_naive(models, frames, 9)
     for cut in (1, 17, 60, 100):
-        assert predict_sequence_naive(models, frames[:cut], cfg) == full[:cut]
+        assert predict_sequence_naive(models, frames[:cut], 9) == full[:cut]
 
 
-def test_resync_keeps_sums_exact(rng):
+def test_resync_keeps_sums_exact(rng, monkeypatch):
     models = random_model_set(rng, dim=3)
     frames = rng.uniform(-1, 1, size=(3000, 3))
-    eager = new_session(models, PredictorConfig(window_k=26, resync_interval=1))
-    lazy = new_session(models, PredictorConfig(window_k=26, resync_interval=10**9))
+
+    def run(interval):
+        monkeypatch.setattr(predictor, "RESYNC_INTERVAL", interval)
+        session = PredictorSession(models, 26)
+        return [session.push_frame(x) for x in frames]
+
     worst = 0.0
-    for x in frames:
-        a = eager.push_frame(x)
-        b = lazy.push_frame(x)
+    for a, b in zip(run(1), run(10**9)):
         worst = max(worst, float(np.abs(a.scores - b.scores).max()))
         assert a.label is b.label
     assert worst < 1e-9
@@ -174,15 +164,9 @@ def test_posterior_shift_invariance(rng):
     assert np.abs(base - shifted).max() < 1e-12
 
 
-def test_posterior_with_priors(rng):
-    scores = rng.normal(size=8)
-    log_priors = np.log(np.full(8, 0.125))
-    assert np.allclose(posterior(scores, log_priors), posterior(scores), atol=1e-12)
-
-
 def test_prediction_posterior_matches_scores(rng):
     models = random_model_set(rng, dim=3)
-    session = new_session(models, PredictorConfig(window_k=4))
+    session = PredictorSession(models, 4)
     pred = None
     for x in rng.uniform(-1, 1, size=(9, 3)):
         pred = session.push_frame(x)
@@ -192,7 +176,7 @@ def test_prediction_posterior_matches_scores(rng):
 
 
 def test_push_frame_dimension_mismatch(rng):
-    session = new_session(random_model_set(rng, dim=3))
+    session = PredictorSession(random_model_set(rng, dim=3))
     with pytest.raises(DataError, match="length-3"):
         session.push_frame(np.zeros(5))
 
@@ -214,8 +198,96 @@ def test_naive_single_frame_prefers_denser_model(rng):
 
 def test_scores_are_stable_copies(rng):
     models = random_model_set(rng, dim=3)
-    session = new_session(models, PredictorConfig(window_k=3))
+    session = PredictorSession(models, 3)
     first = session.push_frame(rng.uniform(-1, 1, size=3))
     saved = first.scores.copy()
     session.push_frame(rng.uniform(-1, 1, size=3))
     assert np.array_equal(first.scores, saved)
+
+
+def _state(session):
+    return (
+        session._ring.copy(),
+        session._sums.copy(),
+        session._pos,
+        session._count,
+        session.frames_seen,
+        session.gmm_evaluations,
+    )
+
+
+def _assert_same_state(before, after):
+    ring, sums, *counters = before
+    assert np.array_equal(after[0], ring)
+    assert np.array_equal(after[1], sums)
+    assert list(after[2:]) == counters
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_non_finite_frame_is_rejected_without_state_change(rng, bad):
+    models = random_model_set(rng, dim=3)
+    frames = rng.uniform(-1, 1, size=(60, 3))
+    naive_labels = predict_sequence_naive(models, frames, 5)
+    naive_scores = naive_window_scores(models, frames, 5)
+    session = PredictorSession(models, 5)
+    for t, x in enumerate(frames):
+        if t % 7 == 3:  # a rejected frame before the window is full and after
+            before = _state(session)
+            with pytest.raises(DataError, match="non-finite"):
+                session.push_frame(np.array([x[0], bad, x[2]]))
+            _assert_same_state(before, _state(session))
+        pred = session.push_frame(x)
+        assert pred.label is naive_labels[t]
+        assert np.abs(pred.scores - naive_scores[t]).max() < 1e-9
+    assert session.frames_seen == len(frames)
+    assert session.gmm_evaluations == 8 * len(frames)
+
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_frame_that_would_overflow_the_window_sums_is_rejected():
+    session = PredictorSession(identical_model_set(dim=1), 26)
+    x = np.array([np.sqrt(4e306)])  # log-likelihood about -2e306 for every activity
+    accepted = 0
+    with pytest.raises(DataError, match="non-finite"):
+        for _ in range(27):
+            pred = session.push_frame(x)
+            assert np.isfinite(pred.scores).all()
+            accepted += 1
+    assert accepted == 11  # the twelfth takes the 8 window sums' total past -1.8e308
+    assert np.isfinite(session._sums.sum())
+
+_PROPERTY_MODELS = random_model_set(np.random.default_rng(77), dim=3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(frames=st.lists(arrays(np.float64, 3, elements=st.floats()), max_size=12))
+def test_push_frame_any_floats_finite_or_rejected(frames):
+    """Every frame gives finite scores and a normalized posterior, or DataError and no change."""
+    session = PredictorSession(_PROPERTY_MODELS, 3)
+    for x in frames:
+        before = _state(session)
+        try:
+            pred = session.push_frame(x)
+        except DataError:
+            _assert_same_state(before, _state(session))
+            continue
+        assert np.isfinite(pred.scores).all()
+        assert np.isfinite(pred.posterior).all()
+        assert pred.posterior.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    frames=st.lists(
+        arrays(np.float64, 3, elements=st.floats(-2.0, 2.0)), min_size=1, max_size=12
+    ),
+    window_k=st.integers(0, 4),
+)
+def test_push_frame_in_feature_range_matches_oracle(frames, window_k):
+    """Scaled and directional features lie in [-2, 2]; there the labels equal the oracle's."""
+    session = PredictorSession(_PROPERTY_MODELS, window_k)
+    labels = [session.push_frame(x).label for x in frames]
+    assert labels == predict_sequence_naive(_PROPERTY_MODELS, np.array(frames), window_k)
