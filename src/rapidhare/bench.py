@@ -1,8 +1,10 @@
-"""Single-thread per-frame latency measurement for both predictors.
+"""Single-thread per-frame latency of the streaming session and the HMM baseline.
 
 Frames are pre-materialized in memory so the timed path is exactly the
-per-frame inference loop, never parsing or I/O. Block decoding is charged
-per frame by dividing each block's wall time by its length.
+per-frame inference loop, never parsing or I/O. Methods: ``rapidhare`` times
+each ``push_frame``; ``batch`` times ``push_block`` on BLOCK_ROWS-frame blocks
+and ``hmm`` times each Viterbi block, both charged per frame by dividing each
+block's wall time by its length.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from .data import N_ACTIVITIES
 from .errors import DataError
 from .gmm import ActivityModelSet
 from .hmm import block_starts, default_transition_matrix, viterbi_block
-from .predictor import PredictorSession
+from .predictor import BLOCK_ROWS, PredictorSession
 
-BENCH_METHODS = ("rapidhare", "hmm")
+BENCH_METHODS = ("rapidhare", "hmm", "batch")
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,18 @@ def _time_rapidhare(models, window_k, X) -> np.ndarray:
         t0 = clock()
         session.push_frame(x)
         samples[i] = clock() - t0
+    return samples
+
+
+def _time_batch(models, window_k, X) -> np.ndarray:
+    session = PredictorSession(models, window_k)
+    samples = np.empty(len(X))
+    clock = time.perf_counter
+    for lo in range(0, len(X), BLOCK_ROWS):
+        block = X[lo : lo + BLOCK_ROWS]
+        t0 = clock()
+        session.push_block(block)
+        samples[lo : lo + len(block)] = (clock() - t0) / len(block)
     return samples
 
 
@@ -90,6 +104,7 @@ def run_bench(
     runner = {
         "rapidhare": lambda: _time_rapidhare(models, window_k, X),
         "hmm": lambda: _time_hmm(models, trans, window_w, X),
+        "batch": lambda: _time_batch(models, window_k, X),
     }[method]
 
     runner()  # warm-up pass, untimed

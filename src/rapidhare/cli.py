@@ -36,7 +36,7 @@ from .gmm import (
     save_model_set,
 )
 from .hmm import load_transition_matrix
-from .predictor import PredictorSession, naive_window_scores, posterior
+from .predictor import BLOCK_ROWS, PredictorSession, naive_window_scores, posterior
 from .synth import default_spec, generate, load_spec
 
 
@@ -130,9 +130,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _emit_prediction(index: int, label: ActivityLabel, post: np.ndarray) -> None:
-    cols = [str(index), label.label_name] + [f"{p:.8f}" for p in post]
-    print("\t".join(cols))
+_LINE = "%d\t%s" + "\t%.8f" * len(ALL_LABELS)
+_NAMES = [label.label_name for label in ALL_LABELS]
+
+
+def _write_predictions(first_index: int, scores: np.ndarray) -> None:
+    """One line per row of window scores (index, label, posteriors), in one write."""
+    best = scores.argmax(axis=1).tolist()
+    rows = posterior(scores).tolist()
+    lines = [
+        _LINE % (i, _NAMES[b], *row) for i, (b, row) in enumerate(zip(best, rows), first_index)
+    ]
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _predict_stream(model_set, args) -> int:
@@ -157,7 +167,7 @@ def _predict_stream(model_set, args) -> int:
             pred = session.push_frame(streamer.push(x))
         except DataError as exc:
             raise DataError(f"stdin:{index + 1}: {exc}") from None
-        _emit_prediction(index, pred.label, pred.posterior)
+        _write_predictions(index, pred.scores[np.newaxis])
         sys.stdout.flush()
     return 0
 
@@ -165,17 +175,17 @@ def _predict_stream(model_set, args) -> int:
 def _predict_file(model_set, args) -> int:
     channels = read_header(args.input)
     seq = parse_recording(args.input, channels)
-    seq = _feature_config(args, channels).apply(seq)
+    frames = _feature_config(args, channels).apply(seq).frames
     if args.oracle:
-        scores = naive_window_scores(model_set, seq.frames, args.window)
-        for index, s in enumerate(scores):
-            label = ALL_LABELS[int(np.argmax(s))]
-            _emit_prediction(index, label, posterior(s))
-    else:
-        session = PredictorSession(model_set, args.window)
-        for index, x in enumerate(seq.frames):
-            pred = session.push_frame(x)
-            _emit_prediction(index, pred.label, pred.posterior)
+        _write_predictions(0, naive_window_scores(model_set, frames, args.window))
+        return 0
+    session = PredictorSession(model_set, args.window)
+    for lo in range(0, len(frames), BLOCK_ROWS):
+        try:
+            scores = session.push_block(frames[lo : lo + BLOCK_ROWS])
+        except DataError as exc:
+            raise DataError(f"{args.input}: {exc}") from None
+        _write_predictions(lo, scores)
     return 0
 
 

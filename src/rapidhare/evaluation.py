@@ -162,11 +162,7 @@ def _run_fold(
         fseq = feat_cfg.apply(seq)
         if method == "rapidhare":
             session = PredictorSession(model_set, window_k)
-            pred = np.fromiter(
-                (int(session.push_frame(x).label) for x in fseq.frames),
-                dtype=np.int64,
-                count=fseq.n_frames,
-            )
+            pred = session.push_block(fseq.frames).argmax(axis=1) + 1
         else:
             decoded = predict_stream_hmm(model_set, trans, window_w, fseq.frames)
             pred = np.asarray([int(label) for label in decoded])

@@ -5,9 +5,16 @@ enter a fixed-size ring whose running per-activity sums are the window
 log-likelihoods. Per-frame cost is therefore independent of the window length:
 exactly one mixture evaluation per activity plus O(1) bookkeeping. Running
 sums are recomputed exactly from the ring every ``RESYNC_INTERVAL`` frames to
-bound floating-point drift. The window length ``window_k`` is the one setting:
-it counts the look-back depth, so a window spans at most ``window_k + 1``
-frames including the current one.
+bound floating-point drift, and also on the frame whose window total falls far
+below the largest total since the last recomputation, which is the frame that
+evicts a row dwarfing the rest of the window. The window length ``window_k``
+is the one setting: it counts the look-back depth, so a window spans at most
+``window_k + 1`` frames including the current one.
+
+The block form ``PredictorSession.push_block`` labels frames that are already
+in memory: it scores ``BLOCK_ROWS`` frames per matrix product and sums each
+window exactly, from the session's last ``window_k`` rows onwards, so it has
+no drift at all. Both forms share one state and can be mixed freely.
 """
 
 from __future__ import annotations
@@ -18,9 +25,14 @@ import numpy as np
 
 from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel
 from .errors import DataError
-from .gmm import ActivityModelSet, expansion_coefficients, log_pdf_batch
+from .gmm import ActivityModelSet, expansion_coefficients, expansion_lift, log_pdf_batch
 
 RESYNC_INTERVAL = 1024  # frames between exact recomputations of the window sums
+BLOCK_ROWS = 256  # frames per matrix product in push_block
+# A window total this many times below its peak since the last exact
+# recomputation triggers one: the running sums then carry rounding error from
+# values over 2**10 times their own size.
+_CANCELLATION_RATIO = 1024.0
 
 
 def _checked_window(window_k: int) -> int:
@@ -30,14 +42,15 @@ def _checked_window(window_k: int) -> int:
 
 
 def posterior(scores) -> np.ndarray:
-    """Normalize scores into class probabilities.
+    """Normalize scores into class probabilities along the last axis.
 
-    Softmax with max-subtraction, so any common shift of the scores cancels.
+    Softmax with max-subtraction, so any common shift of the scores cancels;
+    a block of score rows gives one probability row per frame.
     """
     z = np.asarray(scores, dtype=np.float64)
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class Prediction:
@@ -58,12 +71,13 @@ class Prediction:
 
 
 class _FrameScorer:
-    """All activities' log-densities from one precompiled matrix-vector product.
+    """All activities' log-densities from one precompiled matrix product.
 
     Every component of every activity is one row of ``expansion_coefficients``
     stacked into a single matrix, and ``_x_buf`` holds the frame's
     ``expansion_lift``. One product plus one segmented log-sum-exp yields the
-    per-activity log-likelihood vector without per-frame allocation.
+    per-activity log-likelihood vector without per-frame allocation;
+    ``block_scores`` does the same for a block of frames with one product.
     """
 
     def __init__(self, model_set: ActivityModelSet):
@@ -97,12 +111,23 @@ class _FrameScorer:
         np.add(self._seg_sum, self._seg_max, out=out)
         return out
 
+    def block_scores(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``scores`` of every row of X into the same row of ``out``."""
+        comp = expansion_lift(X) @ self._coef.T
+        seg_max = np.maximum.reduceat(comp, self._starts, axis=1)
+        comp -= seg_max[:, self._segment_of]
+        np.exp(comp, out=comp)
+        np.log(np.add.reduceat(comp, self._starts, axis=1), out=out)
+        out += seg_max
+        return out
+
 
 class PredictorSession:
     """Single-writer streaming state: likelihood ring, running window sums, counters.
 
-    One frame is pushed at a time; sessions may move between threads between
-    pushes and may share one immutable model set with other sessions.
+    Frames are pushed one at a time or in blocks; sessions may move between
+    threads between pushes and may share one immutable model set with other
+    sessions.
     """
 
     def __init__(self, models: ActivityModelSet, window_k: int = 26):
@@ -116,6 +141,7 @@ class PredictorSession:
         self._next_sums = np.empty(N_ACTIVITIES)
         self._pos = 0
         self._count = 0
+        self._peak = 0.0  # largest |window total| since the last exact recomputation
         self._ll = np.empty(N_ACTIVITIES)
 
     def push_frame(self, x) -> Prediction:
@@ -138,7 +164,8 @@ class PredictorSession:
             np.add(sums, ll, out=sums)
         else:
             np.add(self._sums, ll, out=sums)
-        if not math.isfinite(sums.sum()):
+        total = abs(float(sums.sum()))
+        if not math.isfinite(total):
             raise DataError("frame gives non-finite activity scores")
         self._next_sums, self._sums = self._sums, sums
         self.gmm_evaluations += N_ACTIVITIES
@@ -149,10 +176,55 @@ class PredictorSession:
         if self._pos == self._capacity:
             self._pos = 0
         self.frames_seen += 1
-        if self.frames_seen % RESYNC_INTERVAL == 0:
+        self._peak = max(self._peak, total)
+        if self.frames_seen % RESYNC_INTERVAL == 0 or total * _CANCELLATION_RATIO < self._peak:
             np.sum(self._ring[: self._count], axis=0, out=sums)
+            self._peak = abs(float(sums.sum()))
         label = ALL_LABELS[int(np.argmax(sums))]
         return Prediction(label, sums.copy())
+
+    def push_block(self, frames) -> np.ndarray:
+        """Score a block of frames and return their window scores, one row per frame.
+
+        The result and the session afterwards are those of pushing the rows
+        one by one, except that every window is summed exactly, oldest row
+        first, from the session's last ``window_k`` rows onwards. If any
+        frame's window scores or their total would not be finite, DataError
+        names that frame by its index in the whole stream and the session is
+        left exactly as it was.
+        """
+        frames = np.asarray(frames, dtype=np.float64)
+        if frames.size == 0:
+            return np.empty((0, N_ACTIVITIES))
+        if frames.ndim != 2 or frames.shape[1] != self._scorer.dim:
+            raise DataError(
+                f"expected an (n, {self._scorer.dim}) block, got shape {frames.shape}"
+            )
+        n, cap = len(frames), self._capacity
+        k = cap - 1
+        # ll holds the last k rows in window order, zero-padded, then the block's.
+        ll = np.zeros((k + n, N_ACTIVITIES))
+        kept = min(self._count, k)
+        ll[k - kept : k] = self._ring[(self._pos - kept + np.arange(kept)) % cap]
+        for lo in range(0, n, BLOCK_ROWS):
+            hi = min(n, lo + BLOCK_ROWS)
+            self._scorer.block_scores(frames[lo:hi], ll[k + lo : k + hi])
+        scores = ll[:n].copy()
+        for lag in range(1, cap):
+            scores += ll[lag : lag + n]
+        totals = scores.sum(axis=1)
+        bad = np.flatnonzero(~np.isfinite(totals))
+        if bad.size:
+            raise DataError(f"frame {self.frames_seen + int(bad[0])}: non-finite activity scores")
+        entering = min(n, cap)
+        self._ring[(self._pos + np.arange(n - entering, n)) % cap] = ll[k + n - entering :]
+        self._pos = (self._pos + n) % cap
+        self._count = min(cap, self._count + n)
+        self._sums[:] = scores[-1]
+        self._peak = abs(float(totals[-1]))
+        self.frames_seen += n
+        self.gmm_evaluations += N_ACTIVITIES * n
+        return scores
 
 
 def naive_window_scores(models: ActivityModelSet, frames, window_k: int = 26) -> np.ndarray:

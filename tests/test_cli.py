@@ -10,7 +10,7 @@ import pytest
 
 import rapidhare
 from rapidhare.cli import main
-from rapidhare import load_model_set, parse_recording, read_header
+from rapidhare import ALL_LABELS, load_model_set, parse_recording, read_header
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +245,25 @@ def test_predict_bad_model_number_exits_two(synth_dir, model_path, tmp_path, cap
     assert "bad.txt:2: dim must be an integer" in capsys.readouterr().err
 
 
+def test_predict_file_scoring_error_names_file_and_frame(tmp_path, capsys):
+    """A frame whose window scores overflow stops `predict FILE` with exit 2, naming both."""
+    component = "component 1\nmean 0 0 0 0\nvar 1e-308 1e-308 1e-308 1e-308\n"
+    model = tmp_path / "model.txt"
+    model.write_text(
+        "RAPIDHARE-MODEL v1\ndim 4\nactivities 8\n"
+        + "".join(f"activity {label.label_name} components 1\n{component}" for label in ALL_LABELS)
+    )
+    rows = ["0\t0\t0\t0\t1"] * 300 + ["32767\t0\t0\t0\t1"] * 10  # scaled 1.5e-5, then 1.0
+    recording = tmp_path / "recording.tsv"
+    recording.write_text(
+        "#subject 01\nacc_sig_0\tacc_sig_1\tacc_sig_2\tacc_sig_3\tact\n" + "\n".join(rows) + "\n"
+    )
+    assert main(["predict", str(recording), "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {recording}: frame 300: non-finite activity scores\n"
+    assert len(captured.out.splitlines()) == 256  # the block holding frame 300 is not written
+
+
 def test_predict_oracle_on_stdin_is_rejected(model_path, capsys):
     assert main(["predict", "-", "--model", str(model_path), "--oracle"]) == 2
     capsys.readouterr()
@@ -306,6 +325,16 @@ def test_bench_reports_stats(model_path, capsys):
     assert stats["method"] == "rapidhare"
     assert float(stats["mean_us"]) > 0
     assert int(stats["frames"]) == 64
+
+
+def test_bench_batch_reports_stats(model_path, capsys):
+    args = ["bench", "--model", str(model_path), "--frames", "300", "--repeats", "2"]
+    assert main(args + ["--method", "batch", "--format", "tsv"]) == 0
+    header, values = capsys.readouterr().out.splitlines()
+    stats = dict(zip(header.split("\t"), values.split("\t")))
+    assert stats["method"] == "batch"
+    assert int(stats["frames"]) == 300
+    assert 0 < float(stats["mean_us"]) <= float(stats["p99_us"])
 
 
 def test_bench_rejects_zero_frames(model_path, capsys):

@@ -18,7 +18,7 @@ from rapidhare import (
 )
 from rapidhare import predictor
 from rapidhare.gmm import DEFAULT_COMPONENT_COUNTS
-from conftest import log_pdf_oracle, random_model_set
+from conftest import log_pdf_oracle, random_gmm, random_model_set
 
 
 def identical_model_set(dim=3):
@@ -291,3 +291,124 @@ def test_push_frame_in_feature_range_matches_oracle(frames, window_k):
     session = PredictorSession(_PROPERTY_MODELS, window_k)
     labels = [session.push_frame(x).label for x in frames]
     assert labels == predict_sequence_naive(_PROPERTY_MODELS, np.array(frames), window_k)
+
+
+def test_push_frame_exact_after_huge_frame_leaves_window():
+    """A finite but huge row cancels out of the running sums when it is evicted."""
+    rng = np.random.default_rng(3)
+    models = ActivityModelSet({label: random_gmm(rng, 3, 3) for label in ALL_LABELS})
+    frames = rng.uniform(-1, 1, size=(300, 3))
+    frames[50] = (2e9, 0.0, 0.0)
+    naive_labels = predict_sequence_naive(models, frames, 26)
+    session = PredictorSession(models, 26)
+    assert [session.push_frame(x).label for x in frames] == naive_labels
+
+
+def _push_in_blocks(session, frames, size):
+    return np.vstack(
+        [session.push_block(frames[lo : lo + size]) for lo in range(0, len(frames), size)]
+    )
+
+
+@pytest.mark.parametrize("window_k", [0, 1, 5, 26, 700])
+def test_push_block_matches_naive(rng, window_k):
+    models = random_model_set(rng, dim=4)
+    frames = rng.uniform(-1.5, 1.5, size=(600, 4))
+    naive_ids = np.array([int(label) for label in predict_sequence_naive(models, frames, window_k)])
+    naive_scores = naive_window_scores(models, frames, window_k)
+    runs = {
+        size: _push_in_blocks(PredictorSession(models, window_k), frames, size)
+        for size in (1, 37, len(frames))
+    }
+    mixed = PredictorSession(models, window_k)
+    head = [mixed.push_frame(x).scores for x in frames[:10]]
+    runs["frames then block"] = np.vstack(head + [mixed.push_block(frames[10:])])
+    for how, scores in runs.items():
+        assert np.array_equal(scores.argmax(axis=1) + 1, naive_ids), how
+        assert np.abs(scores - naive_scores).max() < 1e-9, how
+
+
+@pytest.mark.parametrize("window_k", [0, 3, 26])
+def test_push_block_leaves_the_state_of_one_by_one_pushes(rng, window_k):
+    models = random_model_set(rng, dim=3)
+    frames = rng.uniform(-1, 1, size=(90, 3))
+    for cut in (0, 2, 40):
+        one, block = PredictorSession(models, window_k), PredictorSession(models, window_k)
+        for x in frames[:cut]:
+            one.push_frame(x)
+            block.push_frame(x)
+        for x in frames[cut:80]:
+            one.push_frame(x)
+        block.push_block(frames[cut:80])
+        (ring_a, sums_a, *counters_a), (ring_b, sums_b, *counters_b) = _state(one), _state(block)
+        assert counters_b == counters_a
+        assert np.abs(ring_b - ring_a).max() < 1e-12
+        assert np.abs(sums_b - sums_a).max() < 1e-9
+        for x in frames[80:]:
+            a, b = one.push_frame(x), block.push_frame(x)
+            assert b.label is a.label
+            assert np.abs(b.scores - a.scores).max() < 1e-9
+
+
+def test_push_block_empty_is_a_no_op(rng):
+    session = PredictorSession(random_model_set(rng, dim=3), 4)
+    session.push_block(rng.uniform(-1, 1, size=(6, 3)))
+    before = _state(session)
+    for empty in (np.empty((0, 3)), []):
+        assert session.push_block(empty).shape == (0, 8)
+        _assert_same_state(before, _state(session))
+
+
+def test_push_block_dimension_mismatch(rng):
+    session = PredictorSession(random_model_set(rng, dim=3))
+    with pytest.raises(DataError, match=r"\(n, 3\)"):
+        session.push_block(np.zeros((4, 5)))
+    with pytest.raises(DataError, match=r"\(n, 3\)"):
+        session.push_block(np.zeros(3))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_push_block_rejects_bad_frame_by_stream_index(rng, bad):
+    models = random_model_set(rng, dim=3)
+    frames = rng.uniform(-1, 1, size=(60, 3))
+    naive_scores = naive_window_scores(models, frames, 5)
+    session = PredictorSession(models, 5)
+    session.push_block(frames[:10])
+    before = _state(session)
+    block = frames[10:30].copy()
+    block[7, 1] = bad
+    with pytest.raises(DataError, match="frame 17: non-finite"):
+        session.push_block(block)
+    _assert_same_state(before, _state(session))
+    scores = session.push_block(frames[10:])
+    assert np.abs(scores - naive_scores[10:]).max() < 1e-9
+    assert session.frames_seen == len(frames)
+    assert session.gmm_evaluations == 8 * len(frames)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(block=arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)), elements=st.floats()))
+def test_push_block_any_floats_finite_or_rejected(block):
+    """Any block gives finite scores and posteriors, or DataError and no change."""
+    session = PredictorSession(_PROPERTY_MODELS, 3)
+    session.push_block(np.linspace(-1, 1, 15).reshape(5, 3))
+    before = _state(session)
+    try:
+        scores = session.push_block(block)
+    except DataError:
+        _assert_same_state(before, _state(session))
+        return
+    assert scores.shape == (len(block), 8)
+    assert np.isfinite(scores).all()
+    assert np.isfinite(posterior(scores)).all()
+    assert np.abs(posterior(scores).sum(axis=1) - 1.0).max() < 1e-12
+    assert session.frames_seen == 5 + len(block)
+
+
+def test_posterior_of_a_block_is_each_row_posterior(rng):
+    scores = rng.normal(size=(50, 8)) * 50
+    block = posterior(scores)
+    assert block.shape == scores.shape
+    assert np.array_equal(block, np.vstack([posterior(row) for row in scores]))
