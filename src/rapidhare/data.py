@@ -9,6 +9,10 @@ Recording file format (text, one file per continuous recording):
 * every following line is one frame: tab-separated raw integers, one per
   channel, then the activity id (1..8)
 
+Files are ASCII; lines end at ``\n``, ``\r\n`` or ``\r``. A field is an
+optionally signed run of ASCII digits, optionally padded with spaces, vertical
+tabs or form feeds (``_FIELD``). Every parse error names ``file:line``.
+
 Raw integers are scaled to [-1, 1] at parse time with the affine map of each
 channel's declared raw range, so everything downstream sees scaled reals.
 """
@@ -16,6 +20,7 @@ channel's declared raw range, so everything downstream sees scaled reals.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -170,20 +175,71 @@ class Dataset:
         return sorted({seq.subject_id for seq in self.sequences})
 
 
+def _read_lines(path: Path) -> list[str]:
+    """A recording's lines, split where text mode splits them: at "\n", "\r\n" and "\r"."""
+    if not path.is_file():
+        raise DataError(f"no such recording file: {path}")
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start].decode("ascii")
+        lineno = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+        raise DataError(f"{path}:{lineno}: non-ASCII byte") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the end of the last line, not a blank line
+    return lines
+
+
+def _read_header(path: Path, lines) -> tuple[str | None, float, list[str] | None, int]:
+    """Read the metadata lines and the header at the start of ``lines``.
+
+    Returns the ``#subject`` (None if there is none before the header), the
+    sample rate, the header's channel names without ``act`` (None if the lines
+    end before a header) and the number of lines read. Stops at the header, so
+    ``lines`` may be a lazy iterator.
+    """
+    subject, rate, lineno = None, NOMINAL_SAMPLE_RATE_HZ, 0
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            raise DataError(f"{path}:{lineno}: blank line")
+        if not line.startswith("#"):
+            names = line.split("\t")
+            if len(names) < 2 or names[-1] != "act":
+                raise DataError(f"{path}:{lineno}: header must end with an 'act' column")
+            return subject, rate, names[:-1], lineno
+        parts = line[1:].split()
+        if len(parts) == 2 and parts[0] == "subject":
+            subject = parts[1]
+        elif len(parts) == 2 and parts[0] == "rate":
+            try:
+                rate = float(parts[1])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad sample rate {parts[1]!r}") from None
+    return subject, rate, None, lineno
+
+
 def read_header(path) -> list[ChannelSpec]:
-    """Channel specs inferred from a recording's header, its first non-metadata line."""
+    """Channel specs inferred from a recording's header, its first non-metadata line.
+
+    The lines before it follow parse_recording's rules (no blank line, a
+    numeric ``#rate``); nothing after the header is parsed.
+    """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such recording file: {path}")
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line and not line.startswith("#"):
-                names = line.split("\t")
-                if len(names) < 2 or names[-1] != "act":
-                    raise DataError(f"{path}:{lineno}: header must end with an 'act' column")
-                return channels_from_names(names[:-1])
-    raise DataError(f"{path}: missing header line")
+    try:
+        with open(path, encoding="ascii") as fh:
+            _, _, names, _ = _read_header(path, (line.rstrip("\n") for line in fh))
+    except UnicodeDecodeError:
+        # Text mode decodes in chunks and cannot say where the byte was.
+        _, _, names, _ = _read_header(path, _read_lines(path))
+    if names is None:
+        raise DataError(f"{path}: missing header line")
+    return channels_from_names(names)
 
 
 def _scale_columns(raw: np.ndarray, channels: list[ChannelSpec]) -> np.ndarray:
@@ -192,70 +248,80 @@ def _scale_columns(raw: np.ndarray, channels: list[ChannelSpec]) -> np.ndarray:
     return -1.0 + 2.0 * (raw - mins) / spans
 
 
+# One data field: an optionally signed run of ASCII digits, optionally padded.
+# Python's int() also reads "1_000", and np.loadtxt also pads with \x1c-\x1f;
+# neither belongs to the format.
+_FIELD = re.compile(r"[ \v\f]*[+-]?[0-9]+[ \v\f]*")
+_FIELD_BYTES = b"0123456789+- \v\f\t\n"
+
+
+def _parse_rows(path: Path, rows: list[str], first_line: int, n_cols: int) -> np.ndarray:
+    """The data lines as an (n, n_cols) integer table, parsed by one np.loadtxt call.
+
+    np.loadtxt decides only data made of the field characters alone; any other
+    character, a raised ValueError (including an int64 overflow) or a table of
+    the wrong shape (it skips blank lines) sends the lines to _scan_rows, which
+    names the first bad one.
+    """
+    if not "\n".join(rows).encode("ascii").translate(None, _FIELD_BYTES):
+        try:
+            raw = np.loadtxt(rows, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if raw.shape == (len(rows), n_cols):
+                return raw
+    return _scan_rows(path, rows, first_line, n_cols)
+
+
+def _scan_rows(path: Path, rows: list[str], first_line: int, n_cols: int) -> np.ndarray:
+    """Read data lines one by one, raising DataError at the first malformed one.
+
+    Rows that are well formed come back as a table of Python integers (dtype
+    object), so that a value beyond int64 still meets the label and range checks.
+    """
+    table = []
+    for lineno, line in enumerate(rows, start=first_line):
+        if not line:
+            raise DataError(f"{path}:{lineno}: blank line")
+        if line.startswith("#"):
+            raise DataError(f"{path}:{lineno}: metadata line after the header")
+        parts = line.split("\t")
+        if len(parts) != n_cols:
+            raise DataError(f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
+        if not all(_FIELD.fullmatch(p) for p in parts):
+            raise DataError(f"{path}:{lineno}: non-integer field")
+        table.append([int(p) for p in parts])
+    return np.array(table, dtype=object)
+
+
 def parse_recording(path, channels: list[ChannelSpec]) -> LabeledSequence:
     """Parse one recording file into a scaled, labeled sequence.
 
-    Raises DataError with the offending line number for malformed headers,
-    wrong row widths, non-integer fields, unknown label ids, and raw values
-    outside a channel's declared range.
+    Raises DataError with the offending line number for non-ASCII bytes,
+    blank lines, malformed headers, wrong row widths, non-integer fields,
+    unknown label ids, and raw values outside a channel's declared range.
+    Errors in the lines come first, in line order, then the missing
+    ``#subject``, header or rows, then label ids, then raw values.
     """
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such recording file: {path}")
-    subject = None
-    rate = NOMINAL_SAMPLE_RATE_HZ
-    header_seen = False
-    rows: list[list[int]] = []
-    first_data_line = 0
-    n_cols = len(channels) + 1
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                raise DataError(f"{path}:{lineno}: blank line")
-            if line.startswith("#"):
-                if header_seen:
-                    raise DataError(f"{path}:{lineno}: metadata line after the header")
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "subject":
-                    subject = parts[1]
-                elif len(parts) == 2 and parts[0] == "rate":
-                    try:
-                        rate = float(parts[1])
-                    except ValueError:
-                        raise DataError(f"{path}:{lineno}: bad sample rate {parts[1]!r}") from None
-            elif not header_seen:
-                names = line.split("\t")
-                if len(names) < 2 or names[-1] != "act":
-                    raise DataError(f"{path}:{lineno}: header must end with an 'act' column")
-                expected = [c.name for c in channels]
-                if names[:-1] != expected:
-                    raise DataError(f"{path}:{lineno}: header columns do not match the channel spec")
-                header_seen = True
-            else:
-                parts = line.split("\t")
-                if len(parts) != n_cols:
-                    raise DataError(f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
-                try:
-                    row = [int(p) for p in parts]
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: non-integer field") from None
-                if not rows:
-                    first_data_line = lineno
-                rows.append(row)
+    lines = _read_lines(path)
+    subject, rate, names, n_head = _read_header(path, lines)
+    if names is not None and names != [c.name for c in channels]:
+        raise DataError(f"{path}:{n_head}: header columns do not match the channel spec")
+    rows, first_line = lines[n_head:], n_head + 1
+    raw = _parse_rows(path, rows, first_line, len(channels) + 1) if rows else None
     if subject is None:
         raise DataError(f"{path}: missing '#subject' metadata line")
-    if not header_seen:
+    if names is None:
         raise DataError(f"{path}: missing header line")
-    if not rows:
+    if raw is None:
         raise DataError(f"{path}: no data rows")
-
-    raw = np.array(rows, dtype=np.int64)
     acts = raw[:, -1]
     bad = (acts < 1) | (acts > N_ACTIVITIES)
     if bad.any():
         i = int(np.argmax(bad))
-        raise DataError(f"{path}:{first_data_line + i}: unknown label id {acts[i]}")
+        raise DataError(f"{path}:{first_line + i}: unknown label id {acts[i]}")
     values = raw[:, :-1]
     mins = np.array([c.raw_min for c in channels])
     maxs = np.array([c.raw_max for c in channels])
@@ -263,7 +329,7 @@ def parse_recording(path, channels: list[ChannelSpec]) -> LabeledSequence:
     if out_of_range.any():
         r, c = map(int, np.argwhere(out_of_range)[0])
         raise DataError(
-            f"{path}:{first_data_line + r}: value {values[r, c]} outside the raw range of "
+            f"{path}:{first_line + r}: value {values[r, c]} outside the raw range of "
             f"channel {channels[c].name!r}"
         )
     return LabeledSequence(subject, _scale_columns(values, channels), acts, rate)
@@ -282,8 +348,8 @@ def write_recording(seq: LabeledSequence, channels: list[ChannelSpec], path) -> 
     raw = raw.astype(np.int64)
     lines = [f"#subject {seq.subject_id}", f"#rate {seq.sample_rate_hz!r}"]
     lines.append("\t".join([c.name for c in channels] + ["act"]))
-    table = np.column_stack([raw, seq.labels])
-    lines.extend("\t".join(map(str, row)) for row in table)
+    template = "\t".join(["%d"] * (len(channels) + 1))
+    lines.extend(template % tuple(row) for row in np.column_stack([raw, seq.labels]).tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

@@ -245,6 +245,44 @@ def test_predict_bad_model_number_exits_two(synth_dir, model_path, tmp_path, cap
     assert "bad.txt:2: dim must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["predict", "train", "evaluate"])
+@pytest.mark.parametrize(
+    "column,field,message",
+    [
+        (-1, b"99999999999999999999", "unknown label id 99999999999999999999"),
+        (
+            0,
+            b"-99999999999999999999",
+            "value -99999999999999999999 outside the raw range of channel 'acc_sig_0'",
+        ),
+        (2, b"12\xe9", "non-ASCII byte"),
+    ],
+)
+def test_bad_recording_field_exits_two_naming_the_line(
+    command, column, field, message, synth_dir, model_path, tmp_path, capsys
+):
+    """A field beyond int64 or a non-ASCII byte is a data error at its line, not a traceback."""
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for src in sorted(synth_dir.iterdir()):
+        (data_dir / src.name).write_bytes(src.read_bytes())
+    recording = sorted(data_dir.iterdir())[0]
+    lines = recording.read_bytes().split(b"\n")
+    fields = lines[9].split(b"\t")
+    fields[column] = field
+    lines[9] = b"\t".join(fields)
+    recording.write_bytes(b"\n".join(lines))
+    args = {
+        "predict": ["predict", str(recording), "--model", str(model_path)],
+        "train": ["train", str(data_dir), "--out", str(tmp_path / "model.txt")],
+        "evaluate": ["evaluate", str(data_dir)],
+    }[command]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {recording}:10: {message}\n"
+    assert captured.out == ""
+
+
 def test_predict_file_scoring_error_names_file_and_frame(tmp_path, capsys):
     """A frame whose window scores overflow stops `predict FILE` with exit 2, naming both."""
     component = "component 1\nmean 0 0 0 0\nvar 1e-308 1e-308 1e-308 1e-308\n"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rapidhare import (
     ActivityLabel,
@@ -15,7 +17,10 @@ from rapidhare import (
     split_loso,
     write_recording,
 )
+from rapidhare import data
 from rapidhare.data import channels_from_names, frames_by_label
+
+from conftest import parse_recording_oracle
 
 TWO_CHANNELS = [channel("acc_rt_x", "accel"), channel("emg_r", "emg")]
 
@@ -90,6 +95,158 @@ def test_parse_error_line_number_past_first_row(tmp_path):
         parse_recording(p, TWO_CHANNELS)
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([[0, 0, 1], [0, 0, 99999999999999999999]], ":4: unknown label id 99999999999999999999"),
+        ([[0, 0, -99999999999999999999]], ":3: unknown label id -99999999999999999999"),
+        (
+            [[0, 0, 1], [99999999999999999999, 0, 1]],
+            ":4: value 99999999999999999999 outside the raw range of channel 'acc_rt_x'",
+        ),
+        (
+            [[0, -(2**63) - 1, 1]],
+            ":3: value -9223372036854775809 outside the raw range of channel 'emg_r'",
+        ),
+    ],
+)
+def test_parse_values_beyond_int64_name_the_line(tmp_path, rows, message):
+    p = make_recording(tmp_path / "big.tsv", rows)
+    with pytest.raises(DataError, match=message):
+        parse_recording(p, TWO_CHANNELS)
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        (b"#subject 01\nacc_rt_x\temg_r\tact\n0\t0\t1\n0\t0\xe9\t1\n", 4),
+        (b"#subject 01\r\nacc_rt_x\temg_r\tact\r\n0\t0\t1\r\n\xff\n", 4),
+        (b"#subject 01\racc_rt_x\temg_r\tact\r0\t0\t1\r\x80", 4),
+        (b"#subject 0\xc3\xa91\nacc_rt_x\temg_r\tact\n0\t0\t1\n", 1),
+        (b"#subject 01\nacc_rt_x\temg_r\t\xe4ct\n0\t0\t1\n", 2),
+    ],
+)
+def test_non_ascii_byte_names_the_line(tmp_path, text, line):
+    p = tmp_path / "r.tsv"
+    p.write_bytes(text)
+    with pytest.raises(DataError, match=f"r.tsv:{line}: non-ASCII byte$"):
+        parse_recording(p, TWO_CHANNELS)
+    if line <= 2:  # within the lines read_header reads
+        with pytest.raises(DataError, match=f"r.tsv:{line}: non-ASCII byte$"):
+            read_header(p)
+
+
+def test_read_header_applies_the_rules_of_the_lines_before_it(tmp_path):
+    p = tmp_path / "r.tsv"
+    p.write_text("#subject 01\n\nacc_rt_x\temg_r\tact\n0\t0\t1\n")
+    with pytest.raises(DataError, match="r.tsv:2: blank line"):
+        read_header(p)
+    p.write_text("#subject 01\r\n#rate fast\r\nacc_rt_x\temg_r\tact\r\n0\t0\t1\r\n")
+    with pytest.raises(DataError, match="r.tsv:2: bad sample rate 'fast'"):
+        read_header(p)
+    p.write_text("#subject 01\racc_rt_x\temg_r\tact\r0\t0\t1\r")
+    assert read_header(p) == TWO_CHANNELS
+
+
+def test_well_formed_recording_is_parsed_without_the_line_scan(tmp_path, monkeypatch):
+    """Padded and signed fields are well formed: the bulk parse takes them, the scan never runs."""
+
+    def no_scan(*args):
+        raise AssertionError("the line scan ran on a well-formed recording")
+
+    monkeypatch.setattr(data, "_scan_rows", no_scan)
+    rows = [["+5", " 7 ", "1"], ["\x0b-3\x0c", "0007", "+8"]]
+    seq = parse_recording(make_recording(tmp_path / "r.tsv", rows), TWO_CHANNELS)
+    assert seq.labels.tolist() == [1, 8]
+    expected = parse_recording_oracle(tmp_path / "r.tsv", TWO_CHANNELS)
+    assert np.array_equal(seq.frames, expected.frames)
+
+
+# One corruption at most per generated recording; "field" replaces one field
+# with any short string over an alphabet that holds every rule of the grammar.
+_CORRUPTIONS = (
+    None, "crlf", "cr", "blank", "comment", "wide", "narrow", "field", "plus", "pad",
+    "underscore", "huge", "non_ascii", "range", "label",
+)
+_FIELD_ALPHABET = " \t\v\f\x1c\x1f+-_.e0579#"
+
+
+@st.composite
+def _recordings(draw):
+    """A recording as bytes with its channel spec, valid before its corruption."""
+    kinds = draw(st.lists(st.sampled_from(["acc", "gyro", "emg"]), min_size=1, max_size=3))
+    channels = channels_from_names([f"{kind}_{i}" for i, kind in enumerate(kinds)])
+    rows = draw(
+        st.lists(
+            st.tuples(*[st.integers(c.raw_min, c.raw_max) for c in channels], st.integers(1, 8)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    fields = [[str(v) for v in row] for row in rows]
+    head = ["#subject 01"] + draw(st.sampled_from([[], ["#rate 60.5"]]))
+    head.append("\t".join([c.name for c in channels] + ["act"]))
+    r = draw(st.integers(0, len(rows) - 1))
+    col = draw(st.integers(0, len(channels)))
+    corruption = draw(st.sampled_from(_CORRUPTIONS))
+    if corruption == "field":
+        fields[r][col] = draw(st.text(_FIELD_ALPHABET, max_size=4))
+    elif corruption == "plus":
+        fields[r][col] = "+" + fields[r][col]
+    elif corruption == "pad":  # int() reads only the first three; np.loadtxt all seven
+        pad = draw(st.sampled_from(" \v\f\x1c\x1d\x1e\x1f"))
+        fields[r][col] = pad + fields[r][col] + draw(st.sampled_from(["", pad]))
+    elif corruption == "underscore":
+        fields[r][col] = fields[r][col] + "_0"
+    elif corruption == "huge":
+        fields[r][col] = draw(st.sampled_from(["", "-", "+"])) + "9" * draw(st.integers(19, 25))
+    elif corruption == "range":
+        c = channels[col % len(channels)]
+        fields[r][col % len(channels)] = str(draw(st.sampled_from([c.raw_min - 1, c.raw_max + 1])))
+    elif corruption == "label":
+        fields[r][-1] = draw(st.sampled_from(["0", "9", "-1"]))
+    elif corruption == "wide":
+        fields[r].append("0")
+    elif corruption == "narrow":
+        fields[r].pop()
+    lines = head + ["\t".join(row) for row in fields]
+    at = draw(st.integers(1, len(lines)))
+    if corruption == "blank":
+        lines.insert(at, "")
+    elif corruption == "comment":
+        lines.insert(max(at, len(head)), "#note after the header")
+    elif corruption == "cr":  # a lone carriage return ends a line
+        j = draw(st.integers(0, len(lines[at - 1])))
+        lines[at - 1] = lines[at - 1][:j] + "\r" + lines[at - 1][j:]
+    text = ("\r\n" if corruption == "crlf" else "\n").join(lines) + "\n"
+    raw = text.encode("ascii")
+    if corruption == "non_ascii":
+        i = draw(st.integers(0, len(raw)))
+        raw = raw[:i] + bytes([draw(st.integers(0x80, 0xFF))]) + raw[i:]
+    return channels, raw
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(recording=_recordings())
+def test_parse_matches_line_by_line_oracle(tmp_path_factory, recording):
+    """Bit-identical sequences from both parsers, or DataError with the same message from both."""
+    channels, raw = recording
+    p = tmp_path_factory.getbasetemp() / "property.tsv"
+    p.write_bytes(raw)
+    try:
+        expected = parse_recording_oracle(p, channels)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            parse_recording(p, channels)
+        assert str(err.value) == str(exc)
+        return
+    seq = parse_recording(p, channels)
+    assert (seq.subject_id, seq.sample_rate_hz) == (expected.subject_id, expected.sample_rate_hz)
+    assert seq.frames.dtype == expected.frames.dtype and seq.labels.dtype == expected.labels.dtype
+    assert np.array_equal(seq.frames.view(np.int64), expected.frames.view(np.int64))
+    assert np.array_equal(seq.labels, expected.labels)
+
+
 def test_parse_requires_subject(tmp_path):
     p = tmp_path / "r.tsv"
     p.write_text("acc_rt_x\temg_r\tact\n0\t0\t1\n", encoding="ascii")
@@ -132,6 +289,20 @@ def test_round_trip_is_bit_exact(tmp_path, rng):
         return lines[1:]  # drop the header
 
     assert data_rows(src) == data_rows(out)
+
+
+def test_write_recording_text_is_the_tab_joined_integers(tmp_path, rng):
+    channels = full_sensor_channels()
+    raw = np.column_stack([rng.integers(c.raw_min, c.raw_max + 1, size=40) for c in channels])
+    labels = rng.integers(1, 9, size=40)
+    mins = np.array([c.raw_min for c in channels], dtype=np.float64)
+    spans = np.array([c.raw_max - c.raw_min for c in channels], dtype=np.float64)
+    seq = LabeledSequence("07", -1.0 + 2.0 * (raw - mins) / spans, labels, 50.0)
+    out = tmp_path / "w.tsv"
+    write_recording(seq, channels, out)
+    lines = ["#subject 07", "#rate 50.0", "\t".join([c.name for c in channels] + ["act"])]
+    lines.extend("\t".join(map(str, row)) for row in np.column_stack([raw, labels]))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
 
 def test_write_rejects_out_of_range_values(tmp_path):
