@@ -42,8 +42,6 @@ from .features import (
     augment_directional,
     directional_sources_by_name,
     select_channels,
-    thigh_accel_indices,
-    thigh_shin_accel_indices,
 )
 from .gmm import (
     DEFAULT_COMPONENT_COUNTS,

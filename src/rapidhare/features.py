@@ -18,8 +18,6 @@ DEFAULT_DIRECTIONAL_LAG = 15
 
 # x- and z-axis accelerometers on both thighs, the default directional sources.
 THIGH_XZ_ACCEL_NAMES = ("acc_rt_x", "acc_rt_z", "acc_lt_x", "acc_lt_z")
-THIGH_SHIN_PREFIXES = ("acc_rt", "acc_rs", "acc_lt", "acc_ls")
-THIGH_PREFIXES = ("acc_rt", "acc_lt")
 
 
 def _check_indices(indices, dim, what):
@@ -115,26 +113,6 @@ class FeatureConfig:
     def streamer(self, n_channels: int) -> FeatureStreamer:
         """The streaming form of ``apply`` for frames of ``n_channels`` values."""
         return FeatureStreamer(self, n_channels)
-
-    def output_dim(self, n_channels: int) -> int:
-        d = n_channels if self.keep_channels is None else len(self.keep_channels)
-        if self.directional is not None:
-            d += len(self.directional.source_channels)
-        return d
-
-
-def indices_by_prefix(channels: list[ChannelSpec], prefixes) -> list[int]:
-    return [i for i, c in enumerate(channels) if c.name.startswith(tuple(prefixes))]
-
-
-def thigh_shin_accel_indices(channels: list[ChannelSpec]) -> list[int]:
-    """Triaxial thigh and shin accelerometers on both legs (12 channels in the full layout)."""
-    return indices_by_prefix(channels, THIGH_SHIN_PREFIXES)
-
-
-def thigh_accel_indices(channels: list[ChannelSpec]) -> list[int]:
-    """Triaxial thigh accelerometers on both legs (6 channels in the full layout)."""
-    return indices_by_prefix(channels, THIGH_PREFIXES)
 
 
 def directional_sources_by_name(channels: list[ChannelSpec], keep=None) -> tuple[int, ...]:

@@ -1,20 +1,20 @@
 """Streaming arg-max classifier over a rolling window of per-frame log-likelihoods.
 
-Every incoming frame is scored once against each activity mixture; the scores
-enter a fixed-size ring whose running per-activity sums are the window
-log-likelihoods. Per-frame cost is therefore independent of the window length:
-exactly one mixture evaluation per activity plus O(1) bookkeeping. Running
-sums are recomputed exactly from the ring every ``RESYNC_INTERVAL`` frames to
-bound floating-point drift, and also on the frame whose window total falls far
-below the largest total since the last recomputation, which is the frame that
-evicts a row dwarfing the rest of the window. The window length ``window_k``
+Every incoming frame is scored once against each activity mixture, and its
+window score is the sum of its own log-likelihoods and those of the
+``window_k`` frames before it, added oldest row first. Per frame that is
+exactly one mixture evaluation per activity plus ``window_k + 1`` additions
+of 8-vectors. Each window is summed afresh from its rows, so no rounding
+error carries over from one frame to the next. The window length ``window_k``
 is the one setting: it counts the look-back depth, so a window spans at most
 ``window_k + 1`` frames including the current one.
 
-The block form ``PredictorSession.push_block`` labels frames that are already
-in memory: it scores ``BLOCK_ROWS`` frames per matrix product and sums each
-window exactly, from the session's last ``window_k`` rows onwards, so it has
-no drift at all. Both forms share one state and can be mixed freely.
+The session keeps its last ``window_k`` rows twice over in one ring, so the
+look-back is always one contiguous slice in window order. ``push_frame``
+reduces that slice; the block form ``PredictorSession.push_block`` labels
+frames that are already in memory, scoring ``BLOCK_ROWS`` frames per matrix
+product and adding the same rows in the same order, so both forms give the
+same sums for the same rows. They share one state and can be mixed freely.
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel
 from .errors import DataError
 from .gmm import ActivityModelSet, expansion_coefficients, expansion_lift, log_pdf_batch
 
-RESYNC_INTERVAL = 1024  # frames between exact recomputations of the window sums
 BLOCK_ROWS = 256  # frames per matrix product in push_block
-# A window total this many times below its peak since the last exact
-# recomputation triggers one: the running sums then carry rounding error from
-# values over 2**10 times their own size.
-_CANCELLATION_RATIO = 1024.0
 
 
 def _checked_window(window_k: int) -> int:
@@ -123,7 +118,7 @@ class _FrameScorer:
 
 
 class PredictorSession:
-    """Single-writer streaming state: likelihood ring, running window sums, counters.
+    """Single-writer streaming state: the last ``window_k`` log-likelihood rows and counters.
 
     Frames are pushed one at a time or in blocks; sessions may move between
     threads between pushes and may share one immutable model set with other
@@ -135,21 +130,19 @@ class PredictorSession:
         self.frames_seen = 0
         self.gmm_evaluations = 0
         self._scorer = _FrameScorer(models)
-        self._capacity = _checked_window(window_k) + 1
-        self._ring = np.zeros((self._capacity, N_ACTIVITIES))
-        self._sums = np.zeros(N_ACTIVITIES)
-        self._next_sums = np.empty(N_ACTIVITIES)
+        self._k = _checked_window(window_k)
+        # Each row is written at _pos and _pos + k, so _ring[_pos : _pos + k]
+        # is the look-back, oldest first; rows not yet written are zero.
+        self._ring = np.zeros((2 * self._k, N_ACTIVITIES))
         self._pos = 0
-        self._count = 0
-        self._peak = 0.0  # largest |window total| since the last exact recomputation
         self._ll = np.empty(N_ACTIVITIES)
 
     def push_frame(self, x) -> Prediction:
         """Score one frame, advance the window, and return the current decision.
 
-        Exactly one mixture evaluation per activity happens here regardless of
-        the window length; eviction and the running sums cover the rest. A
-        frame after which the window scores or their total would not be
+        Exactly one mixture evaluation per activity happens here; the window
+        score is the look-back rows summed oldest first, plus this frame's.
+        A frame after which the window scores or their total would not be
         finite (NaN or infinite input, or log-likelihoods too large to sum)
         raises DataError and leaves the session exactly as it was.
         """
@@ -157,41 +150,26 @@ class PredictorSession:
         if x.shape != (self._scorer.dim,):
             raise DataError(f"expected a length-{self._scorer.dim} frame, got shape {x.shape}")
         ll = self._scorer.scores(x, out=self._ll)
-        sums = self._next_sums
-        full = self._count == self._capacity
-        if full:
-            np.subtract(self._sums, self._ring[self._pos], out=sums)
-            np.add(sums, ll, out=sums)
-        else:
-            np.add(self._sums, ll, out=sums)
-        total = abs(float(sums.sum()))
-        if not math.isfinite(total):
+        ring, p, k = self._ring, self._pos, self._k
+        sums = np.add.reduce(ring[p : p + k], axis=0)
+        sums += ll
+        if not math.isfinite(sums.sum()):
             raise DataError("frame gives non-finite activity scores")
-        self._next_sums, self._sums = self._sums, sums
-        self.gmm_evaluations += N_ACTIVITIES
-        if not full:
-            self._count += 1
-        self._ring[self._pos] = ll
-        self._pos += 1
-        if self._pos == self._capacity:
-            self._pos = 0
+        ring[p : p + 1] = ring[p + k : p + k + 1] = ll  # both empty when k == 0
+        self._pos = p + 1 if p + 1 < k else 0
         self.frames_seen += 1
-        self._peak = max(self._peak, total)
-        if self.frames_seen % RESYNC_INTERVAL == 0 or total * _CANCELLATION_RATIO < self._peak:
-            np.sum(self._ring[: self._count], axis=0, out=sums)
-            self._peak = abs(float(sums.sum()))
-        label = ALL_LABELS[int(np.argmax(sums))]
-        return Prediction(label, sums.copy())
+        self.gmm_evaluations += N_ACTIVITIES
+        return Prediction(ALL_LABELS[int(sums.argmax())], sums)
 
     def push_block(self, frames) -> np.ndarray:
         """Score a block of frames and return their window scores, one row per frame.
 
         The result and the session afterwards are those of pushing the rows
-        one by one, except that every window is summed exactly, oldest row
-        first, from the session's last ``window_k`` rows onwards. If any
-        frame's window scores or their total would not be finite, DataError
-        names that frame by its index in the whole stream and the session is
-        left exactly as it was.
+        one by one: every window is summed oldest row first, from the
+        session's last ``window_k`` rows onwards. If any frame's window
+        scores or their total would not be finite, DataError names that frame
+        by its index in the whole stream and the session is left exactly as
+        it was.
         """
         frames = np.asarray(frames, dtype=np.float64)
         if frames.size == 0:
@@ -200,28 +178,21 @@ class PredictorSession:
             raise DataError(
                 f"expected an (n, {self._scorer.dim}) block, got shape {frames.shape}"
             )
-        n, cap = len(frames), self._capacity
-        k = cap - 1
-        # ll holds the last k rows in window order, zero-padded, then the block's.
-        ll = np.zeros((k + n, N_ACTIVITIES))
-        kept = min(self._count, k)
-        ll[k - kept : k] = self._ring[(self._pos - kept + np.arange(kept)) % cap]
+        n, k = len(frames), self._k
+        # ll holds the look-back in window order, then the block's rows.
+        ll = np.empty((k + n, N_ACTIVITIES))
+        ll[:k] = self._ring[self._pos : self._pos + k]
         for lo in range(0, n, BLOCK_ROWS):
             hi = min(n, lo + BLOCK_ROWS)
             self._scorer.block_scores(frames[lo:hi], ll[k + lo : k + hi])
         scores = ll[:n].copy()
-        for lag in range(1, cap):
+        for lag in range(1, k + 1):
             scores += ll[lag : lag + n]
-        totals = scores.sum(axis=1)
-        bad = np.flatnonzero(~np.isfinite(totals))
+        bad = np.flatnonzero(~np.isfinite(scores.sum(axis=1)))
         if bad.size:
             raise DataError(f"frame {self.frames_seen + int(bad[0])}: non-finite activity scores")
-        entering = min(n, cap)
-        self._ring[(self._pos + np.arange(n - entering, n)) % cap] = ll[k + n - entering :]
-        self._pos = (self._pos + n) % cap
-        self._count = min(cap, self._count + n)
-        self._sums[:] = scores[-1]
-        self._peak = abs(float(totals[-1]))
+        self._ring[:k] = self._ring[k:] = ll[n:]
+        self._pos = 0
         self.frames_seen += n
         self.gmm_evaluations += N_ACTIVITIES * n
         return scores

@@ -16,7 +16,6 @@ from rapidhare import (
     posterior,
     predict_sequence_naive,
 )
-from rapidhare import predictor
 from rapidhare.gmm import DEFAULT_COMPONENT_COUNTS
 from conftest import log_pdf_oracle, random_gmm, random_model_set
 
@@ -130,20 +129,37 @@ def test_streaming_is_causal(rng):
         assert predict_sequence_naive(models, frames[:cut], 9) == full[:cut]
 
 
-def test_resync_keeps_sums_exact(rng, monkeypatch):
+def test_resync_keeps_sums_exact(rng):
+    """Thousands of frames past the first window, the scores still equal the oracle's."""
     models = random_model_set(rng, dim=3)
     frames = rng.uniform(-1, 1, size=(3000, 3))
-
-    def run(interval):
-        monkeypatch.setattr(predictor, "RESYNC_INTERVAL", interval)
-        session = PredictorSession(models, 26)
-        return [session.push_frame(x) for x in frames]
-
+    naive_labels = predict_sequence_naive(models, frames, 26)
+    naive_scores = naive_window_scores(models, frames, 26)
+    session = PredictorSession(models, 26)
     worst = 0.0
-    for a, b in zip(run(1), run(10**9)):
-        worst = max(worst, float(np.abs(a.scores - b.scores).max()))
-        assert a.label is b.label
+    for t, x in enumerate(frames):
+        pred = session.push_frame(x)
+        worst = max(worst, float(np.abs(pred.scores - naive_scores[t]).max()))
+        assert pred.label is naive_labels[t]
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("window_k", [0, 1, 5, 26, 100, 700])
+def test_push_frame_sums_each_window_exactly_oldest_first(rng, window_k):
+    """Each window score is, bit for bit, its frames' rows added one by one, oldest first."""
+    models = random_model_set(rng, dim=4)
+    frames = rng.uniform(-1.5, 1.5, size=(2500, 4))
+    single = PredictorSession(models, 0)
+    rows = np.array([single.push_frame(x).scores for x in frames])
+    now = np.arange(len(rows))
+    first = np.maximum(0, now - window_k)
+    want = rows[first]
+    for j in range(1, window_k + 1):
+        live = first + j <= now
+        want[live] += rows[first[live] + j]
+    session = PredictorSession(models, window_k)
+    got = np.array([session.push_frame(x).scores for x in frames])
+    assert np.array_equal(got, want)
 
 
 def test_posterior_uniform_for_equal_scores():
@@ -206,21 +222,17 @@ def test_scores_are_stable_copies(rng):
 
 
 def _state(session):
-    return (
-        session._ring.copy(),
-        session._sums.copy(),
-        session._pos,
-        session._count,
-        session.frames_seen,
-        session.gmm_evaluations,
-    )
+    """The look-back rows in window order (none when window_k is 0), then the counters."""
+    ring, k = session._ring, session._k
+    assert np.array_equal(ring[:k], ring[k:])  # every row is stored twice
+    window = ring[session._pos : session._pos + k].copy()
+    return window, session.frames_seen, session.gmm_evaluations
 
 
 def _assert_same_state(before, after):
-    ring, sums, *counters = before
-    assert np.array_equal(after[0], ring)
-    assert np.array_equal(after[1], sums)
-    assert list(after[2:]) == counters
+    window, *counters = before
+    assert np.array_equal(after[0], window)
+    assert list(after[1:]) == counters
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -256,7 +268,8 @@ def test_frame_that_would_overflow_the_window_sums_is_rejected():
             assert np.isfinite(pred.scores).all()
             accepted += 1
     assert accepted == 11  # the twelfth takes the 8 window sums' total past -1.8e308
-    assert np.isfinite(session._sums.sum())
+    window, *_ = _state(session)
+    assert np.isfinite(window.sum())
 
 _PROPERTY_MODELS = random_model_set(np.random.default_rng(77), dim=3)
 
@@ -294,7 +307,7 @@ def test_push_frame_in_feature_range_matches_oracle(frames, window_k):
 
 
 def test_push_frame_exact_after_huge_frame_leaves_window():
-    """A finite but huge row cancels out of the running sums when it is evicted."""
+    """A finite but huge row leaves no trace in the windows after it has left them."""
     rng = np.random.default_rng(3)
     models = ActivityModelSet({label: random_gmm(rng, 3, 3) for label in ALL_LABELS})
     frames = rng.uniform(-1, 1, size=(300, 3))
@@ -338,11 +351,11 @@ def test_push_block_leaves_the_state_of_one_by_one_pushes(rng, window_k):
             one.push_frame(x)
             block.push_frame(x)
         for x in frames[cut:80]:
-            one.push_frame(x)
-        block.push_block(frames[cut:80])
-        (ring_a, sums_a, *counters_a), (ring_b, sums_b, *counters_b) = _state(one), _state(block)
+            sums_a = one.push_frame(x).scores
+        sums_b = block.push_block(frames[cut:80])[-1]
+        (ring_a, *counters_a), (ring_b, *counters_b) = _state(one), _state(block)
         assert counters_b == counters_a
-        assert np.abs(ring_b - ring_a).max() < 1e-12
+        assert np.abs(ring_b - ring_a).max(initial=0.0) < 1e-12
         assert np.abs(sums_b - sums_a).max() < 1e-9
         for x in frames[80:]:
             a, b = one.push_frame(x), block.push_frame(x)
