@@ -39,9 +39,7 @@ from .features import (
     DirectionalConfig,
     FeatureConfig,
     StreamingDirectional,
-    augment_directional,
     directional_sources_by_name,
-    select_channels,
 )
 from .gmm import (
     DEFAULT_COMPONENT_COUNTS,

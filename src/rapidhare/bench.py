@@ -96,6 +96,8 @@ def run_bench(
         raise DataError("frames must be positive")
     if repeats <= 0:
         raise DataError("repeats must be positive")
+    if seed < 0:
+        raise DataError("seed must be non-negative")
     if method not in BENCH_METHODS:
         raise DataError(f"unknown bench method: {method!r}")
     trans = default_transition_matrix()

@@ -154,17 +154,18 @@ def _predict_stream(model_set, args) -> int:
         if not line:
             continue
         try:
-            x = np.array([float(v) for v in line.split("\t")], dtype=np.float64)
+            x = np.array([[float(v) for v in line.split("\t")]], dtype=np.float64)
         except ValueError:
             raise DataError(f"stdin:{index + 1}: non-numeric frame value") from None
+        width = x.shape[1]
         if streamer is None:
-            streamer = feat.streamer(len(x))
-        elif len(x) != streamer.n_channels:
+            streamer = feat.streamer(width)
+        elif width != streamer.n_channels:
             raise DataError(
-                f"stdin:{index + 1}: {len(x)} values, the first frame had {streamer.n_channels}"
+                f"stdin:{index + 1}: {width} values, the first frame had {streamer.n_channels}"
             )
         try:
-            pred = session.push_frame(streamer.push(x))
+            pred = session.push_frame(streamer.push(x)[0])
         except DataError as exc:
             raise DataError(f"stdin:{index + 1}: {exc}") from None
         _write_predictions(index, pred.scores[np.newaxis])

@@ -176,7 +176,10 @@ class Dataset:
 
 
 def _read_lines(path: Path) -> list[str]:
-    """A recording's lines, split where text mode splits them: at "\n", "\r\n" and "\r"."""
+    """An ASCII file's lines, split where text mode splits them: at "\n", "\r\n" and "\r".
+
+    Readers of other kinds of file check first that it exists, with their own message.
+    """
     if not path.is_file():
         raise DataError(f"no such recording file: {path}")
     raw = path.read_bytes()

@@ -2,7 +2,9 @@
 
 Directional features are causal lagged differences d[t] = s[t] - s[t - lag]
 appended to the frame; they encode which way a signal is moving and are left
-unclamped (magnitude at most 2 for inputs in [-1, 1]).
+unclamped (magnitude at most 2 for inputs in [-1, 1]). Both are computed in
+one place, the block streamer: ``FeatureConfig.apply`` pushes a whole
+recording through it as one block, and ``predict -`` pushes each frame.
 """
 
 from __future__ import annotations
@@ -49,36 +51,14 @@ class DirectionalConfig:
             raise DataError("directional source_channels must be non-negative")
 
 
-def select_channels(seq: LabeledSequence, keep) -> LabeledSequence:
-    """Keep exactly the given channels, in the given order; labels are untouched."""
-    keep = [int(i) for i in keep]
-    _check_indices(keep, seq.dim, "channel selection")
-    return LabeledSequence(
-        seq.subject_id, seq.frames[:, keep], seq.labels.copy(), seq.sample_rate_hz
-    )
-
-
-def augment_directional(seq: LabeledSequence, cfg: DirectionalConfig) -> LabeledSequence:
-    """Append one lagged-difference column per source channel.
-
-    d[t] = s[t] - s[t - lag] for t >= lag and 0 during the warm-up, so the
-    output is causal and a constant signal yields identically zero features.
-    """
-    _check_indices(cfg.source_channels, seq.dim, "directional source_channels")
-    src = seq.frames[:, list(cfg.source_channels)]
-    diffs = np.zeros_like(src)
-    if seq.n_frames > cfg.lag:
-        diffs[cfg.lag:] = src[cfg.lag:] - src[:-cfg.lag]
-    frames = np.hstack([seq.frames, diffs])
-    return LabeledSequence(seq.subject_id, frames, seq.labels.copy(), seq.sample_rate_hz)
-
-
 @dataclass(frozen=True)
 class FeatureConfig:
     """Channel selection followed by optional directional augmentation.
 
-    ``keep_channels`` and ``directional.source_channels`` are both expressed
-    in the original channel index space; sources are remapped after selection.
+    Kept channels come out in the order listed, then one directional column
+    per source. ``keep_channels`` and ``directional.source_channels`` are both
+    expressed in the original channel index space; sources are remapped after
+    selection.
     """
 
     keep_channels: tuple[int, ...] | None = None  # None keeps every channel
@@ -103,12 +83,11 @@ class FeatureConfig:
         return DirectionalConfig(directional.lag, tuple(pos[c] for c in directional.source_channels))
 
     def apply(self, seq: LabeledSequence) -> LabeledSequence:
-        if self.keep_channels is not None:
-            seq = select_channels(seq, self.keep_channels)
-        directional = self._selected_directional()
-        if directional is not None:
-            seq = augment_directional(seq, directional)
-        return seq
+        """The whole recording pushed through ``streamer`` as one block; labels are untouched."""
+        return LabeledSequence(
+            seq.subject_id, self.streamer(seq.dim).push(seq.frames), seq.labels.copy(),
+            seq.sample_rate_hz,
+        )
 
     def streamer(self, n_channels: int) -> FeatureStreamer:
         """The streaming form of ``apply`` for frames of ``n_channels`` values."""
@@ -132,30 +111,35 @@ def directional_sources_by_name(channels: list[ChannelSpec], keep=None) -> tuple
 
 
 class StreamingDirectional:
-    """Causal streaming form of augment_directional, one frame at a time."""
+    """Lagged differences appended to frames pushed in blocks of any length.
+
+    The last ``lag`` source rows are kept, zeros before the stream starts, so
+    one subtraction over them and a block gives the block's differences; rows
+    whose stream index is below ``lag`` get zeros instead. The output does
+    not depend on how the stream is split into blocks.
+    """
 
     def __init__(self, cfg: DirectionalConfig, dim: int):
         _check_indices(cfg.source_channels, dim, "directional source_channels")
-        self._sources = list(cfg.source_channels)
+        self._sources = np.array(cfg.source_channels)
         self._lag = cfg.lag
-        self._hist = np.zeros((cfg.lag, len(self._sources)))
-        self._pos = 0
-        self._seen = 0
+        self._last = np.zeros((cfg.lag, len(self._sources)))
+        self._rows = 0
 
-    def push(self, x: np.ndarray) -> np.ndarray:
-        src = x[self._sources]
-        if self._seen >= self._lag:
-            d = src - self._hist[self._pos]
-        else:
-            d = np.zeros_like(src)
-        self._hist[self._pos] = src
-        self._pos = (self._pos + 1) % self._lag
-        self._seen += 1
-        return np.concatenate([x, d])
+    def push(self, block: np.ndarray) -> np.ndarray:
+        """``block`` (n, dim) with its n rows of differences appended, (n, dim + sources)."""
+        n = len(block)
+        src = np.concatenate([self._last, block.take(self._sources, axis=1)])
+        d = src[self._lag :] - src[:n]
+        if self._rows < self._lag:
+            d[: self._lag - self._rows] = 0.0
+        self._last = src[n:]
+        self._rows += n
+        return np.concatenate([block, d], axis=1)
 
 
 class FeatureStreamer:
-    """Streaming form of FeatureConfig.apply, for frames of ``n_channels`` values each."""
+    """FeatureConfig's transform over (n, ``n_channels``) blocks pushed in stream order."""
 
     def __init__(self, cfg: FeatureConfig, n_channels: int):
         self.n_channels = n_channels
@@ -167,9 +151,9 @@ class FeatureStreamer:
             directional, n_channels if self._keep is None else len(self._keep)
         )
 
-    def push(self, x: np.ndarray) -> np.ndarray:
+    def push(self, block: np.ndarray) -> np.ndarray:
         if self._keep is not None:
-            x = x[self._keep]
+            block = block[:, self._keep]
         if self._directional is not None:
-            x = self._directional.push(x)
-        return x
+            block = self._directional.push(block)
+        return block

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ALL_LABELS, ActivityLabel
+from .data import ALL_LABELS, ActivityLabel, _read_lines
 from .errors import DataError, NumericError
 
 DEFAULT_VARIANCE_FLOOR = 1e-6
@@ -356,7 +356,7 @@ class _ModelReader:
         self.path = Path(path)
         if not self.path.is_file():
             raise DataError(f"no such model file: {path}")
-        self.lines = self.path.read_text(encoding="ascii").splitlines()
+        self.lines = _read_lines(self.path)
         self.pos = 0
 
     def next(self, what: str) -> str:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel
+from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel, _read_lines
 from .errors import DataError, NumericError
 from .gmm import ActivityModelSet
 
@@ -132,7 +132,7 @@ def load_transition_matrix(path) -> TransitionMatrix:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such transition matrix file: {path}")
-    lines = [ln for ln in path.read_text(encoding="ascii").splitlines() if ln.strip()]
+    lines = [ln for ln in _read_lines(path) if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty transition matrix file")
     names = lines[0].split()

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel, ChannelSpec, Dataset, LabeledSequence, channel
+from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel, ChannelSpec, Dataset, LabeledSequence, _read_lines, channel
 from .errors import DataError
 from .gmm import GmmModel
 from .hmm import TransitionMatrix
@@ -43,6 +43,8 @@ class SynthSpec:
             raise DataError("subject, frame, and segment counts must be positive")
         if self.frames_per_subject < self.min_segment:
             raise DataError("frames_per_subject must be at least min_segment")
+        if self.seed < 0:
+            raise DataError("seed must be non-negative")
         if self.activity_chain.probs.shape != (N_ACTIVITIES, N_ACTIVITIES):
             raise DataError("activity chain must cover all activities")
 
@@ -144,7 +146,7 @@ def load_spec(path) -> SynthSpec:
     if not path.is_file():
         raise DataError(f"no such spec file: {path}")
     overrides = {}
-    for lineno, line in enumerate(path.read_text(encoding="ascii").splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

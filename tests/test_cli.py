@@ -378,6 +378,8 @@ def test_bench_batch_reports_stats(model_path, capsys):
 def test_bench_rejects_zero_frames(model_path, capsys):
     assert main(["bench", "--model", str(model_path), "--frames", "0"]) == 2
     capsys.readouterr()
+    assert main(["bench", "--model", str(model_path), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative\n"
 
 
 def test_synth_spec_file(tmp_path, capsys):
@@ -388,3 +390,41 @@ def test_synth_spec_file(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     assert len(list(out.iterdir())) == 2
+
+    spec.write_text("n_subjects 2\nseed -1\n")
+    for args in (["--spec", str(spec)], ["--seed", "-1"]):
+        assert main(["synth", "--out", str(tmp_path / "negative"), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be non-negative\n"
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["predict", "bench", "evaluate", "synth"])
+def test_non_ascii_byte_in_an_input_file_exits_two_naming_the_line(
+    command, synth_dir, model_path, tmp_path, capsys
+):
+    """Model, transition matrix and spec files report a non-ASCII byte at its line."""
+    if command in ("predict", "bench"):
+        path = tmp_path / "model.txt"
+        lines = model_path.read_bytes().split(b"\n")
+        lines[2] += b"\xe9"
+    elif command == "evaluate":
+        path = tmp_path / "transitions.txt"
+        names = " ".join(label.label_name for label in ALL_LABELS)
+        lines = [names.encode()] + [b" ".join([b"0.125"] * len(ALL_LABELS))] * len(ALL_LABELS)
+        lines[2] += b"\xe9"
+    else:
+        path = tmp_path / "spec.txt"
+        lines = [b"n_subjects 2", b"frames_per_subject 300", b"seed 3\xe9"]
+    path.write_bytes(b"\n".join(lines))
+    recording = sorted(synth_dir.iterdir())[0]
+    args = {
+        "predict": ["predict", str(recording), "--model", str(path)],
+        "bench": ["bench", "--model", str(path)],
+        "evaluate": ["evaluate", str(synth_dir), "--transitions", str(path)],
+        "synth": ["synth", "--out", str(tmp_path / "out"), "--spec", str(path)],
+    }[command]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}:3: non-ASCII byte\n"
+    assert captured.out == ""

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rapidhare import (
     DataError,
@@ -7,10 +10,8 @@ from rapidhare import (
     FeatureConfig,
     LabeledSequence,
     StreamingDirectional,
-    augment_directional,
     directional_sources_by_name,
     full_sensor_channels,
-    select_channels,
 )
 
 
@@ -21,7 +22,7 @@ def seq_of(frames, rate=56.35):
 
 def test_select_all_is_identity(rng):
     seq = seq_of(rng.uniform(-1, 1, size=(10, 38)))
-    out = select_channels(seq, list(range(38)))
+    out = FeatureConfig(tuple(range(38))).apply(seq)
     assert np.array_equal(out.frames, seq.frames)
     assert np.array_equal(out.labels, seq.labels)
 
@@ -33,13 +34,13 @@ THIGH_ACCEL = [12, 13, 14, 30, 31, 32]
 
 def test_select_reduced_configurations(rng):
     seq = seq_of(rng.uniform(-1, 1, size=(10, 38)))
-    assert select_channels(seq, THIGH_SHIN_ACCEL).dim == 12
-    assert select_channels(seq, THIGH_ACCEL).dim == 6
+    assert FeatureConfig(THIGH_SHIN_ACCEL).apply(seq).dim == 12
+    assert FeatureConfig(THIGH_ACCEL).apply(seq).dim == 6
 
 
 def test_select_preserves_order(rng):
     seq = seq_of(rng.uniform(-1, 1, size=(5, 6)))
-    out = select_channels(seq, [4, 1])
+    out = FeatureConfig((4, 1)).apply(seq)
     assert np.array_equal(out.frames[:, 0], seq.frames[:, 4])
     assert np.array_equal(out.frames[:, 1], seq.frames[:, 1])
 
@@ -47,16 +48,16 @@ def test_select_preserves_order(rng):
 def test_select_rejects_bad_indices(rng):
     seq = seq_of(rng.uniform(-1, 1, size=(5, 6)))
     with pytest.raises(DataError, match="empty"):
-        select_channels(seq, [])
+        FeatureConfig(()).apply(seq)
     with pytest.raises(DataError, match="out of range"):
-        select_channels(seq, [0, 6])
+        FeatureConfig((0, 6)).apply(seq)
     with pytest.raises(DataError, match="duplicate"):
-        select_channels(seq, [0, 0])
+        FeatureConfig((0, 0)).apply(seq)
 
 
 def test_directional_constant_signal_is_zero():
     seq = seq_of(np.full((40, 3), 0.25))
-    out = augment_directional(seq, DirectionalConfig(lag=15, source_channels=(0, 2)))
+    out = FeatureConfig(directional=DirectionalConfig(lag=15, source_channels=(0, 2))).apply(seq)
     assert out.dim == 5
     assert np.array_equal(out.frames[:, 3:], np.zeros((40, 2)))
 
@@ -65,7 +66,7 @@ def test_directional_ramp():
     h = 0.01
     t = np.arange(40, dtype=float)
     seq = seq_of(np.column_stack([t * h, np.zeros(40)]))
-    out = augment_directional(seq, DirectionalConfig(lag=15, source_channels=(0,)))
+    out = FeatureConfig(directional=DirectionalConfig(lag=15, source_channels=(0,))).apply(seq)
     d = out.frames[:, 2]
     assert np.allclose(d[:15], 0.0)
     assert np.allclose(d[15:], 15 * h)
@@ -82,22 +83,22 @@ def test_directional_full_layout_yields_42_channels(rng):
         "acc_lt_z",
     ]
     seq = seq_of(rng.uniform(-1, 1, size=(30, 38)))
-    out = augment_directional(seq, DirectionalConfig(15, sources))
+    out = FeatureConfig(directional=DirectionalConfig(15, sources)).apply(seq)
     assert out.dim == 42
     assert np.array_equal(out.frames[:, :38], seq.frames)
 
 
 def test_directional_is_causal(rng):
     frames = rng.uniform(-1, 1, size=(60, 4))
-    cfg = DirectionalConfig(lag=7, source_channels=(1, 3))
-    full = augment_directional(seq_of(frames), cfg)
-    prefix = augment_directional(seq_of(frames[:25]), cfg)
+    cfg = FeatureConfig(directional=DirectionalConfig(lag=7, source_channels=(1, 3)))
+    full = cfg.apply(seq_of(frames))
+    prefix = cfg.apply(seq_of(frames[:25]))
     assert np.array_equal(full.frames[:25], prefix.frames)
 
 
 def test_directional_bounded_by_two(rng):
     frames = rng.uniform(-1, 1, size=(500, 3))
-    out = augment_directional(seq_of(frames), DirectionalConfig(3, (0, 1, 2)))
+    out = FeatureConfig(directional=DirectionalConfig(3, (0, 1, 2))).apply(seq_of(frames))
     assert np.abs(out.frames[:, 3:]).max() <= 2.0
 
 
@@ -112,7 +113,7 @@ def test_directional_config_validation():
 
 def test_directional_short_sequence_is_all_zero():
     seq = seq_of(np.ones((5, 2)))
-    out = augment_directional(seq, DirectionalConfig(lag=15, source_channels=(0,)))
+    out = FeatureConfig(directional=DirectionalConfig(lag=15, source_channels=(0,))).apply(seq)
     assert np.array_equal(out.frames[:, 2], np.zeros(5))
 
 
@@ -141,13 +142,56 @@ def test_directional_sources_respect_selection():
 def test_streaming_matches_batch(rng):
     frames = rng.uniform(-1, 1, size=(80, 5))
     cfg = DirectionalConfig(lag=9, source_channels=(0, 3))
-    batch = augment_directional(seq_of(frames), cfg)
+    batch = FeatureConfig(directional=cfg).apply(seq_of(frames))
     streamer = StreamingDirectional(cfg, dim=5)
-    streamed = np.vstack([streamer.push(x) for x in frames])
+    streamed = np.vstack([streamer.push(x[np.newaxis]) for x in frames])
     assert np.array_equal(streamed, batch.frames)
 
     # The FeatureConfig forms agree too when a permuted selection renumbers the sources.
     for feat in (FeatureConfig((4, 0, 3), cfg), FeatureConfig((2, 0)), FeatureConfig()):
         streamer = feat.streamer(5)
-        streamed = np.vstack([streamer.push(x) for x in frames])
+        streamed = np.vstack([streamer.push(x[np.newaxis]) for x in frames])
         assert np.array_equal(streamed, feat.apply(seq_of(frames)).frames)
+
+
+@st.composite
+def _split_streams(draw):
+    """Frames, a valid FeatureConfig over them, and cut points splitting the frames into blocks."""
+    n_frames, n_channels = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    frames = draw(arrays(np.float64, (n_frames, n_channels), elements=st.floats(-1e300, 1e300)))
+    keep = draw(st.none() | st.permutations(range(n_channels)).flatmap(
+        lambda order: st.integers(1, n_channels).map(lambda k: tuple(order[:k]))
+    ))
+    pool = list(range(n_channels)) if keep is None else list(keep)
+    directional = draw(st.none() | st.builds(
+        DirectionalConfig,
+        st.integers(1, 20),
+        st.lists(st.sampled_from(pool), min_size=1, unique=True).map(tuple),
+    ))
+    cuts = sorted(draw(st.lists(st.integers(0, n_frames), max_size=8)))
+    return frames, FeatureConfig(keep, directional), cuts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_split_streams())
+def test_block_pushes_concatenate_to_apply(case):
+    """Any split into blocks, empty and one-row ones included, gives apply's frames.
+
+    Also checked against the lagged difference written out over the whole recording.
+    """
+    frames, cfg, cuts = case
+    bounds = [0, *cuts, len(frames)]
+    streamer = cfg.streamer(frames.shape[1])
+    pushed = [streamer.push(frames[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    assert [len(p) for p in pushed] == [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    out = cfg.apply(seq_of(frames)).frames
+    assert np.array_equal(np.concatenate(pushed), out)
+
+    expected = frames if cfg.keep_channels is None else frames[:, list(cfg.keep_channels)]
+    if cfg.directional is not None:
+        src = frames[:, list(cfg.directional.source_channels)]
+        lag = cfg.directional.lag
+        diffs = np.zeros_like(src)
+        diffs[lag:] = src[lag:] - src[:-lag]
+        expected = np.hstack([expected, diffs])
+    assert np.array_equal(out, expected)

@@ -96,6 +96,8 @@ def test_spec_validation():
     chain = uniform_activity_chain()
     with pytest.raises(DataError, match="positive"):
         SynthSpec(gens, chain, n_subjects=0)
+    with pytest.raises(DataError, match="seed must be non-negative"):
+        SynthSpec(gens, chain, seed=-1)
     with pytest.raises(DataError, match="min_segment"):
         SynthSpec(gens, chain, frames_per_subject=10, min_segment=100)
     missing = dict(gens)
