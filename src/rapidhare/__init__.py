@@ -6,11 +6,9 @@ feature augmentation, a border-tolerant evaluation protocol, a blockwise
 Viterbi baseline, and a per-frame latency benchmark.
 """
 
-from .bench import BenchStats, run_bench
+from .bench import run_bench
 from .data import (
     ALL_LABELS,
-    N_ACTIVITIES,
-    NOMINAL_SAMPLE_RATE_HZ,
     ActivityLabel,
     ChannelSpec,
     Dataset,
@@ -22,13 +20,10 @@ from .data import (
     parse_recording,
     read_header,
     split_loso,
-    write_dataset,
     write_recording,
 )
 from .errors import DataError, NumericError
 from .evaluation import (
-    ClassMetrics,
-    EvalReport,
     aggregate_reports,
     apply_border_tolerance,
     confusion,
@@ -42,7 +37,6 @@ from .features import (
     directional_sources_by_name,
 )
 from .gmm import (
-    DEFAULT_COMPONENT_COUNTS,
     ActivityModelSet,
     EmConfig,
     GmmModel,
@@ -63,12 +57,10 @@ from .hmm import (
     viterbi_block,
 )
 from .predictor import (
-    Prediction,
     PredictorSession,
     naive_window_scores,
     posterior,
     predict_sequence_naive,
 )
-from .synth import SynthSpec, default_generators, default_spec, generate, load_spec
 
 __version__ = "0.1.0"

@@ -165,10 +165,10 @@ def _predict_stream(model_set, args) -> int:
                 f"stdin:{index + 1}: {width} values, the first frame had {streamer.n_channels}"
             )
         try:
-            pred = session.push_frame(streamer.push(x)[0])
+            scores = session.push_frame(streamer.push(x)[0])
         except DataError as exc:
             raise DataError(f"stdin:{index + 1}: {exc}") from None
-        _write_predictions(index, pred.scores[np.newaxis])
+        _write_predictions(index, scores[np.newaxis])
         sys.stdout.flush()
     return 0
 

@@ -26,6 +26,7 @@ import numpy as np
 from .data import ALL_LABELS, ActivityLabel, _read_lines
 from .errors import DataError, NumericError
 
+KMEANS_MAX_ITERS = 100  # Lloyd steps per kmeans_init, at most
 DEFAULT_VARIANCE_FLOOR = 1e-6
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -152,9 +153,10 @@ def _validate_training_data(data, k) -> np.ndarray:
     return data
 
 
-def kmeans_init(data, k: int, seed: int, variance_floor: float = DEFAULT_VARIANCE_FLOOR,
-                max_iters: int = 100) -> GmmModel:
-    """k-means++ seeding plus Lloyd iterations; the result seeds EM.
+def kmeans_init(
+    data, k: int, seed: int, variance_floor: float = DEFAULT_VARIANCE_FLOOR
+) -> GmmModel:
+    """k-means++ seeding plus up to KMEANS_MAX_ITERS Lloyd iterations; the result seeds EM.
 
     Means are the final centroids, variances the per-dimension within-cluster
     spread (floored), weights the cluster occupancies. Empty clusters are
@@ -165,9 +167,8 @@ def kmeans_init(data, k: int, seed: int, variance_floor: float = DEFAULT_VARIANC
     n = len(data)
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_seeds(data, k, rng)
-    assign = np.zeros(n, dtype=np.intp)
     sq_norms = (data * data).sum(axis=1)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         # |x - c|^2 = |x|^2 - 2 x.c + |c|^2, one product per Lloyd step.
         dists = sq_norms[:, None] - 2.0 * (data @ centers.T) + (centers * centers).sum(axis=1)
         assign = dists.argmin(axis=1)
@@ -177,22 +178,15 @@ def kmeans_init(data, k: int, seed: int, variance_floor: float = DEFAULT_VARIANC
                 far = int(np.argmax(d2min))
                 assign[far] = j
                 d2min[far] = -1.0
-        new_centers = np.empty_like(centers)
-        for j in range(k):
-            new_centers[j] = data[assign == j].mean(axis=0)
-        if np.array_equal(new_centers, centers):
+        previous = centers
+        # Always the means of the latest assignment, which the model keeps.
+        centers = np.array([data[assign == j].mean(axis=0) for j in range(k)])
+        if np.array_equal(centers, previous):
             break
-        centers = new_centers
 
-    counts = np.bincount(assign, minlength=k)
-    weights = counts / n
-    means = np.empty_like(centers)
-    variances = np.empty_like(centers)
-    for j in range(k):
-        members = data[assign == j]
-        means[j] = members.mean(axis=0)
-        variances[j] = np.maximum(members.var(axis=0), variance_floor)
-    return GmmModel(weights / weights.sum(), means, variances)
+    weights = np.bincount(assign, minlength=k) / n
+    variances = np.array([data[assign == j].var(axis=0) for j in range(k)])
+    return GmmModel(weights / weights.sum(), centers, np.maximum(variances, variance_floor))
 
 
 @dataclass(frozen=True)

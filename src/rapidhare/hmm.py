@@ -132,17 +132,19 @@ def load_transition_matrix(path) -> TransitionMatrix:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such transition matrix file: {path}")
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
+    # Numbered before the blank lines are dropped, so errors name real lines.
+    lines = [(i, ln) for i, ln in enumerate(_read_lines(path), start=1) if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty transition matrix file")
-    names = lines[0].split()
-    expected = [label.label_name for label in ALL_LABELS]
-    if names != expected:
-        raise DataError(f"{path}:1: header must list the {N_ACTIVITIES} activity names in id order")
-    if len(lines) != N_ACTIVITIES + 1:
+    (head_no, head), body = lines[0], lines[1:]
+    if head.split() != [label.label_name for label in ALL_LABELS]:
+        raise DataError(
+            f"{path}:{head_no}: header must list the {N_ACTIVITIES} activity names in id order"
+        )
+    if len(body) != N_ACTIVITIES:
         raise DataError(f"{path}: expected {N_ACTIVITIES} rows after the header")
     rows = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in body:
         parts = line.split()
         if len(parts) != N_ACTIVITIES:
             raise DataError(f"{path}:{i}: expected {N_ACTIVITIES} values")

@@ -11,10 +11,13 @@ is the one setting: it counts the look-back depth, so a window spans at most
 
 The session keeps its last ``window_k`` rows twice over in one ring, so the
 look-back is always one contiguous slice in window order. ``push_frame``
-reduces that slice; the block form ``PredictorSession.push_block`` labels
-frames that are already in memory, scoring ``BLOCK_ROWS`` frames per matrix
-product and adding the same rows in the same order, so both forms give the
-same sums for the same rows. They share one state and can be mixed freely.
+reduces that slice and returns the frame's (8,) window-score row; the frame's
+label is ``ALL_LABELS[int(scores.argmax())]`` and its class probabilities are
+``posterior(scores)``. The block form ``PredictorSession.push_block`` takes
+frames that are already in memory and returns one such row per frame. It
+scores ``BLOCK_ROWS`` frames per matrix product and adds the same rows in the
+same order, so both forms give the same sums for the same rows. They share one
+state and can be mixed freely.
 """
 
 from __future__ import annotations
@@ -46,23 +49,6 @@ def posterior(scores) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-class Prediction:
-    """One frame's decision: label, per-activity window scores, posterior on demand."""
-
-    __slots__ = ("label", "scores", "_posterior")
-
-    def __init__(self, label: ActivityLabel, scores: np.ndarray):
-        self.label = label
-        self.scores = scores
-        self._posterior = None
-
-    @property
-    def posterior(self) -> np.ndarray:
-        if self._posterior is None:
-            self._posterior = posterior(self.scores)
-        return self._posterior
 
 
 class _FrameScorer:
@@ -137,11 +123,12 @@ class PredictorSession:
         self._pos = 0
         self._ll = np.empty(N_ACTIVITIES)
 
-    def push_frame(self, x) -> Prediction:
-        """Score one frame, advance the window, and return the current decision.
+    def push_frame(self, x) -> np.ndarray:
+        """Score one frame, advance the window, and return its window scores.
 
-        Exactly one mixture evaluation per activity happens here; the window
-        score is the look-back rows summed oldest first, plus this frame's.
+        The result is a new (8,) float64 array, one score per activity in
+        ``ALL_LABELS`` order: the look-back rows summed oldest first, plus this
+        frame's. Exactly one mixture evaluation per activity happens here.
         A frame after which the window scores or their total would not be
         finite (NaN or infinite input, or log-likelihoods too large to sum)
         raises DataError and leaves the session exactly as it was.
@@ -159,7 +146,7 @@ class PredictorSession:
         self._pos = p + 1 if p + 1 < k else 0
         self.frames_seen += 1
         self.gmm_evaluations += N_ACTIVITIES
-        return Prediction(ALL_LABELS[int(sums.argmax())], sums)
+        return sums
 
     def push_block(self, frames) -> np.ndarray:
         """Score a block of frames and return their window scores, one row per frame.

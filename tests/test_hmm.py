@@ -219,3 +219,17 @@ def test_load_transition_matrix(tmp_path):
     bad.write_text("walking running\n0.5 0.5\n")
     with pytest.raises(DataError, match="header"):
         load_transition_matrix(bad)
+
+
+def test_load_transition_matrix_errors_name_real_lines(tmp_path):
+    names = " ".join(label.label_name for label in ALL_LABELS)
+    rows = [" ".join(repr(float(v)) for v in row) for row in default_transition_matrix().probs]
+    rows[3] = "0.5 0.5"
+    path = tmp_path / "trans.txt"
+    path.write_text("\n".join([names, "", ""] + rows) + "\n")
+    with pytest.raises(DataError, match=r"trans\.txt:7: expected 8 values"):
+        load_transition_matrix(path)
+
+    path.write_text("\n\nwalking running\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=r"trans\.txt:3: header"):
+        load_transition_matrix(path)

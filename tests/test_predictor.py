@@ -20,6 +20,10 @@ from rapidhare.gmm import DEFAULT_COMPONENT_COUNTS
 from conftest import log_pdf_oracle, random_gmm, random_model_set
 
 
+def label_of(scores):
+    return ALL_LABELS[int(scores.argmax())]
+
+
 def identical_model_set(dim=3):
     base = GmmModel(np.array([1.0]), np.zeros((1, dim)), np.ones((1, dim)))
     return ActivityModelSet({label: base for label in ALL_LABELS})
@@ -46,10 +50,10 @@ def test_k0_equals_single_frame_argmax(rng):
     session = PredictorSession(models, 0)
     for _ in range(20):
         x = rng.uniform(-1, 1, size=4)
-        pred = session.push_frame(x)
+        scores = session.push_frame(x)
         direct = np.array([log_pdf(models.models[label], x) for label in ALL_LABELS])
-        assert int(pred.label) == int(np.argmax(direct)) + 1
-        assert np.allclose(pred.scores, direct, atol=1e-12)
+        assert int(label_of(scores)) == int(np.argmax(direct)) + 1
+        assert np.allclose(scores, direct, atol=1e-12)
 
 
 def test_frame_scores_error_bound_at_variance_floor():
@@ -77,7 +81,7 @@ def test_frame_scores_error_bound_at_variance_floor():
             j = rng.integers(near.n_components)
             noise = np.sqrt(near.variances[j]) * rng.standard_normal(dim)
             x = np.clip(near.means[j] + noise, -1.0, 1.0)
-            scores = session.push_frame(x).scores
+            scores = session.push_frame(x)
             for a, label in enumerate(ALL_LABELS):
                 m = model_set.models[label]
                 with np.errstate(divide="ignore"):
@@ -94,9 +98,9 @@ def test_frame_scores_error_bound_at_variance_floor():
 def test_tie_breaks_to_lowest_id(rng):
     session = PredictorSession(identical_model_set(), 5)
     for _ in range(12):
-        pred = session.push_frame(rng.uniform(-1, 1, size=3))
-        assert pred.label is ActivityLabel.WALKING
-        assert np.ptp(pred.scores) == 0.0
+        scores = session.push_frame(rng.uniform(-1, 1, size=3))
+        assert label_of(scores) is ActivityLabel.WALKING
+        assert np.ptp(scores) == 0.0
 
 
 def test_streaming_matches_naive_across_windows(rng):
@@ -107,9 +111,9 @@ def test_streaming_matches_naive_across_windows(rng):
         naive_scores = naive_window_scores(models, frames, k)
         session = PredictorSession(models, k)
         for t, x in enumerate(frames):
-            pred = session.push_frame(x)
-            assert pred.label is naive_labels[t]
-            assert np.abs(pred.scores - naive_scores[t]).max() < 1e-9
+            scores = session.push_frame(x)
+            assert label_of(scores) is naive_labels[t]
+            assert np.abs(scores - naive_scores[t]).max() < 1e-9
 
 
 def test_streaming_exact_evaluation_count(rng):
@@ -138,9 +142,9 @@ def test_resync_keeps_sums_exact(rng):
     session = PredictorSession(models, 26)
     worst = 0.0
     for t, x in enumerate(frames):
-        pred = session.push_frame(x)
-        worst = max(worst, float(np.abs(pred.scores - naive_scores[t]).max()))
-        assert pred.label is naive_labels[t]
+        scores = session.push_frame(x)
+        worst = max(worst, float(np.abs(scores - naive_scores[t]).max()))
+        assert label_of(scores) is naive_labels[t]
     assert worst < 1e-9
 
 
@@ -150,7 +154,7 @@ def test_push_frame_sums_each_window_exactly_oldest_first(rng, window_k):
     models = random_model_set(rng, dim=4)
     frames = rng.uniform(-1.5, 1.5, size=(2500, 4))
     single = PredictorSession(models, 0)
-    rows = np.array([single.push_frame(x).scores for x in frames])
+    rows = np.array([single.push_frame(x) for x in frames])
     now = np.arange(len(rows))
     first = np.maximum(0, now - window_k)
     want = rows[first]
@@ -158,7 +162,7 @@ def test_push_frame_sums_each_window_exactly_oldest_first(rng, window_k):
         live = first + j <= now
         want[live] += rows[first[live] + j]
     session = PredictorSession(models, window_k)
-    got = np.array([session.push_frame(x).scores for x in frames])
+    got = np.array([session.push_frame(x) for x in frames])
     assert np.array_equal(got, want)
 
 
@@ -183,12 +187,13 @@ def test_posterior_shift_invariance(rng):
 def test_prediction_posterior_matches_scores(rng):
     models = random_model_set(rng, dim=3)
     session = PredictorSession(models, 4)
-    pred = None
+    scores = None
     for x in rng.uniform(-1, 1, size=(9, 3)):
-        pred = session.push_frame(x)
-    assert pred.posterior.sum() == pytest.approx(1.0, abs=1e-12)
-    assert (pred.posterior >= 0).all()
-    assert int(np.argmax(pred.posterior)) + 1 == int(pred.label)
+        scores = session.push_frame(x)
+    probs = posterior(scores)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert (probs >= 0).all()
+    assert int(np.argmax(probs)) + 1 == int(label_of(scores))
 
 
 def test_push_frame_dimension_mismatch(rng):
@@ -216,9 +221,9 @@ def test_scores_are_stable_copies(rng):
     models = random_model_set(rng, dim=3)
     session = PredictorSession(models, 3)
     first = session.push_frame(rng.uniform(-1, 1, size=3))
-    saved = first.scores.copy()
+    saved = first.copy()
     session.push_frame(rng.uniform(-1, 1, size=3))
-    assert np.array_equal(first.scores, saved)
+    assert np.array_equal(first, saved)
 
 
 def _state(session):
@@ -249,9 +254,9 @@ def test_non_finite_frame_is_rejected_without_state_change(rng, bad):
             with pytest.raises(DataError, match="non-finite"):
                 session.push_frame(np.array([x[0], bad, x[2]]))
             _assert_same_state(before, _state(session))
-        pred = session.push_frame(x)
-        assert pred.label is naive_labels[t]
-        assert np.abs(pred.scores - naive_scores[t]).max() < 1e-9
+        scores = session.push_frame(x)
+        assert label_of(scores) is naive_labels[t]
+        assert np.abs(scores - naive_scores[t]).max() < 1e-9
     assert session.frames_seen == len(frames)
     assert session.gmm_evaluations == 8 * len(frames)
 
@@ -264,8 +269,8 @@ def test_frame_that_would_overflow_the_window_sums_is_rejected():
     accepted = 0
     with pytest.raises(DataError, match="non-finite"):
         for _ in range(27):
-            pred = session.push_frame(x)
-            assert np.isfinite(pred.scores).all()
+            scores = session.push_frame(x)
+            assert np.isfinite(scores).all()
             accepted += 1
     assert accepted == 11  # the twelfth takes the 8 window sums' total past -1.8e308
     window, *_ = _state(session)
@@ -283,13 +288,13 @@ def test_push_frame_any_floats_finite_or_rejected(frames):
     for x in frames:
         before = _state(session)
         try:
-            pred = session.push_frame(x)
+            scores = session.push_frame(x)
         except DataError:
             _assert_same_state(before, _state(session))
             continue
-        assert np.isfinite(pred.scores).all()
-        assert np.isfinite(pred.posterior).all()
-        assert pred.posterior.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.isfinite(scores).all()
+        assert np.isfinite(posterior(scores)).all()
+        assert posterior(scores).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -302,7 +307,7 @@ def test_push_frame_any_floats_finite_or_rejected(frames):
 def test_push_frame_in_feature_range_matches_oracle(frames, window_k):
     """Scaled and directional features lie in [-2, 2]; there the labels equal the oracle's."""
     session = PredictorSession(_PROPERTY_MODELS, window_k)
-    labels = [session.push_frame(x).label for x in frames]
+    labels = [label_of(session.push_frame(x)) for x in frames]
     assert labels == predict_sequence_naive(_PROPERTY_MODELS, np.array(frames), window_k)
 
 
@@ -314,7 +319,7 @@ def test_push_frame_exact_after_huge_frame_leaves_window():
     frames[50] = (2e9, 0.0, 0.0)
     naive_labels = predict_sequence_naive(models, frames, 26)
     session = PredictorSession(models, 26)
-    assert [session.push_frame(x).label for x in frames] == naive_labels
+    assert [label_of(session.push_frame(x)) for x in frames] == naive_labels
 
 
 def _push_in_blocks(session, frames, size):
@@ -334,7 +339,7 @@ def test_push_block_matches_naive(rng, window_k):
         for size in (1, 37, len(frames))
     }
     mixed = PredictorSession(models, window_k)
-    head = [mixed.push_frame(x).scores for x in frames[:10]]
+    head = [mixed.push_frame(x) for x in frames[:10]]
     runs["frames then block"] = np.vstack(head + [mixed.push_block(frames[10:])])
     for how, scores in runs.items():
         assert np.array_equal(scores.argmax(axis=1) + 1, naive_ids), how
@@ -351,7 +356,7 @@ def test_push_block_leaves_the_state_of_one_by_one_pushes(rng, window_k):
             one.push_frame(x)
             block.push_frame(x)
         for x in frames[cut:80]:
-            sums_a = one.push_frame(x).scores
+            sums_a = one.push_frame(x)
         sums_b = block.push_block(frames[cut:80])[-1]
         (ring_a, *counters_a), (ring_b, *counters_b) = _state(one), _state(block)
         assert counters_b == counters_a
@@ -359,8 +364,8 @@ def test_push_block_leaves_the_state_of_one_by_one_pushes(rng, window_k):
         assert np.abs(sums_b - sums_a).max() < 1e-9
         for x in frames[80:]:
             a, b = one.push_frame(x), block.push_frame(x)
-            assert b.label is a.label
-            assert np.abs(b.scores - a.scores).max() < 1e-9
+            assert label_of(b) is label_of(a)
+            assert np.abs(b - a).max() < 1e-9
 
 
 def test_push_block_empty_is_a_no_op(rng):
