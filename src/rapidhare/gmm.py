@@ -12,7 +12,8 @@ one uses that log(w N(x)) is linear in (x*x, x, 1): ``expansion_coefficients``
 makes one row per component and ``expansion_lift`` lifts the input, so all
 component densities are one matrix product. EM's E-step and the streaming
 frame scorer use it. Its absolute error grows with sum_d (x_d^2 + mu_d^2) /
-var_d, since the three terms cancel near a mean.
+var_d, since the three terms cancel near a mean. Training reuses its (n, k)
+buffers with the same bits as the allocating form of each step.
 """
 
 from __future__ import annotations
@@ -110,13 +111,17 @@ def log_pdf_batch(model: GmmModel, X) -> np.ndarray:
 
 def expansion_coefficients(weights, means, variances) -> np.ndarray:
     """One row c_j per component with log(w_j N(x; mu_j, var_j)) = c_j . expansion_lift(x)."""
+    dim = means.shape[1]
     inv_var = 1.0 / variances
-    const = (
+    coeffs = np.empty((len(means), 2 * dim + 1))
+    np.multiply(-0.5, inv_var, out=coeffs[:, :dim])
+    np.multiply(means, inv_var, out=coeffs[:, dim:-1])
+    coeffs[:, -1] = (
         np.log(weights)
         - 0.5 * np.sum(_LOG_2PI + np.log(variances), axis=1)
         - 0.5 * np.sum(means * means * inv_var, axis=1)
     )
-    return np.hstack([-0.5 * inv_var, means * inv_var, const[:, None]])
+    return coeffs
 
 
 def expansion_lift(X) -> np.ndarray:
@@ -159,32 +164,39 @@ def kmeans_init(
     """k-means++ seeding plus up to KMEANS_MAX_ITERS Lloyd iterations; the result seeds EM.
 
     Means are the final centroids, variances the per-dimension within-cluster
-    spread (floored), weights the cluster occupancies. Empty clusters are
-    reseeded from the point farthest from its assigned centroid, so every
-    component keeps positive weight. Deterministic for a fixed seed.
+    spread (floored), weights the cluster occupancies. An empty cluster takes
+    the point farthest from its centroid among clusters of two or more points,
+    so every component keeps positive weight. Deterministic for a fixed seed.
+    Lloyd steps reuse one distance buffer and sum centroids in data order, as
+    a mean does for dim >= 2 (numpy sums a single column pairwise).
     """
     data = _validate_training_data(data, k)
     n = len(data)
-    rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_seeds(data, k, rng)
+    centers = _kmeans_pp_seeds(data, k, np.random.default_rng(seed))
     sq_norms = (data * data).sum(axis=1)
+    columns = data.T.copy()  # contiguous weights for bincount
+    dists = np.empty((n, k))
     for _ in range(KMEANS_MAX_ITERS):
-        # |x - c|^2 = |x|^2 - 2 x.c + |c|^2, one product per Lloyd step.
-        dists = sq_norms[:, None] - 2.0 * (data @ centers.T) + (centers * centers).sum(axis=1)
+        # |x - c|^2 = |x|^2 - 2 x.c + |c|^2 in place; adding -2 x.c is subtracting it.
+        np.matmul(data, centers.T, out=dists)
+        dists *= -2.0
+        dists += sq_norms[:, None]
+        dists += (centers * centers).sum(axis=1)
         assign = dists.argmin(axis=1)
-        d2min = dists[np.arange(n), assign]
-        for j in range(k):
-            if not (assign == j).any():
-                far = int(np.argmax(d2min))
-                assign[far] = j
-                d2min[far] = -1.0
+        sizes = np.bincount(assign, minlength=k)
+        for j in np.flatnonzero(sizes == 0):
+            d2min = np.where(sizes[assign] >= 2, dists[np.arange(n), assign], -np.inf)
+            far = int(np.argmax(d2min))
+            sizes[assign[far]] -= 1
+            sizes[j] = 1
+            assign[far] = j
         previous = centers
         # Always the means of the latest assignment, which the model keeps.
-        centers = np.array([data[assign == j].mean(axis=0) for j in range(k)])
+        centers = np.array([np.bincount(assign, c, k) for c in columns]).T / sizes[:, None]
         if np.array_equal(centers, previous):
             break
 
-    weights = np.bincount(assign, minlength=k) / n
+    weights = sizes / n
     variances = np.array([data[assign == j].var(axis=0) for j in range(k)])
     return GmmModel(weights / weights.sum(), centers, np.maximum(variances, variance_floor))
 
@@ -209,42 +221,40 @@ class EmConfig:
 
 
 def _em(data, init: GmmModel, cfg: EmConfig, rng) -> tuple[GmmModel, list[float]]:
+    """EM from ``init``, reusing one (n, k) buffer; row maxima come from a transposed copy."""
     n, dim = data.shape
     lifted = expansion_lift(data)
-    weights = init.weights.copy()
-    means = init.means.copy()
-    variances = init.variances.copy()
+    comp = np.empty((n, init.n_components))
+    comp_t = np.empty((init.n_components, n))
+    weights, means, variances = init.weights, init.means, init.variances
     trace: list[float] = []
-    prev = -np.inf
     for it in range(cfg.max_iters):
-        comp = lifted @ expansion_coefficients(weights, means, variances).T
-        rowmax = comp.max(axis=1)
-        shifted = np.exp(comp - rowmax[:, None])
-        rowsum = shifted.sum(axis=1)
+        np.matmul(lifted, expansion_coefficients(weights, means, variances).T, out=comp)
+        np.copyto(comp_t, comp.T)
+        rowmax = np.maximum.reduce(comp_t, axis=0)
+        np.subtract(comp, rowmax[:, None], out=comp)
+        np.exp(comp, out=comp)
+        rowsum = comp.sum(axis=1)
         ll = float((rowmax + np.log(rowsum)).sum())
         if not np.isfinite(ll):
             raise NumericError("log-likelihood became non-finite during EM")
         trace.append(ll)
-        if it > 0 and (ll - prev) < cfg.tol * max(abs(prev), 1e-12):
+        if it > 0 and (ll - trace[-2]) < cfg.tol * max(abs(trace[-2]), 1e-12):
             break
         if it == cfg.max_iters - 1:
             break
-        prev = ll
 
-        resp = shifted / rowsum[:, None]
+        resp = np.divide(comp, rowsum[:, None], out=comp)
         nk = resp.sum(axis=0)
-        safe_nk = np.maximum(nk, 1e-300)
-        moments = (resp.T @ lifted) / safe_nk[:, None]  # E[x*x], E[x], 1
+        moments = (resp.T @ lifted) / np.maximum(nk, 1e-300)[:, None]  # E[x*x], E[x], 1
         means = moments[:, dim : 2 * dim].copy()
         variances = np.maximum(moments[:, :dim] - means * means, cfg.variance_floor)
         weights = nk / n
         # Starved components restart from a random data point.
-        tiny = nk < 1e-10 * n
-        if tiny.any():
-            for j in np.flatnonzero(tiny):
-                means[j] = data[rng.integers(n)]
-                variances[j] = cfg.variance_floor
-                weights[j] = 1.0 / n
+        for j in np.flatnonzero(nk < 1e-10 * n):
+            means[j] = data[rng.integers(n)]
+            variances[j] = cfg.variance_floor
+            weights[j] = 1.0 / n
         weights = weights / weights.sum()
     return GmmModel(weights, means, variances), trace
 

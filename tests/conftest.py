@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rapidhare import ALL_LABELS, ActivityModelSet, DataError, GmmModel, LabeledSequence
+from rapidhare.gmm import KMEANS_MAX_ITERS, _kmeans_pp_seeds
 
 
 def random_gmm(rng, dim, k, mean_scale=1.2, var_lo=0.05, var_hi=0.6):
@@ -133,6 +134,88 @@ def parse_recording_oracle(path, channels):
     mins = np.array([c.raw_min for c in channels], dtype=np.float64)
     spans = np.array([c.raw_max - c.raw_min for c in channels], dtype=np.float64)
     return LabeledSequence(subject, -1.0 + 2.0 * (raw[:, :-1] - mins) / spans, raw[:, -1], rate)
+
+
+def expansion_coefficients_oracle(weights, means, variances):
+    """The three coefficient blocks of ``expansion_coefficients``, joined by ``np.hstack``."""
+    inv_var = 1.0 / variances
+    const = (
+        np.log(weights)
+        - 0.5 * np.sum(np.log(2.0 * np.pi) + np.log(variances), axis=1)
+        - 0.5 * np.sum(means * means * inv_var, axis=1)
+    )
+    return np.hstack([-0.5 * inv_var, means * inv_var, const[:, None]])
+
+
+def kmeans_init_oracle(data, k, seed, variance_floor=1e-6):
+    """The allocating Lloyd loop that ``kmeans_init`` replaced, kept as its oracle.
+
+    Each step builds a fresh distance matrix and takes every centroid as the
+    mean of a masked copy of its rows. It reseeds an empty cluster by the
+    library's rule: the point farthest from its centroid among clusters of two
+    or more points.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    n = len(data)
+    centers = _kmeans_pp_seeds(data, k, np.random.default_rng(seed))
+    sq_norms = (data * data).sum(axis=1)
+    for _ in range(KMEANS_MAX_ITERS):
+        dists = sq_norms[:, None] - 2.0 * (data @ centers.T) + (centers * centers).sum(axis=1)
+        assign = dists.argmin(axis=1)
+        d2min = dists[np.arange(n), assign]
+        for j in range(k):
+            if not (assign == j).any():
+                sizes = np.bincount(assign, minlength=k)
+                far = int(np.argmax(np.where(sizes[assign] >= 2, d2min, -np.inf)))
+                assign[far] = j
+        previous = centers
+        centers = np.array([data[assign == j].mean(axis=0) for j in range(k)])
+        if np.array_equal(centers, previous):
+            break
+    weights = np.bincount(assign, minlength=k) / n
+    variances = np.array([data[assign == j].var(axis=0) for j in range(k)])
+    return GmmModel(weights / weights.sum(), centers, np.maximum(variances, variance_floor))
+
+
+def fit_em_trace_oracle(data, k, cfg):
+    """``fit_em_trace`` with the allocating E-step it replaced and ``kmeans_init_oracle``."""
+    data = np.asarray(data, dtype=np.float64)
+    n, dim = data.shape
+    lifted = np.hstack([data * data, data, np.ones((n, 1))])
+    best = None
+    for r in range(cfg.n_init_restarts):
+        seed = cfg.seed + 9973 * r
+        init = kmeans_init_oracle(data, k, seed, cfg.variance_floor)
+        rng = np.random.default_rng(seed)
+        weights, means, variances = init.weights, init.means, init.variances
+        trace = []
+        prev = -np.inf
+        for it in range(cfg.max_iters):
+            comp = lifted @ expansion_coefficients_oracle(weights, means, variances).T
+            rowmax = comp.max(axis=1)
+            shifted = np.exp(comp - rowmax[:, None])
+            rowsum = shifted.sum(axis=1)
+            ll = float((rowmax + np.log(rowsum)).sum())
+            trace.append(ll)
+            if it > 0 and (ll - prev) < cfg.tol * max(abs(prev), 1e-12):
+                break
+            if it == cfg.max_iters - 1:
+                break
+            prev = ll
+            resp = shifted / rowsum[:, None]
+            nk = resp.sum(axis=0)
+            moments = (resp.T @ lifted) / np.maximum(nk, 1e-300)[:, None]
+            means = moments[:, dim : 2 * dim].copy()
+            variances = np.maximum(moments[:, :dim] - means * means, cfg.variance_floor)
+            weights = nk / n
+            for j in np.flatnonzero(nk < 1e-10 * n):
+                means[j] = data[rng.integers(n)]
+                variances[j] = cfg.variance_floor
+                weights[j] = 1.0 / n
+            weights = weights / weights.sum()
+        if best is None or trace[-1] > best[1][-1]:
+            best = (GmmModel(weights, means, variances), trace)
+    return best
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rapidhare import (
     ActivityLabel,
@@ -15,7 +17,15 @@ from rapidhare import (
     log_pdf_batch,
     save_model_set,
 )
-from conftest import log_pdf_oracle, random_gmm, random_model_set
+from rapidhare.gmm import expansion_coefficients
+from conftest import (
+    expansion_coefficients_oracle,
+    fit_em_trace_oracle,
+    kmeans_init_oracle,
+    log_pdf_oracle,
+    random_gmm,
+    random_model_set,
+)
 
 
 def two_blob_data(rng, n_per=500, centers=(-5.0, 5.0), sigma=0.1):
@@ -96,6 +106,59 @@ def test_kmeans_deterministic(rng):
 def test_kmeans_rejects_k_above_rows(rng):
     with pytest.raises(DataError, match="exceeds"):
         kmeans_init(rng.normal(size=(3, 2)), k=4, seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "data, k",
+    [(np.repeat(np.eye(3), 10, axis=0), 4), (np.array([[1.0], [0.0], [0.0], [0.0]]), 3)],
+)
+def test_kmeans_reseed_never_empties_a_cluster(data, k):
+    # Duplicate rows leave clusters empty; a reseed that took the only point
+    # of another cluster would average an empty slice into a NaN centroid.
+    for seed in range(50):
+        model = kmeans_init(data, k, seed=seed)
+        assert (model.weights > 0).all()
+        for values in (model.weights, model.means, model.variances):
+            assert np.isfinite(values).all()
+
+
+def assert_same_model(a, b):
+    for name in ("weights", "means", "variances"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 400),
+    dim=st.integers(2, 6),
+    k=st.integers(1, 18),
+    distinct=st.integers(1, 400),
+    seed=st.integers(0, 2**16),
+    floor=st.sampled_from([1e-6, 0.5]),
+    restarts=st.integers(1, 2),
+)
+def test_training_equals_allocating_oracle_bit_for_bit(n, dim, k, distinct, seed, floor, restarts):
+    # dim >= 2: with one column numpy sums each cluster's mean pairwise, while
+    # kmeans_init sums in data order, so single-column centroids may differ in
+    # the last bits.
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(min(distinct, n), dim)) * rng.uniform(0.01, 10.0, size=dim)
+    data = pool[rng.integers(len(pool), size=n)]  # duplicate rows when distinct < n
+    assert_same_model(kmeans_init(data, k, seed, floor), kmeans_init_oracle(data, k, seed, floor))
+    cfg = EmConfig(seed=seed, variance_floor=floor, n_init_restarts=restarts)
+    model, trace = fit_em_trace(data, k, cfg)
+    oracle_model, oracle_trace = fit_em_trace_oracle(data, k, cfg)
+    assert trace == oracle_trace
+    assert_same_model(model, oracle_model)
+
+
+def test_expansion_coefficients_equal_hstack_oracle(rng):
+    for k, dim in [(1, 1), (2, 6), (18, 6), (7, 42), (86, 42)]:
+        model = random_gmm(rng, dim, k, var_lo=1e-6)
+        args = (model.weights, model.means, model.variances)
+        assert np.array_equal(expansion_coefficients(*args), expansion_coefficients_oracle(*args))
 
 
 def test_em_single_gaussian_closed_form(rng):
