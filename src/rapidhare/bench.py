@@ -1,10 +1,11 @@
 """Single-thread per-frame latency of the streaming session and the HMM baseline.
 
 Frames are pre-materialized in memory so the timed path is exactly the
-per-frame inference loop, never parsing or I/O. Methods: ``rapidhare`` times
-each ``push_frame``; ``batch`` times ``push_block`` on BLOCK_ROWS-frame blocks
-and ``hmm`` times each Viterbi block, both charged per frame by dividing each
-block's wall time by its length.
+per-frame inference loop, never parsing or I/O. Every method runs one step
+per consecutive block of the stream, timing each call once and charging its
+wall time evenly to the block's frames: ``rapidhare`` is ``push_frame`` on
+one-frame blocks, ``batch`` is ``push_block`` on BLOCK_ROWS-frame blocks and
+``hmm`` is ``block_decoder`` on ``window_w``-frame Viterbi blocks.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import N_ACTIVITIES
 from .errors import DataError
 from .gmm import ActivityModelSet
-from .hmm import block_starts, default_transition_matrix, viterbi_block
+from .hmm import block_decoder, block_starts, default_transition_matrix
 from .predictor import BLOCK_ROWS, PredictorSession
 
 BENCH_METHODS = ("rapidhare", "hmm", "batch")
@@ -40,40 +40,18 @@ def _bench_frames(dim: int, frames: int, seed: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(frames, dim))
 
 
-def _time_rapidhare(models, window_k, X) -> np.ndarray:
-    session = PredictorSession(models, window_k)
+def _time_blocks(X: np.ndarray, width: int, step) -> np.ndarray:
+    """Per-frame seconds of ``step`` on consecutive ``width``-frame blocks of X.
+
+    Each call is timed once and its time split evenly over its frames.
+    """
     samples = np.empty(len(X))
     clock = time.perf_counter
-    for i, x in enumerate(X):
+    for lo in block_starts(len(X), width):
+        block = X[lo : lo + width]
         t0 = clock()
-        session.push_frame(x)
-        samples[i] = clock() - t0
-    return samples
-
-
-def _time_batch(models, window_k, X) -> np.ndarray:
-    session = PredictorSession(models, window_k)
-    samples = np.empty(len(X))
-    clock = time.perf_counter
-    for lo in range(0, len(X), BLOCK_ROWS):
-        block = X[lo : lo + BLOCK_ROWS]
-        t0 = clock()
-        session.push_block(block)
+        step(block)
         samples[lo : lo + len(block)] = (clock() - t0) / len(block)
-    return samples
-
-
-def _time_hmm(models, trans, window_w, X) -> np.ndarray:
-    samples = np.empty(len(X))
-    clock = time.perf_counter
-    prior = np.full(N_ACTIVITIES, 1 / N_ACTIVITIES)
-    for lo in block_starts(len(X), window_w):
-        block = X[lo : lo + window_w]
-        t0 = clock()
-        path = viterbi_block(models, trans, prior, block)
-        dt = clock() - t0
-        samples[lo : lo + len(block)] = dt / len(block)
-        prior = trans.probs[int(path[-1]) - 1]
     return samples
 
 
@@ -103,11 +81,13 @@ def run_bench(
     trans = default_transition_matrix()
     X = _bench_frames(models.dim, frames, seed)
 
-    runner = {
-        "rapidhare": lambda: _time_rapidhare(models, window_k, X),
-        "hmm": lambda: _time_hmm(models, trans, window_w, X),
-        "batch": lambda: _time_batch(models, window_k, X),
-    }[method]
+    def runner() -> np.ndarray:
+        if method == "hmm":
+            return _time_blocks(X, window_w, block_decoder(models, trans))
+        session = PredictorSession(models, window_k)
+        if method == "batch":
+            return _time_blocks(X, BLOCK_ROWS, session.push_block)
+        return _time_blocks(X, 1, lambda block: session.push_frame(block[0]))
 
     runner()  # warm-up pass, untimed
     all_samples = []

@@ -28,13 +28,7 @@ from .features import (
     FeatureConfig,
     directional_sources_by_name,
 )
-from .gmm import (
-    DEFAULT_COMPONENT_COUNTS,
-    EmConfig,
-    fit_activity_models,
-    load_model_set,
-    save_model_set,
-)
+from .gmm import EmConfig, fit_activity_models, load_model_set, save_model_set
 from .hmm import load_transition_matrix
 from .predictor import BLOCK_ROWS, PredictorSession, naive_window_scores, posterior
 from .synth import default_spec, generate, load_spec
@@ -110,19 +104,12 @@ def _em_config(args) -> EmConfig:
     )
 
 
-def _component_counts(args) -> dict[ActivityLabel, int]:
-    counts = dict(DEFAULT_COMPONENT_COUNTS)
-    if getattr(args, "components", None):
-        counts.update(args.components)
-    return counts
-
-
 def cmd_train(args) -> int:
     dataset = load_dataset(args.data_dir)
     feat = _feature_config(args, dataset.channels)
     sequences = [feat.apply(s) for s in dataset.sequences]
     model_set, final_ll = fit_activity_models(
-        frames_by_label(sequences), _component_counts(args), _em_config(args)
+        frames_by_label(sequences), args.components, _em_config(args)
     )
     save_model_set(model_set, args.out)
     for label in ALL_LABELS:
@@ -168,7 +155,7 @@ def _predict_stream(model_set, args) -> int:
             scores = session.push_frame(streamer.push(x)[0])
         except DataError as exc:
             raise DataError(f"stdin:{index + 1}: {exc}") from None
-        _write_predictions(index, scores[np.newaxis])
+        _write_predictions(session.frames_seen - 1, scores[np.newaxis])
         sys.stdout.flush()
     return 0
 
@@ -177,16 +164,15 @@ def _predict_file(model_set, args) -> int:
     channels = read_header(args.input)
     seq = parse_recording(args.input, channels)
     frames = _feature_config(args, channels).apply(seq).frames
-    if args.oracle:
-        _write_predictions(0, naive_window_scores(model_set, frames, args.window))
-        return 0
-    session = PredictorSession(model_set, args.window)
-    for lo in range(0, len(frames), BLOCK_ROWS):
-        try:
-            scores = session.push_block(frames[lo : lo + BLOCK_ROWS])
-        except DataError as exc:
-            raise DataError(f"{args.input}: {exc}") from None
-        _write_predictions(lo, scores)
+    try:
+        if args.oracle:
+            _write_predictions(0, naive_window_scores(model_set, frames, args.window))
+            return 0
+        session = PredictorSession(model_set, args.window)
+        for lo in range(0, len(frames), BLOCK_ROWS):
+            _write_predictions(lo, session.push_block(frames[lo : lo + BLOCK_ROWS]))
+    except DataError as exc:
+        raise DataError(f"{args.input}: {exc}") from None
     return 0
 
 
@@ -202,33 +188,23 @@ def cmd_predict(args) -> int:
         return _predict_file(model_set, args)
 
 
-def _format_value(v: float, fmt: str) -> str:
-    return f"{v:.2f}" if fmt == "table" else f"{v!r}"
-
-
 def _print_report(report: EvalReport, fmt: str, title: str) -> None:
-    names = [label.label_name for label in ALL_LABELS]
     print(title)
-    rows = [
-        ("recall", [report.per_activity[l].recall for l in ALL_LABELS], report.macro.recall),
-        ("precision", [report.per_activity[l].precision for l in ALL_LABELS], report.macro.precision),
-        ("f1", [report.per_activity[l].f1 for l in ALL_LABELS], report.macro.f1),
-        ("accuracy", [report.per_activity[l].accuracy for l in ALL_LABELS], report.macro.accuracy),
-    ]
-    header = ["metric"] + names + ["average"]
-    table = [header]
-    for name, values, avg in rows:
-        table.append([name] + [_format_value(v, fmt) for v in values] + [_format_value(avg, fmt)])
+    table = [["metric"] + _NAMES + ["average"]]
+    for metric in ("recall", "precision", "f1", "accuracy"):
+        values = [getattr(report.per_activity[l], metric) for l in ALL_LABELS]
+        values.append(getattr(report.macro, metric))
+        table.append([metric] + [f"{v:.2f}" if fmt == "table" else repr(v) for v in values])
     if fmt == "tsv":
         for row in table:
             print("\t".join(row))
     else:
-        widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+        widths = [max(len(cell) for cell in column) for column in zip(*table)]
         for row in table:
             print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     print("confusion (rows true, columns predicted):")
-    for i in range(len(names)):
-        print("\t".join(str(int(v)) for v in report.confusion[i]))
+    for row in report.confusion:
+        print("\t".join(str(int(v)) for v in row))
     print()
 
 
@@ -238,7 +214,7 @@ def cmd_evaluate(args) -> int:
     trans = load_transition_matrix(args.transitions) if args.transitions else None
     raw, tol = run_cv(
         dataset,
-        counts=_component_counts(args),
+        counts=args.components,
         em_cfg=_em_config(args),
         feat_cfg=feat,
         window_k=args.window,

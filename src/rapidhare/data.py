@@ -3,7 +3,8 @@
 Recording file format (text, one file per continuous recording):
 
 * lines starting with ``#`` are metadata: ``#subject <id>`` (required) and
-  ``#rate <hz>`` (optional, default 56.35); unknown metadata keys are ignored
+  ``#rate <hz>`` (optional, finite and positive, default 56.35); unknown
+  metadata keys are ignored
 * the first non-metadata line is a tab-separated header of column names whose
   last column is literally ``act``
 * every following line is one frame: tab-separated raw integers, one per
@@ -221,7 +222,9 @@ def _read_header(path: Path, lines) -> tuple[str | None, float, list[str] | None
             try:
                 rate = float(parts[1])
             except ValueError:
-                raise DataError(f"{path}:{lineno}: bad sample rate {parts[1]!r}") from None
+                rate = np.nan
+            if not 0 < rate < np.inf:
+                raise DataError(f"{path}:{lineno}: bad sample rate {parts[1]!r}")
     return subject, rate, None, lineno
 
 

@@ -54,14 +54,13 @@ class EvalReport:
     confusion: np.ndarray
     per_activity: dict[ActivityLabel, ClassMetrics]
     macro: ClassMetrics
-    tolerance_frames: int = 0
 
 
 def _safe_ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def metrics(conf: np.ndarray, tolerance_frames: int = 0) -> EvalReport:
+def metrics(conf: np.ndarray) -> EvalReport:
     """Per-class and macro metrics from a confusion matrix.
 
     Per-class accuracy is one-vs-rest: (TP + TN) / total. Classes with no
@@ -82,7 +81,7 @@ def metrics(conf: np.ndarray, tolerance_frames: int = 0) -> EvalReport:
         f1 = _safe_ratio(2.0 * precision * recall, precision + recall)
         accuracy = _safe_ratio(tp + tn, total)
         per[label] = ClassMetrics(100.0 * recall, 100.0 * precision, 100.0 * f1, 100.0 * accuracy)
-    return EvalReport(conf, per, _mean_metrics(list(per.values())), tolerance_frames)
+    return EvalReport(conf, per, _mean_metrics(list(per.values())))
 
 
 def _segments(labels: np.ndarray) -> list[tuple[int, int, int]]:
@@ -140,38 +139,6 @@ def apply_border_tolerance(true_labels, predicted, tol: int) -> np.ndarray:
     return current
 
 
-def _run_fold(
-    dataset: Dataset,
-    test_subject: str,
-    counts,
-    em_cfg: EmConfig,
-    feat_cfg: FeatureConfig,
-    window_k: int,
-    trans: TransitionMatrix,
-    window_w: int,
-    tolerance: int,
-    method: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    train, _validation, test = split_loso(dataset, test_subject)
-    train_frames = frames_by_label([feat_cfg.apply(s) for s in train.sequences])
-    model_set, _ = fit_activity_models(train_frames, counts, em_cfg)
-
-    conf_raw = np.zeros((N_ACTIVITIES, N_ACTIVITIES), dtype=np.int64)
-    conf_tol = np.zeros_like(conf_raw)
-    for seq in test.sequences:
-        fseq = feat_cfg.apply(seq)
-        if method == "rapidhare":
-            session = PredictorSession(model_set, window_k)
-            pred = session.push_block(fseq.frames).argmax(axis=1) + 1
-        else:
-            decoded = predict_stream_hmm(model_set, trans, window_w, fseq.frames)
-            pred = np.asarray([int(label) for label in decoded])
-        conf_raw += confusion(fseq.labels, pred)
-        adjusted = apply_border_tolerance(fseq.labels, pred, tolerance)
-        conf_tol += confusion(fseq.labels, adjusted)
-    return conf_raw, conf_tol
-
-
 def _mean_metrics(values: list[ClassMetrics]) -> ClassMetrics:
     return ClassMetrics(
         float(np.mean([v.recall for v in values])),
@@ -190,7 +157,7 @@ def aggregate_reports(reports: list[EvalReport]) -> EvalReport:
         label: _mean_metrics([r.per_activity[label] for r in reports]) for label in ALL_LABELS
     }
     macro = _mean_metrics([r.macro for r in reports])
-    return EvalReport(conf, per, macro, reports[0].tolerance_frames)
+    return EvalReport(conf, per, macro)
 
 
 def run_cv(
@@ -210,29 +177,40 @@ def run_cv(
     Every subject takes one turn as the test subject; its cyclic successor is
     held out for validation and stays unused by both methods here, keeping
     folds comparable. Per-fold training seeds derive from the base seed, so
-    the whole run is reproducible.
+    the whole run is reproducible. ``split_loso`` rejects fewer than three
+    subjects before any training.
     """
     if method not in ("rapidhare", "hmm"):
         raise DataError(f"unknown method: {method!r}")
     trans = default_transition_matrix() if trans is None else trans
-    subjects = dataset.subjects()
-    if len(subjects) < 3:
-        raise DataError("leave-one-subject-out needs at least 3 subjects")
 
-    def fold(i_subject):
-        i, subject = i_subject
+    def fold(i, subject):
+        train, _validation, test = split_loso(dataset, subject)
+        train_frames = frames_by_label([feat_cfg.apply(s) for s in train.sequences])
         fold_cfg = replace(em_cfg, seed=em_cfg.seed + 1009 * i)
-        return _run_fold(
-            dataset, subject, counts, fold_cfg, feat_cfg, window_k, trans, window_w,
-            tolerance, method,
-        )
+        model_set, _ = fit_activity_models(train_frames, counts, fold_cfg)
+        conf_raw = np.zeros((N_ACTIVITIES, N_ACTIVITIES), dtype=np.int64)
+        conf_tol = np.zeros_like(conf_raw)
+        for seq in test.sequences:
+            fseq = feat_cfg.apply(seq)
+            if method == "rapidhare":
+                session = PredictorSession(model_set, window_k)
+                pred = session.push_block(fseq.frames).argmax(axis=1) + 1
+            else:
+                decoded = predict_stream_hmm(model_set, trans, window_w, fseq.frames)
+                pred = np.asarray([int(label) for label in decoded])
+            conf_raw += confusion(fseq.labels, pred)
+            adjusted = apply_border_tolerance(fseq.labels, pred, tolerance)
+            conf_tol += confusion(fseq.labels, adjusted)
+        return conf_raw, conf_tol
 
+    subjects = dataset.subjects()
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(fold, enumerate(subjects)))
+            results = list(pool.map(fold, range(len(subjects)), subjects))
     else:
-        results = [fold(pair) for pair in enumerate(subjects)]
+        results = list(map(fold, range(len(subjects)), subjects))
 
-    raw_reports = [metrics(raw, 0) for raw, _ in results]
-    tol_reports = [metrics(tol, tolerance) for _, tol in results]
+    raw_reports = [metrics(raw) for raw, _ in results]
+    tol_reports = [metrics(tol) for _, tol in results]
     return aggregate_reports(raw_reports), aggregate_reports(tol_reports)

@@ -299,10 +299,6 @@ class ActivityModelSet:
         return next(iter(self.models.values())).dim
 
     @property
-    def component_counts(self) -> dict[ActivityLabel, int]:
-        return {label: self.models[label].n_components for label in ALL_LABELS}
-
-    @property
     def n_total_components(self) -> int:
         return sum(m.n_components for m in self.models.values())
 
@@ -318,16 +314,15 @@ def fit_activity_models(
 ) -> tuple[ActivityModelSet, dict[ActivityLabel, float]]:
     """Train one mixture per activity on that activity's pooled frames.
 
+    ``counts`` overrides DEFAULT_COMPONENT_COUNTS for the activities it names.
     Each activity gets a seed derived from the base seed so training whole
     sets stays deterministic.
     """
-    counts = dict(DEFAULT_COMPONENT_COUNTS if counts is None else counts)
+    counts = {**DEFAULT_COMPONENT_COUNTS, **(counts or {})}
     models = {}
     final_ll = {}
     for label in ALL_LABELS:
-        k = counts.get(label)
-        if k is None:
-            raise DataError(f"no component count for activity {label.label_name}")
+        k = counts[label]
         frames = frames_per_label.get(label)
         if frames is None or len(frames) < k:
             have = 0 if frames is None else len(frames)
@@ -411,6 +406,8 @@ def load_model_set(path) -> ActivityModelSet:
         if keyword != "components":
             r.fail("expected 'activity <name> components <k>'")
         label = ActivityLabel.from_name(name)
+        if label in models:
+            r.fail(f"activity {name} given twice")
         # Collected, not preallocated: a huge declared size fails at the first missing line.
         weights, means, variances = [], [], []
         for _ in range(r.count(k, "components")):
@@ -418,4 +415,7 @@ def load_model_set(path) -> ActivityModelSet:
             means.append(r.reals("mean", dim))
             variances.append(r.reals("var", dim))
         models[label] = GmmModel(np.array(weights), np.array(means), np.array(variances))
+    if r.pos < len(r.lines):
+        r.pos += 1  # fail names the line just read
+        r.fail(f"unexpected line after the {n_activities} declared activities")
     return ActivityModelSet(models)

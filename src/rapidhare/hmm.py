@@ -2,7 +2,10 @@
 
 The transition matrix is fixed rather than learned; zero entries are exact
 minus-infinity in the log domain so forbidden transitions can never appear
-inside a decoded block.
+inside a decoded block. A stream is cut into consecutive blocks at
+``block_starts``, and ``block_decoder`` carries the state prior from each
+block to the next; ``predict_stream_hmm`` and the ``hmm`` bench method both
+decode through it.
 """
 
 from __future__ import annotations
@@ -103,27 +106,38 @@ def block_starts(n_frames: int, window_w: int) -> range:
     return range(0, n_frames, window_w)
 
 
+def block_decoder(models: ActivityModelSet, trans: TransitionMatrix):
+    """A decoder of one stream's consecutive blocks, called once per block in order.
+
+    The first block starts from the uniform state prior; each later block
+    starts from the transition row of the previous block's final decoded
+    state, so decoding latency stays bounded by one block.
+    """
+    prior = np.full(N_ACTIVITIES, 1 / N_ACTIVITIES)
+
+    def decode(block) -> list[ActivityLabel]:
+        nonlocal prior
+        labels = viterbi_block(models, trans, prior, block)
+        prior = trans.probs[int(labels[-1]) - 1]
+        return labels
+
+    return decode
+
+
 def predict_stream_hmm(
     models: ActivityModelSet,
     trans: TransitionMatrix,
     window_w: int,
     frames,
 ) -> list[ActivityLabel]:
-    """Decode a stream in consecutive blocks of ``window_w`` frames.
-
-    The first block starts from the uniform state prior; each later block
-    starts from the transition row of the previous block's final decoded
-    state, so decoding latency stays bounded by one block.
-    """
+    """Decode a stream in consecutive blocks of ``window_w`` frames with ``block_decoder``."""
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     if frames.size == 0:
         raise DataError("predict_stream_hmm needs a non-empty sequence")
-    prior = np.full(N_ACTIVITIES, 1 / N_ACTIVITIES)
+    decode = block_decoder(models, trans)
     labels: list[ActivityLabel] = []
     for lo in block_starts(len(frames), window_w):
-        block = viterbi_block(models, trans, prior, frames[lo : lo + window_w])
-        labels.extend(block)
-        prior = trans.probs[int(block[-1]) - 1]
+        labels.extend(decode(frames[lo : lo + window_w]))
     return labels
 
 

@@ -112,7 +112,6 @@ class PredictorSession:
     """
 
     def __init__(self, models: ActivityModelSet, window_k: int = 26):
-        self.models = models
         self.frames_seen = 0
         self.gmm_evaluations = 0
         self._scorer = _FrameScorer(models)
@@ -190,7 +189,8 @@ def naive_window_scores(models: ActivityModelSet, frames, window_k: int = 26) ->
 
     Densities come from the plain per-model batch evaluator and each frame's
     window sum is a fresh slice reduction, so this path shares none of the
-    streaming session's caching and serves as its oracle.
+    streaming session's caching and serves as its oracle. Like ``push_block``,
+    it raises DataError at the first frame whose scores' total is not finite.
     """
     k = _checked_window(window_k)
     frames = np.asarray(frames, dtype=np.float64)
@@ -202,6 +202,9 @@ def naive_window_scores(models: ActivityModelSet, frames, window_k: int = 26) ->
     scores = np.empty_like(ll)
     for t in range(len(frames)):
         scores[t] = ll[max(0, t - k) : t + 1].sum(axis=0)
+    bad = np.flatnonzero(~np.isfinite(scores.sum(axis=1)))
+    if bad.size:
+        raise DataError(f"frame {int(bad[0])}: non-finite activity scores")
     return scores
 
 

@@ -101,7 +101,7 @@ def test_components_override_is_partial(synth_dir, tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     model_set = load_model_set(path)
-    counts = {label.label_name: k for label, k in model_set.component_counts.items()}
+    counts = {label.label_name: m.n_components for label, m in model_set.models.items()}
     assert counts["sitting"] == 3
     assert counts["walking"] == 18  # untouched default
 
@@ -177,6 +177,25 @@ def test_predict_stdin_features_match_file_oracle(synth_dir, tmp_path, capsys, m
     monkeypatch.setattr("sys.stdin", io.StringIO(stream))
     assert main(["predict", "-"] + predict) == 0
     assert capsys.readouterr().out == oracle_out
+
+
+def test_predict_stdin_numbers_frames_not_lines(synth_dir, model_path, capsys, monkeypatch):
+    """Blank lines between frames change neither the frame indices nor the labels."""
+    recording = sorted(synth_dir.iterdir())[0]
+    frames = parse_recording(recording, read_header(recording)).frames[:3]
+    lines = ["\t".join(repr(float(v)) for v in x) for x in frames]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    assert main(["predict", "-", "--model", str(model_path)]) == 0
+    plain = capsys.readouterr().out
+    assert [ln.split("\t")[0] for ln in plain.splitlines()] == ["0", "1", "2"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{lines[0]}\n\n{lines[1]}\n\n\n{lines[2]}\n"))
+    assert main(["predict", "-", "--model", str(model_path)]) == 0
+    assert capsys.readouterr().out == plain
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{lines[0]}\n\nx\n"))
+    assert main(["predict", "-", "--model", str(model_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: stdin:3: non-numeric frame value\n"
+    assert captured.out.splitlines() == plain.splitlines()[:1]
 
 
 def test_predict_stdin_width_change_names_the_line(model_path, capsys, monkeypatch):
@@ -300,6 +319,23 @@ def test_predict_file_scoring_error_names_file_and_frame(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {recording}: frame 300: non-finite activity scores\n"
     assert len(captured.out.splitlines()) == 256  # the block holding frame 300 is not written
+    assert main(["predict", str(recording), "--model", str(model), "--oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {recording}: frame 300: non-finite activity scores\n"
+    assert "nan" not in captured.out
+
+
+def test_predict_model_with_a_repeated_activity_exits_two(synth_dir, model_path, tmp_path, capsys):
+    lines = model_path.read_text().splitlines()
+    second = next(i for i, ln in enumerate(lines) if ln.startswith("activity running "))
+    bad = tmp_path / "model.txt"
+    lines[second] = lines[second].replace("running", "walking")
+    bad.write_text("\n".join(lines) + "\n")
+    recording = sorted(synth_dir.iterdir())[0]
+    assert main(["predict", str(recording), "--model", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}:{second + 1}: activity walking given twice\n"
+    assert captured.out == ""
 
 
 def test_predict_oracle_on_stdin_is_rejected(model_path, capsys):
@@ -345,34 +381,23 @@ def test_evaluate_parallel_folds(synth_dir, capsys):
     assert parallel == serial
 
 
-def test_bench_reports_stats(model_path, capsys):
-    rc = main(
-        [
-            "bench",
-            "--model", str(model_path),
-            "--frames", "64",
-            "--repeats", "2",
-            "--method", "rapidhare",
-            "--format", "tsv",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert rc == 0
-    header, values = out.splitlines()
-    stats = dict(zip(header.split("\t"), values.split("\t")))
-    assert stats["method"] == "rapidhare"
-    assert float(stats["mean_us"]) > 0
-    assert int(stats["frames"]) == 64
-
-
-def test_bench_batch_reports_stats(model_path, capsys):
+@pytest.mark.parametrize("method", ["rapidhare", "batch", "hmm"])
+def test_bench_reports_stats(method, model_path, capsys):
     args = ["bench", "--model", str(model_path), "--frames", "300", "--repeats", "2"]
-    assert main(args + ["--method", "batch", "--format", "tsv"]) == 0
+    assert main(args + ["--method", method, "--format", "tsv"]) == 0
     header, values = capsys.readouterr().out.splitlines()
     stats = dict(zip(header.split("\t"), values.split("\t")))
-    assert stats["method"] == "batch"
+    assert stats["method"] == method
     assert int(stats["frames"]) == 300
     assert 0 < float(stats["mean_us"]) <= float(stats["p99_us"])
+
+
+def test_bench_hmm_rejects_zero_block_width(model_path, capsys):
+    args = ["bench", "--model", str(model_path), "--method", "hmm", "--hmm-window", "0"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: window_w must be positive\n"
+    assert captured.out == ""
 
 
 def test_bench_rejects_zero_frames(model_path, capsys):

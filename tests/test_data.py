@@ -71,6 +71,14 @@ def test_parse_rate_metadata(tmp_path):
     assert parse_recording(p2, TWO_CHANNELS).sample_rate_hz == 56.35
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf", "-5", "0"])
+def test_parse_rejects_a_rate_that_is_not_finite_and_positive(tmp_path, rate):
+    p = make_recording(tmp_path / "r.tsv", [[0, 0, 1]], rate=rate)
+    with pytest.raises(DataError) as err:
+        parse_recording(p, TWO_CHANNELS)
+    assert str(err.value) == f"{p}:2: bad sample rate '{rate}'"
+
+
 @pytest.mark.parametrize(
     "rows,header,message",
     [

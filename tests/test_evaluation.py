@@ -230,7 +230,6 @@ def test_run_cv_rapidhare_small():
     )
     assert tol.macro.accuracy >= raw.macro.accuracy
     assert raw.confusion.sum() == 3 * 2400
-    assert tol.tolerance_frames == 10
     assert raw.macro.f1 > 50.0  # separable data must be mostly right
 
 

@@ -17,7 +17,7 @@ from rapidhare import (
     log_pdf_batch,
     save_model_set,
 )
-from rapidhare.gmm import expansion_coefficients
+from rapidhare.gmm import DEFAULT_COMPONENT_COUNTS, expansion_coefficients
 from conftest import (
     expansion_coefficients_oracle,
     fit_em_trace_oracle,
@@ -299,6 +299,37 @@ def test_model_set_bad_numbers_name_the_line(tmp_path, lineno, line):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=f"model.txt:{lineno}: "):
         load_model_set(path)
+
+
+def test_model_set_rejects_an_activity_given_twice(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model_set(random_model_set(np.random.default_rng(3), dim=2), path)
+    lines = path.read_text().splitlines()
+    lines[2] = "activities 9"
+    walking = lines[3 : lines.index(next(ln for ln in lines if ln.startswith("activity running")))]
+    path.write_text("\n".join(lines + walking) + "\n")
+    with pytest.raises(DataError) as err:
+        load_model_set(path)
+    assert str(err.value) == f"{path}:{len(lines) + 1}: activity walking given twice"
+
+
+def test_model_set_rejects_lines_after_the_last_activity(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model_set(random_model_set(np.random.default_rng(3), dim=2), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + ["component 1"]) + "\n")
+    with pytest.raises(DataError) as err:
+        load_model_set(path)
+    assert str(err.value) == (
+        f"{path}:{len(lines) + 1}: unexpected line after the 8 declared activities"
+    )
+
+
+def test_fit_activity_models_fills_missing_counts_from_the_defaults(rng):
+    frames = {label: rng.normal(size=(40, 2)) for label in ActivityLabel}
+    model_set, _ = fit_activity_models(frames, {ActivityLabel.WALKING: 3}, EmConfig(max_iters=5))
+    counts = {label: m.n_components for label, m in model_set.models.items()}
+    assert counts == {**DEFAULT_COMPONENT_COUNTS, ActivityLabel.WALKING: 3}
 
 
 def test_fit_activity_models_insufficient_data(rng):

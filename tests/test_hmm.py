@@ -17,6 +17,8 @@ from rapidhare import (
     predict_stream_hmm,
     viterbi_block,
 )
+from rapidhare import hmm
+from rapidhare.bench import _bench_frames, run_bench
 from conftest import enumerate_viterbi, random_model_set
 
 LABEL_IDX = {label: int(label) - 1 for label in ALL_LABELS}
@@ -155,6 +157,28 @@ def test_stream_single_block(rng):
     got = predict_stream_hmm(models, default_transition_matrix(), 10, frames)
     direct = viterbi_block(models, default_transition_matrix(), np.full(8, 0.125), frames)
     assert got == direct
+
+
+def test_bench_hmm_pass_decodes_with_the_stream_priors(rng, monkeypatch):
+    """bench's hmm method hands viterbi_block the priors that predict_stream_hmm does."""
+    models = random_model_set(rng, dim=3)
+    priors = []
+    decode = hmm.viterbi_block
+
+    def recording(models, trans, prior, frames):
+        priors.append(np.array(prior))
+        return decode(models, trans, prior, frames)
+
+    monkeypatch.setattr(hmm, "viterbi_block", recording)
+    run_bench(models, method="hmm", frames=95, repeats=1, window_w=10, seed=4)
+    bench_priors = priors[:]
+    priors.clear()
+    predict_stream_hmm(models, default_transition_matrix(), 10, _bench_frames(3, 95, 4))
+    assert len(priors) == 10
+    assert len(bench_priors) == 2 * len(priors)  # the untimed warm-up pass, then one repeat
+    for got, want in zip(bench_priors, priors + priors):
+        assert np.array_equal(got, want)
+    assert not all(np.array_equal(p, priors[0]) for p in priors)  # the prior does move
 
 
 def test_decoded_stream_never_crosses_forbidden_transitions(rng):
