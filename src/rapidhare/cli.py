@@ -133,29 +133,40 @@ def _write_predictions(first_index: int, scores: np.ndarray) -> None:
 
 
 def _predict_stream(model_set, args) -> int:
+    """Label each stdin line as it arrives, through one reused buffer per stage.
+
+    A line's fields go straight into the frame row; numpy converts each with
+    ``float()``, so the grammar is Python's.
+    """
     feat = _feature_config(args, None)
     session = PredictorSession(model_set, args.window)
-    streamer = None
-    for index, line in enumerate(sys.stdin):
-        line = line.rstrip("\n")
-        if not line:
+    probs = np.empty(len(ALL_LABELS))
+    streamer = row = features = None
+    for lineno, line in enumerate(sys.stdin, 1):
+        if line == "\n":
             continue
+        fields = line.split("\t")  # float() ignores the last field's newline
+        if row is None:  # the first frame sets the width
+            row = np.empty((1, len(fields)))
         try:
-            x = np.array([[float(v) for v in line.split("\t")]], dtype=np.float64)
+            if len(fields) != row.shape[1]:
+                [float(v) for v in fields]  # a non-numeric value is reported first
+                raise DataError(
+                    f"stdin:{lineno}: {len(fields)} values, the first frame had {row.shape[1]}"
+                )
+            row[0] = fields
         except ValueError:
-            raise DataError(f"stdin:{index + 1}: non-numeric frame value") from None
-        width = x.shape[1]
+            raise DataError(f"stdin:{lineno}: non-numeric frame value") from None
         if streamer is None:
-            streamer = feat.streamer(width)
-        elif width != streamer.n_channels:
-            raise DataError(
-                f"stdin:{index + 1}: {width} values, the first frame had {streamer.n_channels}"
-            )
+            streamer = feat.streamer(row.shape[1])
+            features = np.empty((1, streamer.width))
         try:
-            scores = session.push_frame(streamer.push(x)[0])
+            scores = session.push_frame(streamer.push(row, features)[0])
         except DataError as exc:
-            raise DataError(f"stdin:{index + 1}: {exc}") from None
-        _write_predictions(session.frames_seen - 1, scores[np.newaxis])
+            raise DataError(f"stdin:{lineno}: {exc}") from None
+        label = _NAMES[scores.argmax()]
+        text = _LINE % (session.frames_seen - 1, label, *posterior(scores, probs).tolist())
+        sys.stdout.write(text + "\n")
         sys.stdout.flush()
     return 0
 

@@ -143,6 +143,8 @@ class LabeledSequence:
             raise DataError("frames contain non-finite values")
         if labels.min() < 1 or labels.max() > N_ACTIVITIES:
             raise DataError("labels must be activity ids in 1..8")
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise DataError(f"sample rate must be finite and positive, got {self.sample_rate_hz!r}")
         self.frames = frames
         self.labels = labels
 
@@ -348,9 +350,13 @@ def write_recording(seq: LabeledSequence, channels: list[ChannelSpec], path) -> 
     mins = np.array([c.raw_min for c in channels], dtype=np.float64)
     spans = np.array([c.raw_max - c.raw_min for c in channels], dtype=np.float64)
     raw = np.rint((seq.frames + 1.0) * (spans / 2.0) + mins)
-    maxs = mins + spans
-    if (raw < mins).any() or (raw > maxs).any():
-        raise DataError("scaled values fall outside the representable raw range")
+    outside = ((raw < mins) | (raw > mins + spans)).any(axis=0)
+    if outside.any():
+        name = channels[int(outside.argmax())].name
+        raise DataError(
+            f"{path}: subject {seq.subject_id}, channel {name!r}: "
+            "scaled values fall outside the representable raw range"
+        )
     raw = raw.astype(np.int64)
     lines = [f"#subject {seq.subject_id}", f"#rate {seq.sample_rate_hz!r}"]
     lines.append("\t".join([c.name for c in channels] + ["act"]))

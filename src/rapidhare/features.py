@@ -4,7 +4,10 @@ Directional features are causal lagged differences d[t] = s[t] - s[t - lag]
 appended to the frame; they encode which way a signal is moving and are left
 unclamped (magnitude at most 2 for inputs in [-1, 1]). Both are computed in
 one place, the block streamer: ``FeatureConfig.apply`` pushes a whole
-recording through it as one block, and ``predict -`` pushes each frame.
+recording through it as one block, and ``predict -`` pushes each frame into
+one reused output row. The streamer keeps the last ``lag`` source rows twice
+over in one ring, so a one-row push is one subtraction against the oldest row
+and two row writes, with no concatenation.
 """
 
 from __future__ import annotations
@@ -113,47 +116,86 @@ def directional_sources_by_name(channels: list[ChannelSpec], keep=None) -> tuple
 class StreamingDirectional:
     """Lagged differences appended to frames pushed in blocks of any length.
 
-    The last ``lag`` source rows are kept, zeros before the stream starts, so
-    one subtraction over them and a block gives the block's differences; rows
-    whose stream index is below ``lag`` get zeros instead. The output does
-    not depend on how the stream is split into blocks.
+    The last ``lag`` source rows are kept twice over in one ring, zeros before
+    the stream starts, so they are always one contiguous slice, oldest first.
+    A one-row push subtracts the oldest row from the new one and writes the
+    new row over both copies of the oldest; a longer block is one subtraction
+    over the kept rows and the block. Rows whose stream index is below ``lag``
+    get zeros instead. The output does not depend on how the stream is split
+    into blocks.
     """
 
     def __init__(self, cfg: DirectionalConfig, dim: int):
         _check_indices(cfg.source_channels, dim, "directional source_channels")
         self._sources = np.array(cfg.source_channels)
+        self._dim = dim
         self._lag = cfg.lag
-        self._last = np.zeros((cfg.lag, len(self._sources)))
+        # Each source row is written at _pos and _pos + lag, so
+        # _ring[_pos : _pos + lag] holds the last lag rows, oldest first;
+        # _halves views the ring as its two copies.
+        self._ring = np.zeros((2 * cfg.lag, len(self._sources)))
+        self._halves = self._ring.reshape(2, cfg.lag, len(self._sources))
+        self._pos = 0
         self._rows = 0
 
-    def push(self, block: np.ndarray) -> np.ndarray:
-        """``block`` (n, dim) with its n rows of differences appended, (n, dim + sources)."""
-        n = len(block)
-        src = np.concatenate([self._last, block.take(self._sources, axis=1)])
-        d = src[self._lag :] - src[:n]
-        if self._rows < self._lag:
-            d[: self._lag - self._rows] = 0.0
-        self._last = src[n:]
-        self._rows += n
-        return np.concatenate([block, d], axis=1)
+    def push(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``block`` (n, dim) with its n rows of differences appended, (n, dim + sources).
+
+        The result is written into ``out`` when it is given.
+        """
+        n, dim, lag, ring, q = len(block), self._dim, self._lag, self._ring, self._pos
+        if block.shape[1] != dim:
+            raise DataError(f"expected blocks of {dim} channels, got shape {block.shape}")
+        # Source columns are taken with mode="clip", which skips the buffered
+        # copy of mode="raise"; the indices were checked against dim in __init__.
+        if n != 1:
+            src = np.empty((lag + n, len(self._sources)))
+            src[:lag] = ring[q : q + lag]
+            block.take(self._sources, axis=1, out=src[lag:], mode="clip")
+            d = src[lag:] - src[:n]
+            if self._rows < lag:
+                d[: lag - self._rows] = 0.0
+            self._halves[...] = src[n:]
+            self._pos, self._rows = 0, self._rows + n
+            return np.concatenate((block, d), axis=1, out=out)
+        if out is None:
+            out = np.empty((1, dim + len(self._sources)))
+        out[:, :dim] = block
+        new = ring[q + lag]  # the oldest row's second copy, free once it is subtracted
+        block[0].take(self._sources, out=new, mode="clip")
+        np.subtract(new, ring[q], out=out[0, dim:])
+        if self._rows < lag:
+            out[0, dim:] = 0.0
+        ring[q] = new
+        self._pos, self._rows = (q + 1 if q + 1 < lag else 0), self._rows + 1
+        return out
 
 
 class FeatureStreamer:
-    """FeatureConfig's transform over (n, ``n_channels``) blocks pushed in stream order."""
+    """FeatureConfig's transform over (n, ``n_channels``) blocks pushed in stream order.
+
+    Each pushed row comes out ``width`` values wide.
+    """
 
     def __init__(self, cfg: FeatureConfig, n_channels: int):
         self.n_channels = n_channels
         self._keep = None if cfg.keep_channels is None else list(cfg.keep_channels)
         if self._keep is not None:
             _check_indices(self._keep, n_channels, "channel selection")
+        kept = n_channels if self._keep is None else len(self._keep)
         directional = cfg._selected_directional()
-        self._directional = None if directional is None else StreamingDirectional(
-            directional, n_channels if self._keep is None else len(self._keep)
-        )
+        self._directional = None if directional is None else StreamingDirectional(directional, kept)
+        self.width = kept + (0 if directional is None else len(directional.source_channels))
 
-    def push(self, block: np.ndarray) -> np.ndarray:
+    def push(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (n, ``width``) features of ``block``, written into ``out`` when it is given."""
         if self._keep is not None:
+            if self._directional is None:
+                return block.take(self._keep, axis=1, out=out)
             block = block[:, self._keep]
         if self._directional is not None:
-            block = self._directional.push(block)
-        return block
+            return self._directional.push(block, out)
+        if out is None:
+            return block
+        out[...] = block
+        return out

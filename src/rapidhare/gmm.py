@@ -405,7 +405,10 @@ def load_model_set(path) -> ActivityModelSet:
         name, keyword, k = r.fields("activity", 3, "activity <name> components <k>")
         if keyword != "components":
             r.fail("expected 'activity <name> components <k>'")
-        label = ActivityLabel.from_name(name)
+        try:
+            label = ActivityLabel.from_name(name)
+        except DataError as exc:
+            r.fail(str(exc))
         if label in models:
             r.fail(f"activity {name} given twice")
         # Collected, not preallocated: a huge declared size fails at the first missing line.

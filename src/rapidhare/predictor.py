@@ -11,7 +11,10 @@ is the one setting: it counts the look-back depth, so a window spans at most
 
 The session keeps its last ``window_k`` rows twice over in one ring, so the
 look-back is always one contiguous slice in window order. ``push_frame``
-reduces that slice and returns the frame's (8,) window-score row; the frame's
+scores the frame straight into the slot after that slice, which holds the
+oldest row's second copy, reduces the look-back and the new row as one slice
+and returns the frame's (8,) window-score row; a rejected frame gives the
+slot its old row back. ``posterior`` may write into a reused row. The frame's
 label is ``ALL_LABELS[int(scores.argmax())]`` and its class probabilities are
 ``posterior(scores)``. The block form ``PredictorSession.push_block`` takes
 frames that are already in memory and returns one such row per frame. It
@@ -31,6 +34,7 @@ from .errors import DataError
 from .gmm import ActivityModelSet, expansion_coefficients, expansion_lift, log_pdf_batch
 
 BLOCK_ROWS = 256  # frames per matrix product in push_block
+_NON_FINITE = "frame gives non-finite activity scores"
 
 
 def _checked_window(window_k: int) -> int:
@@ -39,16 +43,18 @@ def _checked_window(window_k: int) -> int:
     return window_k
 
 
-def posterior(scores) -> np.ndarray:
+def posterior(scores, out: np.ndarray | None = None) -> np.ndarray:
     """Normalize scores into class probabilities along the last axis.
 
     Softmax with max-subtraction, so any common shift of the scores cancels;
-    a block of score rows gives one probability row per frame.
+    a block of score rows gives one probability row per frame. The result is
+    written into ``out``, of the scores' shape, when it is given.
     """
     z = np.asarray(scores, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 class _FrameScorer:
@@ -72,19 +78,20 @@ class _FrameScorer:
         self._starts = np.cumsum([0] + counts[:-1])
         self._segment_of = np.repeat(np.arange(N_ACTIVITIES), counts)
         self._x_buf = np.ones(2 * self.dim + 1)
+        self._x_sq, self._x_lin = self._x_buf[: self.dim], self._x_buf[self.dim : 2 * self.dim]
         self._comp = np.empty(total)
         self._seg_max = np.empty(N_ACTIVITIES)
         self._max_rep = np.empty(total)
         self._seg_sum = np.empty(N_ACTIVITIES)
 
     def scores(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        buf = self._x_buf
-        dim = self.dim
-        np.multiply(x, x, out=buf[:dim])
-        buf[dim : 2 * dim] = x
-        np.dot(self._coef, buf, out=self._comp)
+        np.multiply(x, x, out=self._x_sq)
+        self._x_lin[...] = x
+        np.dot(self._coef, self._x_buf, out=self._comp)
         np.maximum.reduceat(self._comp, self._starts, out=self._seg_max)
-        np.take(self._seg_max, self._segment_of, out=self._max_rep)
+        # The method form with mode="clip" skips np.take's dispatch and its
+        # buffered copy; _segment_of holds valid indices by construction.
+        self._seg_max.take(self._segment_of, out=self._max_rep, mode="clip")
         np.subtract(self._comp, self._max_rep, out=self._comp)
         np.exp(self._comp, out=self._comp)
         np.add.reduceat(self._comp, self._starts, out=self._seg_sum)
@@ -120,7 +127,6 @@ class PredictorSession:
         # is the look-back, oldest first; rows not yet written are zero.
         self._ring = np.zeros((2 * self._k, N_ACTIVITIES))
         self._pos = 0
-        self._ll = np.empty(N_ACTIVITIES)
 
     def push_frame(self, x) -> np.ndarray:
         """Score one frame, advance the window, and return its window scores.
@@ -135,14 +141,21 @@ class PredictorSession:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._scorer.dim,):
             raise DataError(f"expected a length-{self._scorer.dim} frame, got shape {x.shape}")
-        ll = self._scorer.scores(x, out=self._ll)
         ring, p, k = self._ring, self._pos, self._k
-        sums = np.add.reduce(ring[p : p + k], axis=0)
-        sums += ll
-        if not math.isfinite(sums.sum()):
-            raise DataError("frame gives non-finite activity scores")
-        ring[p : p + 1] = ring[p + k : p + k + 1] = ll  # both empty when k == 0
-        self._pos = p + 1 if p + 1 < k else 0
+        if k == 0:
+            sums = self._scorer.scores(x, out=np.empty(N_ACTIVITIES))
+            if not math.isfinite(np.add.reduce(sums)):
+                raise DataError(_NON_FINITE)
+        else:
+            # The new row goes over the oldest row's second copy, so the window
+            # is one slice: the look-back oldest first, then this frame.
+            new = self._scorer.scores(x, out=ring[p + k])
+            sums = np.add.reduce(ring[p : p + k + 1], axis=0)
+            if not math.isfinite(np.add.reduce(sums)):
+                new[:] = ring[p]  # the oldest row's second copy again
+                raise DataError(_NON_FINITE)
+            ring[p] = new
+            self._pos = p + 1 if p + 1 < k else 0
         self.frames_seen += 1
         self.gmm_evaluations += N_ACTIVITIES
         return sums

@@ -60,11 +60,12 @@ def parse_recording_oracle(path, channels):
     """The line-by-line parser that ``parse_recording`` replaced, kept as its oracle.
 
     It reads the file in text mode and converts each field with ``int()``.
-    Three rules were added to the original: a non-ASCII byte is a DataError
+    Four rules were added to the original: a non-ASCII byte is a DataError
     naming its line, a field holding ``_`` is non-integer (``int()`` reads
-    ``1_000``; the format does not), and label ids and raw ranges are checked
+    ``1_000``; the format does not), label ids and raw ranges are checked
     on Python integers, so a value beyond int64 is an unknown label or out of
-    range instead of an OverflowError.
+    range instead of an OverflowError, and a ``#rate`` that is not finite and
+    positive is a DataError naming its line.
     """
     path = Path(path)
     if not path.is_file():
@@ -93,7 +94,9 @@ def parse_recording_oracle(path, channels):
                 try:
                     rate = float(parts[1])
                 except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad sample rate {parts[1]!r}") from None
+                    rate = np.nan
+                if not 0 < rate < np.inf:
+                    raise DataError(f"{path}:{lineno}: bad sample rate {parts[1]!r}")
         elif not header_seen:
             names = line.split("\t")
             if len(names) < 2 or names[-1] != "act":

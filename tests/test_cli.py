@@ -1,16 +1,20 @@
+import contextlib
 import io
 import os
 import selectors
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rapidhare
 from rapidhare.cli import main
-from rapidhare import ALL_LABELS, load_model_set, parse_recording, read_header
+from rapidhare import ALL_LABELS, PredictorSession, load_model_set, parse_recording, read_header
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +200,62 @@ def test_predict_stdin_numbers_frames_not_lines(synth_dir, model_path, capsys, m
     captured = capsys.readouterr()
     assert captured.err == "error: stdin:3: non-numeric frame value\n"
     assert captured.out.splitlines() == plain.splitlines()[:1]
+
+
+class _FrameSpy(PredictorSession):
+    """A session that keeps a copy of every frame pushed into it."""
+
+    frames: list = []
+
+    def push_frame(self, x):
+        self.frames.append(np.array(x))
+        return super().push_frame(x)
+
+
+_FLOAT_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1_0", " 1.5 ", "nan", "-iNF", "1e400", "+.5e-3", "", "x", "0x10", "1__0",
+                     "_1", "1e", "infinity", "\u0661\u0662", "1.5\x0b", "--1"]),
+    st.text(" \x0b\x0c+-_.eE0159naifxINF\u0661", max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fields=st.lists(_FLOAT_TEXT, min_size=1, max_size=6))
+def test_predict_stdin_reads_fields_as_float_does(model_path, fields):
+    """A field is accepted iff ``float()`` accepts it, and the frame is ``float()``'s, bit for bit.
+
+    The second line is drawn; a non-numeric field is reported before a width
+    that differs from the first frame's.
+    """
+    first = "0.25\t-0.5\t0.75\t0.0"
+    stdin = io.StringIO(f"{first}\n" + "\t".join(fields) + "\n")
+    try:
+        want = [float(v) for v in fields]
+    except ValueError:
+        want = None
+    _FrameSpy.frames = []
+    old_stdin, sys.stdin = sys.stdin, stdin
+    try:
+        with mock.patch("rapidhare.cli.PredictorSession", _FrameSpy), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(["predict", "-", "--model", str(model_path)])
+    finally:
+        sys.stdin = old_stdin
+    assert np.array_equal(_FrameSpy.frames[0], [0.25, -0.5, 0.75, 0.0])
+    if fields == [""]:  # a blank line, skipped
+        assert (rc, len(_FrameSpy.frames)) == (0, 1)
+    elif want is None:
+        assert (rc, err.getvalue()) == (2, "error: stdin:2: non-numeric frame value\n")
+        assert len(_FrameSpy.frames) == 1
+    elif len(want) != 4:
+        assert (rc, err.getvalue()) == (2, f"error: stdin:2: {len(want)} values, the first frame had 4\n")
+    else:
+        assert len(_FrameSpy.frames) == 2
+        got = _FrameSpy.frames[1]
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+        assert rc == (0 if np.isfinite(want).all() else 2)
 
 
 def test_predict_stdin_width_change_names_the_line(model_path, capsys, monkeypatch):
@@ -422,6 +482,20 @@ def test_synth_spec_file(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == "error: seed must be non-negative\n"
         assert captured.out == ""
+
+
+def test_synth_out_of_range_draws_name_file_subject_and_channel(tmp_path, capsys):
+    """A spread too wide for the raw range exits 2 naming where the first value fell outside."""
+    spec = tmp_path / "spec.txt"
+    spec.write_text("sigma 0.3\nframes_per_subject 300\nmin_segment 50\nseed 3\n")
+    out = tmp_path / "generated"
+    assert main(["synth", "--out", str(out), "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {out / 'subject_01.tsv'}: subject 01, channel 'acc_sig_0': "
+        "scaled values fall outside the representable raw range\n"
+    )
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["predict", "bench", "evaluate", "synth"])

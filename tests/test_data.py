@@ -192,7 +192,8 @@ def _recordings(draw):
         )
     )
     fields = [[str(v) for v in row] for row in rows]
-    head = ["#subject 01"] + draw(st.sampled_from([[], ["#rate 60.5"]]))
+    rate = draw(st.sampled_from([None, "60.5", "nan", "inf", "0", "-5", "1e400"]))
+    head = ["#subject 01"] + ([] if rate is None else [f"#rate {rate}"])
     head.append("\t".join([c.name for c in channels] + ["act"]))
     r = draw(st.integers(0, len(rows) - 1))
     col = draw(st.integers(0, len(channels)))
@@ -317,6 +318,23 @@ def test_write_rejects_out_of_range_values(tmp_path):
     seq = LabeledSequence("01", np.array([[3.0, 0.0]]), np.array([1]))
     with pytest.raises(DataError, match="representable"):
         write_recording(seq, TWO_CHANNELS, tmp_path / "bad.tsv")
+
+
+def test_write_out_of_range_error_names_file_subject_and_channel(tmp_path):
+    seq = LabeledSequence("01", np.array([[0.0, 0.5], [0.0, -3.0]]), np.array([1, 1]))
+    with pytest.raises(DataError) as err:
+        write_recording(seq, TWO_CHANNELS, tmp_path / "bad.tsv")
+    assert str(err.value) == (
+        f"{tmp_path / 'bad.tsv'}: subject 01, channel 'emg_r': "
+        "scaled values fall outside the representable raw range"
+    )
+    assert not (tmp_path / "bad.tsv").exists()
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, 0.0, -5.0])
+def test_sequence_rejects_a_rate_that_is_not_finite_and_positive(rate):
+    with pytest.raises(DataError, match="sample rate must be finite and positive"):
+        LabeledSequence("01", np.zeros((1, 2)), np.array([1]), rate)
 
 
 def _dataset(subjects, n=4):

@@ -169,7 +169,15 @@ def _split_streams(draw):
         st.lists(st.sampled_from(pool), min_size=1, unique=True).map(tuple),
     ))
     cuts = sorted(draw(st.lists(st.integers(0, n_frames), max_size=8)))
-    return frames, FeatureConfig(keep, directional), cuts
+    bounds = [0, *cuts, len(frames)]
+    # Some blocks go in as runs of one-row pushes, the shape `predict -` uses.
+    pieces = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        if draw(st.booleans()):
+            pieces.extend((i, i + 1) for i in range(lo, hi))
+        else:
+            pieces.append((lo, hi))
+    return frames, FeatureConfig(keep, directional), pieces, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -177,14 +185,19 @@ def _split_streams(draw):
 def test_block_pushes_concatenate_to_apply(case):
     """Any split into blocks, empty and one-row ones included, gives apply's frames.
 
-    Also checked against the lagged difference written out over the whole recording.
+    Pushes write into a given ``out`` buffer or allocate. Also checked against
+    the lagged difference written out over the whole recording.
     """
-    frames, cfg, cuts = case
-    bounds = [0, *cuts, len(frames)]
+    frames, cfg, pieces, use_out = case
     streamer = cfg.streamer(frames.shape[1])
-    pushed = [streamer.push(frames[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    assert [len(p) for p in pushed] == [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    pushed = []
+    for lo, hi in pieces:
+        out = np.full((hi - lo, streamer.width), np.nan) if use_out else None
+        pushed.append(streamer.push(frames[lo:hi], out))
+        assert out is None or pushed[-1] is out
+    assert [len(p) for p in pushed] == [hi - lo for lo, hi in pieces]
     out = cfg.apply(seq_of(frames)).frames
+    assert out.shape[1] == streamer.width
     assert np.array_equal(np.concatenate(pushed), out)
 
     expected = frames if cfg.keep_channels is None else frames[:, list(cfg.keep_channels)]

@@ -313,6 +313,17 @@ def test_model_set_rejects_an_activity_given_twice(tmp_path):
     assert str(err.value) == f"{path}:{len(lines) + 1}: activity walking given twice"
 
 
+def test_model_set_unknown_activity_name_names_the_line(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model_set(random_model_set(np.random.default_rng(3), dim=2), path)
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].replace("walking", "walkin")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError) as err:
+        load_model_set(path)
+    assert str(err.value) == f"{path}:4: unknown activity name: 'walkin'"
+
+
 def test_model_set_rejects_lines_after_the_last_activity(tmp_path):
     path = tmp_path / "model.txt"
     save_model_set(random_model_set(np.random.default_rng(3), dim=2), path)

@@ -263,6 +263,26 @@ def test_non_finite_frame_is_rejected_without_state_change(rng, bad):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("window_k,pushed", [(0, 3), (1, 0), (1, 4), (4, 3), (4, 7), (4, 9)])
+def test_rejected_frame_leaves_ring_and_position_unchanged(rng, window_k, pushed):
+    """Rejection restores the slot the new row was written to, the wrap slot p = k - 1 too."""
+    models = random_model_set(rng, dim=3)
+    frames = rng.uniform(-1, 1, size=(pushed + 1, 3))
+    session, twin = PredictorSession(models, window_k), PredictorSession(models, window_k)
+    for x in frames[:pushed]:
+        session.push_frame(x)
+        twin.push_frame(x)
+    ring, pos = session._ring.copy(), session._pos
+    assert window_k == 0 or pos == pushed % window_k
+    for bad in (np.nan, 1e200):
+        with pytest.raises(DataError, match="non-finite"):
+            session.push_frame(np.array([bad, 0.0, 0.0]))
+        assert np.array_equal(session._ring, ring) and session._pos == pos
+    assert np.array_equal(session.push_frame(frames[-1]), twin.push_frame(frames[-1]))
+    assert session.frames_seen == pushed + 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_frame_that_would_overflow_the_window_sums_is_rejected():
     session = PredictorSession(identical_model_set(dim=1), 26)
     x = np.array([np.sqrt(4e306)])  # log-likelihood about -2e306 for every activity
