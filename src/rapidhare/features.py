@@ -131,10 +131,8 @@ class StreamingDirectional:
         self._dim = dim
         self._lag = cfg.lag
         # Each source row is written at _pos and _pos + lag, so
-        # _ring[_pos : _pos + lag] holds the last lag rows, oldest first;
-        # _halves views the ring as its two copies.
+        # _ring[_pos : _pos + lag] holds the last lag rows, oldest first.
         self._ring = np.zeros((2 * cfg.lag, len(self._sources)))
-        self._halves = self._ring.reshape(2, cfg.lag, len(self._sources))
         self._pos = 0
         self._rows = 0
 
@@ -155,7 +153,7 @@ class StreamingDirectional:
             d = src[lag:] - src[:n]
             if self._rows < lag:
                 d[: lag - self._rows] = 0.0
-            self._halves[...] = src[n:]
+            ring[:lag] = ring[lag:] = src[n:]
             self._pos, self._rows = 0, self._rows + n
             return np.concatenate((block, d), axis=1, out=out)
         if out is None:
