@@ -159,9 +159,11 @@ def _predict_stream(model_set, args) -> int:
             raise DataError(f"stdin:{lineno}: non-numeric frame value") from None
         if streamer is None:
             streamer = feat.streamer(row.shape[1])
-            features = np.empty((1, streamer.width))
         try:
-            scores = session.push_frame(streamer.push(row, features)[0])
+            # The returned row is handed back as ``out``, so the directional
+            # features reuse the buffer their first push allocated.
+            features = streamer.push(row, features)
+            scores = session.push_frame(features[0])
         except DataError as exc:
             raise DataError(f"stdin:{lineno}: {exc}") from None
         label = _NAMES[scores.argmax()]

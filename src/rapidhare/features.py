@@ -170,30 +170,26 @@ class StreamingDirectional:
 
 
 class FeatureStreamer:
-    """FeatureConfig's transform over (n, ``n_channels``) blocks pushed in stream order.
-
-    Each pushed row comes out ``width`` values wide.
-    """
+    """FeatureConfig's transform over (n, ``n_channels``) blocks pushed in stream order."""
 
     def __init__(self, cfg: FeatureConfig, n_channels: int):
         self.n_channels = n_channels
         self._keep = None if cfg.keep_channels is None else list(cfg.keep_channels)
         if self._keep is not None:
             _check_indices(self._keep, n_channels, "channel selection")
-        kept = n_channels if self._keep is None else len(self._keep)
         directional = cfg._selected_directional()
-        self._directional = None if directional is None else StreamingDirectional(directional, kept)
-        self.width = kept + (0 if directional is None else len(directional.source_channels))
+        self._directional = None if directional is None else StreamingDirectional(
+            directional, n_channels if self._keep is None else len(self._keep)
+        )
 
     def push(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The (n, ``width``) features of ``block``, written into ``out`` when it is given."""
+        """The features of ``block``; the directional features are written into ``out``.
+
+        ``out`` is ignored without directional features: the result is then
+        ``block`` or its kept channels.
+        """
         if self._keep is not None:
-            if self._directional is None:
-                return block.take(self._keep, axis=1, out=out)
             block = block[:, self._keep]
         if self._directional is not None:
-            return self._directional.push(block, out)
-        if out is None:
-            return block
-        out[...] = block
-        return out
+            block = self._directional.push(block, out)
+        return block

@@ -185,19 +185,19 @@ def _split_streams(draw):
 def test_block_pushes_concatenate_to_apply(case):
     """Any split into blocks, empty and one-row ones included, gives apply's frames.
 
-    Pushes write into a given ``out`` buffer or allocate. Also checked against
-    the lagged difference written out over the whole recording.
+    With directional features, pushes write into a given ``out`` buffer or
+    allocate. Also checked against the lagged difference written out over the
+    whole recording.
     """
     frames, cfg, pieces, use_out = case
+    out = cfg.apply(seq_of(frames)).frames
     streamer = cfg.streamer(frames.shape[1])
     pushed = []
     for lo, hi in pieces:
-        out = np.full((hi - lo, streamer.width), np.nan) if use_out else None
-        pushed.append(streamer.push(frames[lo:hi], out))
-        assert out is None or pushed[-1] is out
+        buf = np.full((hi - lo, out.shape[1]), np.nan) if use_out else None
+        pushed.append(streamer.push(frames[lo:hi], buf))
+        assert buf is None or cfg.directional is None or pushed[-1] is buf
     assert [len(p) for p in pushed] == [hi - lo for lo, hi in pieces]
-    out = cfg.apply(seq_of(frames)).frames
-    assert out.shape[1] == streamer.width
     assert np.array_equal(np.concatenate(pushed), out)
 
     expected = frames if cfg.keep_channels is None else frames[:, list(cfg.keep_channels)]
