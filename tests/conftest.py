@@ -5,9 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from rapidhare import ALL_LABELS, ActivityModelSet, DataError, GmmModel, LabeledSequence
-from rapidhare.gmm import KMEANS_MAX_ITERS, _kmeans_pp_seeds
+from rapidhare import ALL_LABELS, ActivityLabel, ActivityModelSet, DataError, GmmModel, LabeledSequence
+from rapidhare.data import N_ACTIVITIES
+from rapidhare.gmm import KMEANS_MAX_ITERS, MODEL_FORMAT_TAG, _kmeans_pp_seeds
+from rapidhare.hmm import TransitionMatrix
+from rapidhare.synth import default_spec
+
+# Every property test draws the same examples on every run, however long it takes.
+settings.register_profile("rapidhare", derandomize=True, deadline=None)
+settings.load_profile("rapidhare")
 
 
 def random_gmm(rng, dim, k, mean_scale=1.2, var_lo=0.05, var_hi=0.6):
@@ -219,6 +227,151 @@ def fit_em_trace_oracle(data, k, cfg):
         if best is None or trace[-1] > best[1][-1]:
             best = (GmmModel(weights, means, variances), trace)
     return best
+
+
+def _read_lines_oracle(path):
+    """The line split of the text readers before they shared one line reader."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start].decode("ascii")
+        lineno = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+        raise DataError(f"{path}:{lineno}: non-ASCII byte") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+class _ModelReaderOracle:
+    """The model file's own cursor, from before the shared line reader."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        if not self.path.is_file():
+            raise DataError(f"no such model file: {path}")
+        self.lines = _read_lines_oracle(self.path)
+        self.pos = 0
+
+    def next(self, what):
+        if self.pos >= len(self.lines):
+            raise DataError(f"{self.path}: unexpected end of file, expected {what}")
+        line = self.lines[self.pos]
+        self.pos += 1
+        return line
+
+    def fail(self, msg):
+        raise DataError(f"{self.path}:{self.pos}: {msg}")
+
+    def fields(self, keyword, n, usage):
+        parts = self.next(usage).split()
+        if len(parts) != n + 1 or parts[0] != keyword:
+            self.fail(f"expected '{usage}'")
+        return parts[1:]
+
+    def count(self, text, what):
+        try:
+            value = int(text)
+        except ValueError:
+            self.fail(f"{what} must be an integer, got {text!r}")
+        if value < 1:
+            self.fail(f"{what} must be at least 1, got {value}")
+        return value
+
+    def reals(self, keyword, n):
+        texts = self.fields(keyword, n, f"{keyword} <{n} values>")
+        try:
+            return [float(t) for t in texts]
+        except ValueError:
+            self.fail(f"non-numeric {keyword} value")
+
+
+def load_model_set_oracle(path):
+    """``load_model_set`` as it read through its own cursor, kept as its oracle."""
+    r = _ModelReaderOracle(path)
+    if r.next("format tag") != MODEL_FORMAT_TAG:
+        r.fail(f"expected format tag {MODEL_FORMAT_TAG!r}")
+    dim = r.count(r.fields("dim", 1, "dim <d>")[0], "dim")
+    n_activities = r.count(r.fields("activities", 1, "activities <n>")[0], "activities")
+    models = {}
+    for _ in range(n_activities):
+        name, keyword, k = r.fields("activity", 3, "activity <name> components <k>")
+        if keyword != "components":
+            r.fail("expected 'activity <name> components <k>'")
+        try:
+            label = ActivityLabel.from_name(name)
+        except DataError as exc:
+            r.fail(str(exc))
+        if label in models:
+            r.fail(f"activity {name} given twice")
+        weights, means, variances = [], [], []
+        for _ in range(r.count(k, "components")):
+            weights.append(r.reals("component", 1)[0])
+            means.append(r.reals("mean", dim))
+            variances.append(r.reals("var", dim))
+        models[label] = GmmModel(np.array(weights), np.array(means), np.array(variances))
+    if r.pos < len(r.lines):
+        r.pos += 1
+        r.fail(f"unexpected line after the {n_activities} declared activities")
+    return ActivityModelSet(models)
+
+
+def load_transition_matrix_oracle(path):
+    """``load_transition_matrix`` as it numbered its own lines, kept as its oracle."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"no such transition matrix file: {path}")
+    lines = [(i, ln) for i, ln in enumerate(_read_lines_oracle(path), start=1) if ln.strip()]
+    if not lines:
+        raise DataError(f"{path}: empty transition matrix file")
+    (head_no, head), body = lines[0], lines[1:]
+    if head.split() != [label.label_name for label in ALL_LABELS]:
+        raise DataError(
+            f"{path}:{head_no}: header must list the {N_ACTIVITIES} activity names in id order"
+        )
+    if len(body) != N_ACTIVITIES:
+        raise DataError(f"{path}: expected {N_ACTIVITIES} rows after the header")
+    rows = []
+    for i, line in body:
+        parts = line.split()
+        if len(parts) != N_ACTIVITIES:
+            raise DataError(f"{path}:{i}: expected {N_ACTIVITIES} values")
+        try:
+            rows.append([float(v) for v in parts])
+        except ValueError:
+            raise DataError(f"{path}:{i}: non-numeric value") from None
+    return TransitionMatrix(np.array(rows))
+
+
+def load_spec_oracle(path):
+    """``load_spec`` as it numbered its own lines, kept as its oracle."""
+    int_keys = {"n_subjects", "frames_per_subject", "dim", "min_segment", "seed"}
+    float_keys = {"separation", "sigma"}
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"no such spec file: {path}")
+    overrides = {}
+    for lineno, line in enumerate(_read_lines_oracle(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'key value'")
+        key, value = parts
+        try:
+            if key in int_keys:
+                overrides[key] = int(value)
+            elif key in float_keys:
+                overrides[key] = float(value)
+            else:
+                raise DataError(f"{path}:{lineno}: unknown key {key!r}")
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad value for {key!r}") from None
+    return default_spec(**overrides)
 
 
 @pytest.fixture

@@ -220,7 +220,7 @@ _FLOAT_TEXT = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(fields=st.lists(_FLOAT_TEXT, min_size=1, max_size=6))
 def test_predict_stdin_reads_fields_as_float_does(model_path, fields):
     """A field is accepted iff ``float()`` accepts it, and the frame is ``float()``'s, bit for bit.

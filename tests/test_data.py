@@ -235,7 +235,7 @@ def _recordings(draw):
     return channels, raw
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(recording=_recordings())
 def test_parse_matches_line_by_line_oracle(tmp_path_factory, recording):
     """Bit-identical sequences from both parsers, or DataError with the same message from both."""

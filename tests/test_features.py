@@ -180,7 +180,7 @@ def _split_streams(draw):
     return frames, FeatureConfig(keep, directional), pieces, draw(st.booleans())
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(case=_split_streams())
 def test_block_pushes_concatenate_to_apply(case):
     """Any split into blocks, empty and one-row ones included, gives apply's frames.

@@ -128,7 +128,7 @@ def assert_same_model(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(
     n=st.integers(1, 400),
     dim=st.integers(2, 6),

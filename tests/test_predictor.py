@@ -300,7 +300,7 @@ _PROPERTY_MODELS = random_model_set(np.random.default_rng(77), dim=3)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(frames=st.lists(arrays(np.float64, 3, elements=st.floats()), max_size=12))
 def test_push_frame_any_floats_finite_or_rejected(frames):
     """Every frame gives finite scores and a normalized posterior, or DataError and no change."""
@@ -317,7 +317,7 @@ def test_push_frame_any_floats_finite_or_rejected(frames):
         assert posterior(scores).sum() == pytest.approx(1.0, abs=1e-12)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     frames=st.lists(
         arrays(np.float64, 3, elements=st.floats(-2.0, 2.0)), min_size=1, max_size=12
@@ -426,7 +426,7 @@ def test_push_block_rejects_bad_frame_by_stream_index(rng, bad):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(block=arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)), elements=st.floats()))
 def test_push_block_any_floats_finite_or_rejected(block):
     """Any block gives finite scores and posteriors, or DataError and no change."""
