@@ -178,13 +178,10 @@ class Dataset:
         return sorted({seq.subject_id for seq in self.sequences})
 
 
-def _read_lines(path: Path) -> list[str]:
-    """An ASCII file's lines, split where text mode splits them: at "\n", "\r\n" and "\r".
-
-    Readers of other kinds of file check first that it exists, with their own message.
-    """
+def _read_lines(path: Path, kind: str) -> list[str]:
+    """An ASCII ``kind`` file's lines, split where text mode splits them: at "\n", "\r\n" and "\r"."""
     if not path.is_file():
-        raise DataError(f"no such recording file: {path}")
+        raise DataError(f"no such {kind} file: {path}")
     raw = path.read_bytes()
     try:
         text = raw.decode("ascii")
@@ -198,6 +195,60 @@ def _read_lines(path: Path) -> list[str]:
     if lines[-1] == "":
         lines.pop()  # the end of the last line, not a blank line
     return lines
+
+
+class _LineReader:
+    """A cursor over a file's lines, past the lines ``skip`` matches.
+
+    Every line keeps its number in the file, and ``fail`` writes every error.
+    """
+
+    def __init__(self, path, kind: str, skip=None):
+        self.path = Path(path)
+        numbered = enumerate(_read_lines(self.path, kind), start=1)
+        self._lines = [(i, line) for i, line in numbered if not (skip and skip(line))]
+        self._pos = 0
+        self.lineno = 0  # of the line last read
+
+    @property
+    def remaining(self) -> int:
+        return len(self._lines) - self._pos
+
+    def next(self, what: str) -> str:
+        if not self.remaining:
+            self.fail(f"unexpected end of file, expected {what}", 0)
+        self.lineno, line = self._lines[self._pos]
+        self._pos += 1
+        return line
+
+    def fail(self, msg: str, lineno: int | None = None):
+        """Raise DataError at ``lineno``, by default the line last read; 0 names only the file."""
+        lineno = self.lineno if lineno is None else lineno
+        raise DataError(f"{self.path}:{lineno}: {msg}" if lineno else f"{self.path}: {msg}")
+
+    def fields(self, keyword: str, n: int, usage: str) -> list[str]:
+        """The n fields after ``keyword`` on the next line."""
+        parts = self.next(usage).split()
+        if len(parts) != n + 1 or parts[0] != keyword:
+            self.fail(f"expected '{usage}'")
+        return parts[1:]
+
+    def count(self, text: str, what: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            self.fail(f"{what} must be an integer, got {text!r}")
+        if value < 1:
+            self.fail(f"{what} must be at least 1, got {value}")
+        return value
+
+    def reals(self, keyword: str, n: int) -> list[float]:
+        """The n reals after ``keyword`` on the next line."""
+        texts = self.fields(keyword, n, f"{keyword} <{n} values>")
+        try:
+            return [float(t) for t in texts]
+        except ValueError:
+            self.fail(f"non-numeric {keyword} value")
 
 
 def _read_header(path: Path, lines) -> tuple[str | None, float, list[str] | None, int]:
@@ -244,7 +295,7 @@ def read_header(path) -> list[ChannelSpec]:
             _, _, names, _ = _read_header(path, (line.rstrip("\n") for line in fh))
     except UnicodeDecodeError:
         # Text mode decodes in chunks and cannot say where the byte was.
-        _, _, names, _ = _read_header(path, _read_lines(path))
+        _, _, names, _ = _read_header(path, _read_lines(path, "recording"))
     if names is None:
         raise DataError(f"{path}: missing header line")
     return channels_from_names(names)
@@ -313,7 +364,7 @@ def parse_recording(path, channels: list[ChannelSpec]) -> LabeledSequence:
     ``#subject``, header or rows, then label ids, then raw values.
     """
     path = Path(path)
-    lines = _read_lines(path)
+    lines = _read_lines(path, "recording")
     subject, rate, names, n_head = _read_header(path, lines)
     if names is not None and names != [c.name for c in channels]:
         raise DataError(f"{path}:{n_head}: header columns do not match the channel spec")

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ALL_LABELS, ActivityLabel, _read_lines
+from .data import ALL_LABELS, ActivityLabel, _LineReader
 from .errors import DataError, NumericError
 
 KMEANS_MAX_ITERS = 100  # Lloyd steps per kmeans_init, at most
@@ -350,52 +350,9 @@ def save_model_set(model_set: ActivityModelSet, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-class _ModelReader:
-    def __init__(self, path):
-        self.path = Path(path)
-        if not self.path.is_file():
-            raise DataError(f"no such model file: {path}")
-        self.lines = _read_lines(self.path)
-        self.pos = 0
-
-    def next(self, what: str) -> str:
-        if self.pos >= len(self.lines):
-            raise DataError(f"{self.path}: unexpected end of file, expected {what}")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def fail(self, msg: str):
-        raise DataError(f"{self.path}:{self.pos}: {msg}")
-
-    def fields(self, keyword: str, n: int, usage: str) -> list[str]:
-        """The n fields after ``keyword`` on the next line."""
-        parts = self.next(usage).split()
-        if len(parts) != n + 1 or parts[0] != keyword:
-            self.fail(f"expected '{usage}'")
-        return parts[1:]
-
-    def count(self, text: str, what: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            self.fail(f"{what} must be an integer, got {text!r}")
-        if value < 1:
-            self.fail(f"{what} must be at least 1, got {value}")
-        return value
-
-    def reals(self, keyword: str, n: int) -> list[float]:
-        """The n reals after ``keyword`` on the next line."""
-        texts = self.fields(keyword, n, f"{keyword} <{n} values>")
-        try:
-            return [float(t) for t in texts]
-        except ValueError:
-            self.fail(f"non-numeric {keyword} value")
-
-
 def load_model_set(path) -> ActivityModelSet:
     """Parse a serialized model set, validating structure and invariants."""
-    r = _ModelReader(path)
+    r = _LineReader(path, "model")
     if r.next("format tag") != MODEL_FORMAT_TAG:
         r.fail(f"expected format tag {MODEL_FORMAT_TAG!r}")
     dim = r.count(r.fields("dim", 1, "dim <d>")[0], "dim")
@@ -418,7 +375,7 @@ def load_model_set(path) -> ActivityModelSet:
             means.append(r.reals("mean", dim))
             variances.append(r.reals("var", dim))
         models[label] = GmmModel(np.array(weights), np.array(means), np.array(variances))
-    if r.pos < len(r.lines):
-        r.pos += 1  # fail names the line just read
+    if r.remaining:
+        r.next("")  # fail names the line just read
         r.fail(f"unexpected line after the {n_activities} declared activities")
     return ActivityModelSet(models)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel, _read_lines
+from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel, _LineReader
 from .errors import DataError, NumericError
 from .gmm import ActivityModelSet
 
@@ -143,27 +142,20 @@ def predict_stream_hmm(
 
 def load_transition_matrix(path) -> TransitionMatrix:
     """Read a transition matrix file: a header of state names, then one row per state."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such transition matrix file: {path}")
-    # Numbered before the blank lines are dropped, so errors name real lines.
-    lines = [(i, ln) for i, ln in enumerate(_read_lines(path), start=1) if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty transition matrix file")
-    (head_no, head), body = lines[0], lines[1:]
-    if head.split() != [label.label_name for label in ALL_LABELS]:
-        raise DataError(
-            f"{path}:{head_no}: header must list the {N_ACTIVITIES} activity names in id order"
-        )
-    if len(body) != N_ACTIVITIES:
-        raise DataError(f"{path}: expected {N_ACTIVITIES} rows after the header")
+    r = _LineReader(path, "transition matrix", skip=lambda line: not line.strip())
+    if not r.remaining:
+        r.fail("empty transition matrix file", 0)
+    if r.next("header").split() != [label.label_name for label in ALL_LABELS]:
+        r.fail(f"header must list the {N_ACTIVITIES} activity names in id order")
+    if r.remaining != N_ACTIVITIES:
+        r.fail(f"expected {N_ACTIVITIES} rows after the header", 0)
     rows = []
-    for i, line in body:
-        parts = line.split()
+    while r.remaining:
+        parts = r.next("").split()
         if len(parts) != N_ACTIVITIES:
-            raise DataError(f"{path}:{i}: expected {N_ACTIVITIES} values")
+            r.fail(f"expected {N_ACTIVITIES} values")
         try:
             rows.append([float(v) for v in parts])
         except ValueError:
-            raise DataError(f"{path}:{i}: non-numeric value") from None
+            r.fail("non-numeric value")
     return TransitionMatrix(np.array(rows))

@@ -10,11 +10,10 @@ so generated datasets can round-trip through the recording file format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel, ChannelSpec, Dataset, LabeledSequence, _read_lines, channel
+from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel, ChannelSpec, Dataset, LabeledSequence, _LineReader, channel
 from .errors import DataError
 from .gmm import GmmModel
 from .hmm import TransitionMatrix
@@ -136,31 +135,26 @@ def generate(spec: SynthSpec) -> Dataset:
     return Dataset(sequences, synth_channels(spec.dim))
 
 
-_INT_KEYS = {"n_subjects", "frames_per_subject", "dim", "min_segment", "seed"}
-_FLOAT_KEYS = {"separation", "sigma"}
+# The keys of a spec file and the types of their values.
+_SPEC_KEYS = {
+    "n_subjects": int, "frames_per_subject": int, "dim": int, "min_segment": int, "seed": int,
+    "separation": float, "sigma": float,
+}
 
 
 def load_spec(path) -> SynthSpec:
     """Read a spec from a ``key value`` text file; unknown keys are rejected."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such spec file: {path}")
+    r = _LineReader(path, "spec", skip=lambda line: line.lstrip()[:1] in ("", "#"))
     overrides = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    while r.remaining:
+        parts = r.next("").split()
         if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 'key value'")
+            r.fail("expected 'key value'")
         key, value = parts
+        if key not in _SPEC_KEYS:
+            r.fail(f"unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                overrides[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                overrides[key] = float(value)
-            else:
-                raise DataError(f"{path}:{lineno}: unknown key {key!r}")
+            overrides[key] = _SPEC_KEYS[key](value)
         except ValueError:
-            raise DataError(f"{path}:{lineno}: bad value for {key!r}") from None
+            r.fail(f"bad value for {key!r}")
     return default_spec(**overrides)
