@@ -226,6 +226,13 @@ class _LineReader:
         lineno = self.lineno if lineno is None else lineno
         raise DataError(f"{self.path}:{lineno}: {msg}" if lineno else f"{self.path}: {msg}")
 
+    def check(self, lineno: int, make):
+        """``make()``, with a DataError it raises passed to ``fail`` at ``lineno``."""
+        try:
+            return make()
+        except DataError as exc:
+            self.fail(str(exc), lineno)
+
     def fields(self, keyword: str, n: int, usage: str) -> list[str]:
         """The n fields after ``keyword`` on the next line."""
         parts = self.next(usage).split()

@@ -351,7 +351,7 @@ def save_model_set(model_set: ActivityModelSet, path) -> None:
 
 
 def load_model_set(path) -> ActivityModelSet:
-    """Parse a serialized model set, validating structure and invariants."""
+    """Parse a model file; a bad mixture names its ``activity`` line, a bad set the file."""
     r = _LineReader(path, "model")
     if r.next("format tag") != MODEL_FORMAT_TAG:
         r.fail(f"expected format tag {MODEL_FORMAT_TAG!r}")
@@ -362,10 +362,8 @@ def load_model_set(path) -> ActivityModelSet:
         name, keyword, k = r.fields("activity", 3, "activity <name> components <k>")
         if keyword != "components":
             r.fail("expected 'activity <name> components <k>'")
-        try:
-            label = ActivityLabel.from_name(name)
-        except DataError as exc:
-            r.fail(str(exc))
+        at = r.lineno
+        label = r.check(at, lambda: ActivityLabel.from_name(name))
         if label in models:
             r.fail(f"activity {name} given twice")
         # Collected, not preallocated: a huge declared size fails at the first missing line.
@@ -374,8 +372,8 @@ def load_model_set(path) -> ActivityModelSet:
             weights.append(r.reals("component", 1)[0])
             means.append(r.reals("mean", dim))
             variances.append(r.reals("var", dim))
-        models[label] = GmmModel(np.array(weights), np.array(means), np.array(variances))
+        models[label] = r.check(at, lambda: GmmModel(weights, means, variances))
     if r.remaining:
         r.next("")  # fail names the line just read
         r.fail(f"unexpected line after the {n_activities} declared activities")
-    return ActivityModelSet(models)
+    return r.check(0, lambda: ActivityModelSet(models))

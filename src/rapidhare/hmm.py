@@ -141,7 +141,10 @@ def predict_stream_hmm(
 
 
 def load_transition_matrix(path) -> TransitionMatrix:
-    """Read a transition matrix file: a header of state names, then one row per state."""
+    """Read a transition matrix file: a header of state names, then one row per state.
+
+    Blank lines are skipped; a matrix that fails its own checks names the file.
+    """
     r = _LineReader(path, "transition matrix", skip=lambda line: not line.strip())
     if not r.remaining:
         r.fail("empty transition matrix file", 0)
@@ -158,4 +161,4 @@ def load_transition_matrix(path) -> TransitionMatrix:
             rows.append([float(v) for v in parts])
         except ValueError:
             r.fail("non-numeric value")
-    return TransitionMatrix(np.array(rows))
+    return r.check(0, lambda: TransitionMatrix(np.array(rows)))

@@ -135,15 +135,15 @@ def generate(spec: SynthSpec) -> Dataset:
     return Dataset(sequences, synth_channels(spec.dim))
 
 
-# The keys of a spec file and the types of their values.
-_SPEC_KEYS = {
-    "n_subjects": int, "frames_per_subject": int, "dim": int, "min_segment": int, "seed": int,
-    "separation": float, "sigma": float,
-}
+_INT_KEYS = {"n_subjects", "frames_per_subject", "dim", "min_segment", "seed"}
+_FLOAT_KEYS = {"separation", "sigma"}
 
 
 def load_spec(path) -> SynthSpec:
-    """Read a spec from a ``key value`` text file; unknown keys are rejected."""
+    """Read a spec from a ``key value`` text file; blank and ``#`` lines are skipped.
+
+    A bad line names ``file:line``; a spec that fails its own checks names the file.
+    """
     r = _LineReader(path, "spec", skip=lambda line: line.lstrip()[:1] in ("", "#"))
     overrides = {}
     while r.remaining:
@@ -151,10 +151,12 @@ def load_spec(path) -> SynthSpec:
         if len(parts) != 2:
             r.fail("expected 'key value'")
         key, value = parts
-        if key not in _SPEC_KEYS:
+        if key not in _INT_KEYS | _FLOAT_KEYS:
             r.fail(f"unknown key {key!r}")
+        if key in overrides:
+            r.fail(f"key {key!r} given twice")
         try:
-            overrides[key] = _SPEC_KEYS[key](value)
+            overrides[key] = int(value) if key in _INT_KEYS else float(value)
         except ValueError:
             r.fail(f"bad value for {key!r}")
-    return default_spec(**overrides)
+    return r.check(0, lambda: default_spec(**overrides))

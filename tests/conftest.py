@@ -289,8 +289,23 @@ class _ModelReaderOracle:
             self.fail(f"non-numeric {keyword} value")
 
 
+def _named(where, make):
+    """``make()``, with a DataError it raises prefixed by ``where``.
+
+    This is the rule that a parsed object failing its own checks names its
+    file, and a mixture the line of its ``activity``.
+    """
+    try:
+        return make()
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
+
+
 def load_model_set_oracle(path):
-    """``load_model_set`` as it read through its own cursor, kept as its oracle."""
+    """``load_model_set`` as it read through its own cursor, kept as its oracle.
+
+    A bad mixture or model set is named by ``_named``.
+    """
     r = _ModelReaderOracle(path)
     if r.next("format tag") != MODEL_FORMAT_TAG:
         r.fail(f"expected format tag {MODEL_FORMAT_TAG!r}")
@@ -307,20 +322,27 @@ def load_model_set_oracle(path):
             r.fail(str(exc))
         if label in models:
             r.fail(f"activity {name} given twice")
+        at = r.pos
         weights, means, variances = [], [], []
         for _ in range(r.count(k, "components")):
             weights.append(r.reals("component", 1)[0])
             means.append(r.reals("mean", dim))
             variances.append(r.reals("var", dim))
-        models[label] = GmmModel(np.array(weights), np.array(means), np.array(variances))
+        models[label] = _named(
+            f"{r.path}:{at}",
+            lambda: GmmModel(np.array(weights), np.array(means), np.array(variances)),
+        )
     if r.pos < len(r.lines):
         r.pos += 1
         r.fail(f"unexpected line after the {n_activities} declared activities")
-    return ActivityModelSet(models)
+    return _named(r.path, lambda: ActivityModelSet(models))
 
 
 def load_transition_matrix_oracle(path):
-    """``load_transition_matrix`` as it numbered its own lines, kept as its oracle."""
+    """``load_transition_matrix`` as it numbered its own lines, kept as its oracle.
+
+    A bad matrix is named by ``_named``.
+    """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such transition matrix file: {path}")
@@ -343,11 +365,14 @@ def load_transition_matrix_oracle(path):
             rows.append([float(v) for v in parts])
         except ValueError:
             raise DataError(f"{path}:{i}: non-numeric value") from None
-    return TransitionMatrix(np.array(rows))
+    return _named(path, lambda: TransitionMatrix(np.array(rows)))
 
 
 def load_spec_oracle(path):
-    """``load_spec`` as it numbered its own lines, kept as its oracle."""
+    """``load_spec`` as it numbered its own lines, kept as its oracle.
+
+    A key given twice is an error at its line, and a bad spec is named by ``_named``.
+    """
     int_keys = {"n_subjects", "frames_per_subject", "dim", "min_segment", "seed"}
     float_keys = {"separation", "sigma"}
     path = Path(path)
@@ -362,6 +387,8 @@ def load_spec_oracle(path):
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: expected 'key value'")
         key, value = parts
+        if key in overrides:
+            raise DataError(f"{path}:{lineno}: key {key!r} given twice")
         try:
             if key in int_keys:
                 overrides[key] = int(value)
@@ -371,7 +398,7 @@ def load_spec_oracle(path):
                 raise DataError(f"{path}:{lineno}: unknown key {key!r}")
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad value for {key!r}") from None
-    return default_spec(**overrides)
+    return _named(path, lambda: default_spec(**overrides))
 
 
 @pytest.fixture

@@ -477,10 +477,10 @@ def test_synth_spec_file(tmp_path, capsys):
     assert len(list(out.iterdir())) == 2
 
     spec.write_text("n_subjects 2\nseed -1\n")
-    for args in (["--spec", str(spec)], ["--seed", "-1"]):
+    for args, where in ((["--spec", str(spec)], f"{spec}: "), (["--seed", "-1"], "")):
         assert main(["synth", "--out", str(tmp_path / "negative"), *args]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: seed must be non-negative\n"
+        assert captured.err == f"error: {where}seed must be non-negative\n"
         assert captured.out == ""
 
 
@@ -526,4 +526,77 @@ def test_non_ascii_byte_in_an_input_file_exits_two_naming_the_line(
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {path}:3: non-ASCII byte\n"
+    assert captured.out == ""
+
+
+def test_a_bad_mixture_names_its_activity_line_and_a_bad_model_set_the_file(
+    model_path, tmp_path, capsys
+):
+    lines = model_path.read_text().splitlines()
+    assert lines[10] == "activity running components 2"
+    path = tmp_path / "model.txt"
+    for text, where, message in [
+        (lines[:11] + ["component nan"] + lines[12:], ":11", "mixture parameters must be finite"),
+        (
+            lines[:11] + ["component 0.9"] + lines[12:14] + ["component 0.3"] + lines[15:],
+            ":11",
+            "mixture weights must be positive and sum to 1",
+        ),
+        (
+            lines[:2] + ["activities 7"] + lines[3:-7],
+            "",
+            "a model set needs exactly one mixture per activity",
+        ),
+    ]:
+        path.write_text("\n".join(text) + "\n")
+        assert main(["bench", "--model", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}{where}: {message}\n"
+        assert captured.out == ""
+
+
+def test_a_bad_transition_matrix_names_the_file(synth_dir, tmp_path, capsys):
+    rows = [" ".join(["0.125"] * len(ALL_LABELS))] * len(ALL_LABELS)
+    rows[5] = " ".join(["0.25"] * len(ALL_LABELS))
+    path = tmp_path / "transitions.txt"
+    path.write_text("\n".join([" ".join(label.label_name for label in ALL_LABELS)] + rows) + "\n")
+    assert main(["evaluate", str(synth_dir), "--transitions", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: transition matrix rows must sum to 1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text,where,message",
+    [
+        ("sigma nan\n", "", "mixture parameters must be finite"),
+        ("seed 3\n# again\nseed 4\n", ":3", "key 'seed' given twice"),
+    ],
+)
+def test_a_bad_spec_names_the_file_and_a_key_given_twice_its_line(
+    text, where, message, tmp_path, capsys
+):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(text)
+    assert main(["synth", "--out", str(tmp_path / "out"), "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {spec}{where}: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flag,kind", [("--model", "model"), ("--transitions", "transition matrix"), ("--spec", "spec")]
+)
+def test_a_missing_input_file_is_named_with_its_kind(
+    flag, kind, synth_dir, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    args = {
+        "--model": ["bench", "--model", "./absent.txt"],
+        "--transitions": ["evaluate", str(synth_dir), "--transitions", "./absent.txt"],
+        "--spec": ["synth", "--out", "out", "--spec", "./absent.txt"],
+    }[flag]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no such {kind} file: absent.txt\n"
     assert captured.out == ""
