@@ -179,7 +179,7 @@ class Dataset:
 
 
 def _read_lines(path: Path, kind: str) -> list[str]:
-    """An ASCII ``kind`` file's lines, split where text mode splits them: at "\n", "\r\n" and "\r"."""
+    """An ASCII ``kind`` file's lines, split as text mode splits them: at "\n", "\r\n", "\r"."""
     if not path.is_file():
         raise DataError(f"no such {kind} file: {path}")
     raw = path.read_bytes()

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from rapidhare import ALL_LABELS, ActivityLabel, ActivityModelSet, DataError, GmmModel, LabeledSequence
+from rapidhare import (
+    ALL_LABELS, ActivityLabel, ActivityModelSet, DataError, GmmModel, LabeledSequence,
+)
 from rapidhare.data import N_ACTIVITIES
 from rapidhare.gmm import KMEANS_MAX_ITERS, MODEL_FORMAT_TAG, _kmeans_pp_seeds
 from rapidhare.hmm import TransitionMatrix
