@@ -584,18 +584,14 @@ def test_a_bad_spec_names_the_file_and_a_key_given_twice_its_line(
     assert captured.out == ""
 
 
-@pytest.mark.parametrize(
-    "flag,kind", [("--model", "model"), ("--transitions", "transition matrix"), ("--spec", "spec")]
-)
-def test_a_missing_input_file_is_named_with_its_kind(
-    flag, kind, synth_dir, tmp_path, monkeypatch, capsys
-):
+@pytest.mark.parametrize("kind", ["model", "transition matrix", "spec"])
+def test_a_missing_input_file_is_named_with_its_kind(kind, synth_dir, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     args = {
-        "--model": ["bench", "--model", "./absent.txt"],
-        "--transitions": ["evaluate", str(synth_dir), "--transitions", "./absent.txt"],
-        "--spec": ["synth", "--out", "out", "--spec", "./absent.txt"],
-    }[flag]
+        "model": ["bench", "--model", "./absent.txt"],
+        "transition matrix": ["evaluate", str(synth_dir), "--transitions", "./absent.txt"],
+        "spec": ["synth", "--out", "out", "--spec", "./absent.txt"],
+    }[kind]
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: no such {kind} file: absent.txt\n"
