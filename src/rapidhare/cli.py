@@ -119,14 +119,29 @@ def cmd_train(args) -> int:
 
 _LINE = "%d\t%s" + "\t%.8f" * len(ALL_LABELS)
 _NAMES = [label.label_name for label in ALL_LABELS]
+# A posterior within _SETTLED_CUT of 0 or 1 prints as 0.00000000 or 1.00000000.
+# In a row made only of such posteriors the one near 1 is the arg-max's (its
+# exponent is exactly 1, every other one at most 1), so the row prints as its
+# label's _SETTLED_TAIL.
+_SETTLED_CUT = 4e-9
+_SETTLED_TAIL = [
+    name + "".join("\t1.00000000" if j == b else "\t0.00000000" for j in range(len(_NAMES)))
+    for b, name in enumerate(_NAMES)
+]
 
 
 def _write_predictions(first_index: int, scores: np.ndarray) -> None:
-    """One line per row of window scores (index, label, posteriors), in one write."""
+    """One line per row of window scores (index, label, posteriors), in one write.
+
+    A settled row, every posterior within ``_SETTLED_CUT`` of 0 or 1, skips the
+    float formatting; its line is the same text ``_LINE`` would give.
+    """
     best = scores.argmax(axis=1).tolist()
-    rows = posterior(scores).tolist()
+    probs = posterior(scores)
+    settled = ((probs <= _SETTLED_CUT) | (probs >= 1.0 - _SETTLED_CUT)).all(axis=1).tolist()
     lines = [
-        _LINE % (i, _NAMES[b], *row) for i, (b, row) in enumerate(zip(best, rows), first_index)
+        f"{i}\t{_SETTLED_TAIL[b]}" if s else _LINE % (i, _NAMES[b], *row)
+        for i, (b, s, row) in enumerate(zip(best, settled, probs.tolist()), first_index)
     ]
     if lines:
         sys.stdout.write("\n".join(lines) + "\n")
@@ -136,8 +151,11 @@ def _predict_stream(model_set, args) -> int:
     """Label each stdin line as it arrives, through one reused buffer per stage.
 
     A line's fields go straight into the frame row; numpy converts each with
-    ``float()``, so the grammar is Python's.
+    ``float()``, so the grammar is Python's. A byte that stdin's encoding
+    cannot decode is read as a lone surrogate, which ``float()`` rejects.
     """
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(errors="surrogateescape")
     feat = _feature_config(args, None)
     session = PredictorSession(model_set, args.window)
     probs = np.empty(len(ALL_LABELS))

@@ -189,6 +189,7 @@ def _read_lines(path: Path, kind: str) -> list[str]:
         head = raw[: exc.start].decode("ascii")
         lineno = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
         raise DataError(f"{path}:{lineno}: non-ASCII byte") from None
+    del raw  # the text replaces the bytes before the split adds its lines
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
@@ -309,16 +310,30 @@ def read_header(path) -> list[ChannelSpec]:
 
 
 def _scale_columns(raw: np.ndarray, channels: list[ChannelSpec]) -> np.ndarray:
+    """``-1.0 + 2.0 * (raw - mins) / spans``, in one array: the same operations, the same bits."""
     mins = np.array([c.raw_min for c in channels], dtype=np.float64)
     spans = np.array([c.raw_max - c.raw_min for c in channels], dtype=np.float64)
-    return -1.0 + 2.0 * (raw - mins) / spans
+    scaled = raw - mins
+    scaled *= 2.0
+    scaled /= spans
+    scaled += -1.0
+    return scaled
 
 
 # One data field: an optionally signed run of ASCII digits, optionally padded.
 # Python's int() also reads "1_000", and np.loadtxt also pads with \x1c-\x1f;
 # neither belongs to the format.
 _FIELD = re.compile(r"[ \v\f]*[+-]?[0-9]+[ \v\f]*")
-_FIELD_BYTES = b"0123456789+- \v\f\t\n"
+_FIELD_BYTES = b"0123456789+- \v\f\t"
+_GUARD_ROWS = 4096  # lines joined at a time by the field-character check
+
+
+def _field_characters_only(rows: list[str]) -> bool:
+    """Whether the lines hold nothing but field characters, without one copy of them all."""
+    return not any(
+        "".join(rows[lo : lo + _GUARD_ROWS]).encode("ascii").translate(None, _FIELD_BYTES)
+        for lo in range(0, len(rows), _GUARD_ROWS)
+    )
 
 
 def _parse_rows(path: Path, rows: list[str], first_line: int, n_cols: int) -> np.ndarray:
@@ -329,7 +344,7 @@ def _parse_rows(path: Path, rows: list[str], first_line: int, n_cols: int) -> np
     the wrong shape (it skips blank lines) sends the lines to _scan_rows, which
     names the first bad one.
     """
-    if not "\n".join(rows).encode("ascii").translate(None, _FIELD_BYTES):
+    if _field_characters_only(rows):
         try:
             raw = np.loadtxt(rows, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
         except ValueError:
@@ -376,14 +391,16 @@ def parse_recording(path, channels: list[ChannelSpec]) -> LabeledSequence:
     if names is not None and names != [c.name for c in channels]:
         raise DataError(f"{path}:{n_head}: header columns do not match the channel spec")
     rows, first_line = lines[n_head:], n_head + 1
+    del lines  # rows alone hold the data lines, and they go once the table is parsed
     raw = _parse_rows(path, rows, first_line, len(channels) + 1) if rows else None
+    del rows
     if subject is None:
         raise DataError(f"{path}: missing '#subject' metadata line")
     if names is None:
         raise DataError(f"{path}: missing header line")
     if raw is None:
         raise DataError(f"{path}: no data rows")
-    acts = raw[:, -1]
+    acts = raw[:, -1].copy()  # a view would keep the whole table alive with the labels
     bad = (acts < 1) | (acts > N_ACTIVITIES)
     if bad.any():
         i = int(np.argmax(bad))

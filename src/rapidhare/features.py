@@ -20,6 +20,7 @@ from .data import ChannelSpec, LabeledSequence
 from .errors import DataError
 
 DEFAULT_DIRECTIONAL_LAG = 15
+MAX_DIRECTIONAL_LAG = 100_000  # the streamer's ring holds 2 * lag source rows
 
 # x- and z-axis accelerometers on both thighs, the default directional sources.
 THIGH_XZ_ACCEL_NAMES = ("acc_rt_x", "acc_rt_z", "acc_lt_x", "acc_lt_z")
@@ -43,8 +44,8 @@ class DirectionalConfig:
     source_channels: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.lag < 1:
-            raise DataError("directional lag must be at least 1")
+        if not 1 <= self.lag <= MAX_DIRECTIONAL_LAG:
+            raise DataError(f"directional lag must be in 1..{MAX_DIRECTIONAL_LAG}, got {self.lag}")
         object.__setattr__(self, "source_channels", tuple(int(i) for i in self.source_channels))
         if not self.source_channels:
             raise DataError("directional source_channels must not be empty")

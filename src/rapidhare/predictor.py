@@ -34,12 +34,13 @@ from .errors import DataError
 from .gmm import ActivityModelSet, expansion_coefficients, expansion_lift, log_pdf_batch
 
 BLOCK_ROWS = 256  # frames per matrix product in push_block
+MAX_WINDOW_K = 100_000  # about half an hour at 56.35 Hz; the ring holds 2 * window_k rows
 _NON_FINITE = "frame gives non-finite activity scores"
 
 
 def _checked_window(window_k: int) -> int:
-    if window_k < 0:
-        raise DataError("window_k must be non-negative")
+    if not 0 <= window_k <= MAX_WINDOW_K:
+        raise DataError(f"window_k must be in 0..{MAX_WINDOW_K}, got {window_k}")
     return window_k
 
 

@@ -19,6 +19,11 @@ from .gmm import GmmModel
 from .hmm import TransitionMatrix
 
 DEFAULT_SYNTH_SEED = 20260101
+# The largest draws default_spec accepts: the frame width of the generators,
+# and the frame values of a whole dataset (n_subjects * frames_per_subject * dim,
+# 800 MB as float64). Both are checked before anything is allocated.
+MAX_DIM = 1024
+MAX_DRAW_VALUES = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,8 @@ def default_generators(
     """
     if dim < 3:
         raise DataError("default generators need at least 3 dimensions")
+    if dim > MAX_DIM:
+        raise DataError(f"default generators take at most {MAX_DIM} dimensions, got {dim}")
     gens = {}
     for label in ALL_LABELS:
         bits = [(int(label) - 1) >> (d % 3) & 1 for d in range(dim)]
@@ -81,8 +88,21 @@ def uniform_activity_chain() -> TransitionMatrix:
 
 
 def default_spec(**overrides) -> SynthSpec:
-    """The desk-scale defaults: 3 subjects, 20k frames each, 6 dims, 200-frame segments."""
+    """The desk-scale defaults: 3 subjects, 20k frames each, 6 dims, 200-frame segments.
+
+    A draw of more than ``MAX_DRAW_VALUES`` frame values is rejected first.
+    """
     dim = overrides.pop("dim", 6)
+    n_values = (
+        overrides.get("n_subjects", SynthSpec.n_subjects)
+        * overrides.get("frames_per_subject", SynthSpec.frames_per_subject)
+        * dim
+    )
+    if n_values > MAX_DRAW_VALUES:
+        raise DataError(
+            f"a draw of {n_values} frame values (n_subjects * frames_per_subject * dim) "
+            f"exceeds the cap of {MAX_DRAW_VALUES}"
+        )
     separation = overrides.pop("separation", 0.6)
     sigma = overrides.pop("sigma", 0.02)
     overrides.setdefault("generators", default_generators(dim, separation, sigma))

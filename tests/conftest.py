@@ -1,18 +1,22 @@
 """Shared builders and independent oracles used across the test suite."""
 
 import itertools
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import rapidhare
 from rapidhare import (
     ALL_LABELS, ActivityLabel, ActivityModelSet, DataError, GmmModel, LabeledSequence,
 )
 from rapidhare.data import N_ACTIVITIES
 from rapidhare.gmm import KMEANS_MAX_ITERS, MODEL_FORMAT_TAG, _kmeans_pp_seeds
 from rapidhare.hmm import TransitionMatrix
+from rapidhare.predictor import posterior
 from rapidhare.synth import default_spec
 
 # Every property test draws the same examples on every run, however long it takes.
@@ -401,6 +405,25 @@ def load_spec_oracle(path):
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad value for {key!r}") from None
     return _named(path, lambda: default_spec(**overrides))
+
+
+def child_env(**extra):
+    """An environment for a child Python that imports these sources, with no other PYTHON* variable."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(rapidhare.__file__).resolve().parents[1])
+    env.update(extra)
+    return env
+
+
+def write_predictions_oracle(first_index, scores):
+    """The per-line writer ``cli._write_predictions`` replaced: every posterior through ``%.8f``."""
+    line = "%d\t%s" + "\t%.8f" * len(ALL_LABELS)
+    names = [label.label_name for label in ALL_LABELS]
+    best = scores.argmax(axis=1).tolist()
+    rows = posterior(scores).tolist()
+    lines = [line % (i, names[b], *row) for i, (b, row) in enumerate(zip(best, rows), first_index)]
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import resource
 import selectors
 import subprocess
 import sys
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 import rapidhare
 from rapidhare.cli import main
 from rapidhare import ALL_LABELS, PredictorSession, load_model_set, parse_recording, read_header
+
+from conftest import child_env
 
 
 @pytest.fixture(scope="module")
@@ -482,6 +485,52 @@ def test_synth_spec_file(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == f"error: {where}seed must be non-negative\n"
         assert captured.out == ""
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# Runs main in a child and prints how long main took, so interpreter start-up is not counted.
+_TIMED_MAIN = (
+    "import sys, time; from rapidhare.cli import main; t = time.perf_counter(); "
+    "rc = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(rc)"
+)
+
+
+@pytest.mark.parametrize(
+    "key, flag, value, n_values",
+    [
+        ("dim", "--dim", "1000000000000000", 3 * 20000 * 10**15),
+        ("n_subjects", "--subjects", "1000000000000", 10**12 * 20000 * 6),
+    ],
+)
+@pytest.mark.parametrize("through", ["spec", "flags"])
+def test_synth_rejects_a_draw_beyond_its_cap_at_once(key, flag, value, n_values, through, tmp_path):
+    """A huge count exits 2 in under a second, before anything is drawn or written.
+
+    The child runs under a 1 GiB address-space limit and a timeout, so a
+    missing check fails the test instead of filling memory.
+    """
+    out = tmp_path / "generated"
+    if through == "spec":
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"{key} {value}\n")
+        args, where = ["--spec", str(spec)], f"{spec}: "
+    else:
+        args, where = [flag, value], ""
+    child = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, "synth", "--out", str(out), *args],
+        capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS="1"), timeout=10,
+        preexec_fn=_limit_memory,
+    )
+    assert child.returncode == 2
+    assert child.stderr == (
+        f"error: {where}a draw of {n_values} frame values "
+        "(n_subjects * frames_per_subject * dim) exceeds the cap of 100000000\n"
+    )
+    assert float(child.stdout) < 1.0
+    assert not out.exists()
 
 
 def test_synth_out_of_range_draws_name_file_subject_and_channel(tmp_path, capsys):

@@ -1,0 +1,219 @@
+"""`predict` output and robustness: the line writer against its per-line oracle,
+and `predict FILE` and `predict -` over corrupted inputs and drawn flags."""
+
+import contextlib
+import io
+import math
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rapidhare import ALL_LABELS, cli
+from rapidhare.cli import main
+from rapidhare.features import MAX_DIRECTIONAL_LAG
+from rapidhare.gmm import save_model_set
+from rapidhare.predictor import MAX_WINDOW_K, posterior
+
+from conftest import child_env, random_model_set, write_predictions_oracle
+from test_data import _recordings
+
+_NAMES = [label.label_name for label in ALL_LABELS]
+_FAR = -800.0  # exp(-800) is 0.0, so a score this far below the maximum has posterior 0.0
+# k / 512 for odd k lies half-way between two 8-digit decimals; with the
+# maximum at 0 and one other score at log(k / (512 - k)) the posteriors are
+# exactly k / 512 and (512 - k) / 512.
+_HALF_WAY = (1, 255, 257, 511)
+
+
+def _printed(write, first_index, scores):
+    with contextlib.redirect_stdout(io.StringIO()) as out, np.errstate(over="ignore"):
+        write(first_index, scores)
+    return out.getvalue()
+
+
+@st.composite
+def _score_rows(draw):
+    """One row of 8 finite window scores, often with posteriors at or near the settled cut."""
+    kind = draw(st.sampled_from(["any", "cut", "exact", "tie", "half"]))
+    if kind == "any":
+        return draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8))
+    order = draw(st.permutations(range(8)))
+    row = [_FAR] * 8
+    row[order[0]] = 0.0
+    if kind == "cut":  # posteriors from 4e-9 to 6e-9, so the maximum's is from 1 - 6e-9 to 1 - 4e-9
+        for j in order[1 : 1 + draw(st.integers(1, 3))]:
+            row[j] = math.log(draw(st.floats(4e-9, 6e-9)))
+    elif kind == "tie":  # two or more scores at the maximum
+        for j in order[1 : 1 + draw(st.integers(1, 7))]:
+            row[j] = 0.0
+    elif kind == "half":
+        k = draw(st.sampled_from(_HALF_WAY))
+        row[order[1]] = math.log(k / (512 - k))
+        return row
+    shift = draw(st.sampled_from([0.0, 3.0, -700.0, 1e6]))
+    return [v + shift for v in row]
+
+
+@settings(max_examples=500)
+@given(first_index=st.integers(0, 10**7), rows=st.lists(_score_rows(), max_size=10))
+def test_write_predictions_matches_the_per_line_oracle(first_index, rows):
+    scores = np.array(rows, dtype=np.float64).reshape(-1, len(ALL_LABELS))
+    assert _printed(cli._write_predictions, first_index, scores) == _printed(
+        write_predictions_oracle, first_index, scores
+    )
+
+
+@pytest.mark.parametrize("p", [3.9e-9, 4e-9, 4.1e-9, 4.99e-9, 5.01e-9, 6e-9])
+def test_rows_either_side_of_the_settled_cut_print_as_the_oracle_does(p):
+    row = np.full(len(ALL_LABELS), _FAR)
+    row[2], row[5] = 0.0, math.log(p)
+    scores = np.array([row, row[::-1]])
+    assert _printed(cli._write_predictions, 7, scores) == _printed(write_predictions_oracle, 7, scores)
+
+
+def test_the_strategy_rows_hit_exact_and_half_way_posteriors():
+    """The special rows of ``_score_rows`` give the posteriors they are drawn for."""
+    row = np.full(len(ALL_LABELS), _FAR)
+    row[0] = 0.0
+    assert posterior(row).tolist() == [1.0] + [0.0] * 7
+    for k in _HALF_WAY:
+        row[1] = math.log(k / (512 - k))
+        assert posterior(row)[:2].tolist() == [(512 - k) / 512, k / 512]
+
+
+# ---------------------------------------------------------------- the CLI fuzz
+
+
+@pytest.fixture(scope="module")
+def models(tmp_path_factory):
+    """A model file of a given feature width, drawn once per width."""
+    root = tmp_path_factory.mktemp("fuzz_models")
+
+    def model(dim):
+        path = root / f"model{dim}.txt"
+        if not path.exists():
+            save_model_set(random_model_set(np.random.default_rng(dim), dim, 1, 2), path)
+        return path
+
+    return model
+
+
+def _run(argv, stdin=None):
+    """Run the CLI in process; a traceback fails the test. Checks how the run ended."""
+    out, err = io.StringIO(), io.StringIO()
+    old_stdin = sys.stdin
+    if stdin is not None:
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", newline=None)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        sys.stdin = old_stdin
+    if rc == 0:
+        assert err.getvalue() == ""
+        for i, line in enumerate(out.getvalue().splitlines()):
+            fields = line.split("\t")
+            assert fields[0] == str(i) and fields[1] in _NAMES
+            probs = [float(v) for v in fields[2:]]
+            assert len(probs) == len(ALL_LABELS)
+            assert all(0.0 <= v <= 1.0 for v in probs)
+    else:
+        assert rc in (2, 3)
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: " if rc == 2 else "numeric failure: ")
+    return rc
+
+
+_WINDOWS = st.sampled_from([0, 1, 5, 26, -1, MAX_WINDOW_K + 1, 10**15])
+_LAGS = st.sampled_from([1, 3, 15, 0, MAX_DIRECTIONAL_LAG + 1, 10**15])
+
+
+@st.composite
+def _feature_flags(draw, n_channels):
+    """``--channels`` and ``--df`` flags, with the feature width they give when valid."""
+    index = st.integers(-1, n_channels)
+    keep = draw(st.none() | st.lists(index, min_size=1, max_size=3))
+    flags, width = [], n_channels if keep is None else len(keep)
+    if keep is not None:
+        flags.append("--channels=" + ",".join(map(str, keep)))
+    if draw(st.booleans()):
+        lag = draw(_LAGS)
+        sources = draw(st.none() | st.lists(index, min_size=1, max_size=3))
+        if sources is None:  # found by name: no fuzzed channel is a thigh accelerometer
+            flags.append(f"--df=lag={lag}")
+        else:
+            flags.append(f"--df=lag={lag},channels=" + ",".join(map(str, sources)))
+            width += len(sources)
+    return flags, width
+
+
+@settings(max_examples=200)
+@given(data=st.data(), recording=_recordings(), window=_WINDOWS, oracle=st.booleans())
+def test_predict_file_ends_in_lines_or_one_error(data, recording, window, oracle, models, tmp_path_factory):
+    """Exit 0 with finite posteriors, or exit 2/3 with one ``error:`` line, never a traceback."""
+    channels, raw = recording
+    path = tmp_path_factory.getbasetemp() / "fuzz.tsv"
+    path.write_bytes(raw)
+    flags, width = data.draw(_feature_flags(len(channels)))
+    width += data.draw(st.sampled_from([0, 0, 0, 1]))  # now and then a model of another width
+    argv = ["predict", str(path), f"--model={models(max(width, 1))}", f"--window={window}", *flags]
+    _run(argv + ["--oracle"] * oracle)
+
+
+_STDIN_VALUE = st.floats(-2.0, 2.0).map(repr) | st.floats().map(repr)
+
+
+@st.composite
+def _stdin_lines(draw, n_channels):
+    """Frames of the first frame's width, other widths, blank lines, any text and any bytes."""
+    kind = draw(st.sampled_from(["frame", "frame", "frame", "width", "blank", "text", "bytes"]))
+    if kind == "frame":
+        return "\t".join(draw(st.lists(_STDIN_VALUE, min_size=n_channels, max_size=n_channels))).encode()
+    if kind == "width":
+        return "\t".join(draw(st.lists(_STDIN_VALUE, min_size=1, max_size=n_channels + 2))).encode()
+    if kind == "blank":
+        return b""
+    if kind == "text":
+        return draw(st.text(max_size=12)).encode()
+    return draw(st.binary(max_size=12))
+
+
+@settings(max_examples=200)
+@given(data=st.data(), n_channels=st.integers(1, 4), window=_WINDOWS)
+def test_predict_stdin_ends_in_lines_or_one_error(data, n_channels, window, models):
+    lines = data.draw(st.lists(_stdin_lines(n_channels), min_size=1, max_size=6))
+    flags, width = data.draw(_feature_flags(n_channels))
+    width += data.draw(st.sampled_from([0, 0, 0, 1]))
+    argv = ["predict", "-", f"--model={models(max(width, 1))}", f"--window={window}", *flags]
+    _run(argv, stdin=b"\n".join(lines) + b"\n")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ([f"--window={MAX_WINDOW_K + 1}"], f"window_k must be in 0..{MAX_WINDOW_K}, got {MAX_WINDOW_K + 1}"),
+        (["--df=lag=1000000000000000,channels=0"],
+         f"directional lag must be in 1..{MAX_DIRECTIONAL_LAG}, got 1000000000000000"),
+    ],
+)
+def test_a_window_or_lag_beyond_its_cap_exits_two(flags, message, models, capsys):
+    """Both sizes set a ring of twice their length, so a huge one would be allocated, not refused."""
+    assert main(["predict", "-", f"--model={models(4)}", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_byte_stdin_cannot_decode_is_a_non_numeric_field(models):
+    """Under a strict stdin encoding an undecodable byte names its line, as any bad field does."""
+    child = subprocess.run(
+        [sys.executable, "-m", "rapidhare.cli", "predict", "-", "--model", str(models(4))],
+        input=b"0.1\t0.2\t0.3\t0.4\n\n0.1\t\xff\t0.3\t0.4\n", capture_output=True,
+        env=child_env(PYTHONIOENCODING="utf-8:strict"), timeout=60,
+    )
+    assert child.returncode == 2
+    assert child.stderr == b"error: stdin:3: non-numeric frame value\n"
+    assert child.stdout.startswith(b"0\t") and child.stdout.count(b"\n") == 1

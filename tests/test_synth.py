@@ -4,6 +4,8 @@ import pytest
 from rapidhare import ActivityLabel, DataError, TransitionMatrix, load_dataset
 from rapidhare.data import write_dataset
 from rapidhare.synth import (
+    MAX_DIM,
+    MAX_DRAW_VALUES,
     SynthSpec,
     default_generators,
     default_spec,
@@ -119,3 +121,14 @@ def test_load_spec_file(tmp_path):
     bad.write_text("mystery 3\n")
     with pytest.raises(DataError, match="unknown key"):
         load_spec(bad)
+
+
+def test_default_spec_caps_the_draw_at_its_documented_size():
+    """The cap is inclusive, and the dimension has its own cap for the generators."""
+    frames = MAX_DRAW_VALUES // 4
+    assert default_spec(n_subjects=1, frames_per_subject=frames, dim=4).frames_per_subject == frames
+    with pytest.raises(DataError, match="exceeds the cap"):
+        default_spec(n_subjects=1, frames_per_subject=frames + 1, dim=4)
+    assert default_generators(dim=MAX_DIM)[ActivityLabel.WALKING].dim == MAX_DIM
+    with pytest.raises(DataError, match=f"at most {MAX_DIM} dimensions"):
+        default_spec(n_subjects=1, frames_per_subject=200, dim=MAX_DIM + 1)
