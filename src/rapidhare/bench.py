@@ -21,6 +21,9 @@ from .hmm import block_decoder, block_starts, default_transition_matrix
 from .predictor import BLOCK_ROWS, PredictorSession
 
 BENCH_METHODS = ("rapidhare", "hmm", "batch")
+# The longest stream timed, checked before its frames are drawn: about five
+# hours at 56.35 Hz, 336 MB of float64 frames at 42 dimensions.
+MAX_BENCH_FRAMES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,8 @@ def run_bench(
     individual per-frame sample across repeats. The HMM baseline decodes with
     the default transition matrix.
     """
-    if frames <= 0:
-        raise DataError("frames must be positive")
+    if not 1 <= frames <= MAX_BENCH_FRAMES:
+        raise DataError(f"frames must be in 1..{MAX_BENCH_FRAMES}, got {frames}")
     if repeats <= 0:
         raise DataError("repeats must be positive")
     if seed < 0:

@@ -18,6 +18,7 @@ from .data import (
     load_dataset,
     parse_recording,
     read_header,
+    recording_chunks,
     write_dataset,
 )
 from .errors import DataError, NumericError
@@ -191,19 +192,35 @@ def _predict_stream(model_set, args) -> int:
     return 0
 
 
+# Data lines per chunk of `predict FILE`: whole scoring blocks, so every
+# push_block call gets the rows it would get with the recording in memory.
+_CHUNK_LINES = 4 * BLOCK_ROWS
+
+
 def _predict_file(model_set, args) -> int:
+    """Label a recording chunk by chunk; ``--oracle`` reads it whole."""
     channels = read_header(args.input)
-    seq = parse_recording(args.input, channels)
-    frames = _feature_config(args, channels).apply(seq).frames
-    try:
-        if args.oracle:
+    if args.oracle:
+        seq = parse_recording(args.input, channels)
+        frames = _feature_config(args, channels).apply(seq).frames
+        try:
             _write_predictions(0, naive_window_scores(model_set, frames, args.window))
-            return 0
-        session = PredictorSession(model_set, args.window)
-        for lo in range(0, len(frames), BLOCK_ROWS):
-            _write_predictions(lo, session.push_block(frames[lo : lo + BLOCK_ROWS]))
-    except DataError as exc:
-        raise DataError(f"{args.input}: {exc}") from None
+        except DataError as exc:
+            raise DataError(f"{args.input}: {exc}") from None
+        return 0
+    streamer = session = None
+    for chunk in recording_chunks(args.input, channels, _CHUNK_LINES):
+        if streamer is None:  # after the first chunk's errors, as after a whole parse
+            streamer = _feature_config(args, channels).streamer(len(channels))
+        frames = streamer.push(chunk.frames)
+        try:
+            if session is None:
+                session = PredictorSession(model_set, args.window)
+            for lo in range(0, len(frames), BLOCK_ROWS):
+                first = session.frames_seen
+                _write_predictions(first, session.push_block(frames[lo : lo + BLOCK_ROWS]))
+        except DataError as exc:
+            raise DataError(f"{args.input}: {exc}") from None
     return 0
 
 

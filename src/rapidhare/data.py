@@ -21,6 +21,7 @@ channel's declared raw range, so everything downstream sees scaled reals.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -178,24 +179,42 @@ class Dataset:
         return sorted({seq.subject_id for seq in self.sequences})
 
 
+_READ_CHARS = 1 << 16  # characters per read when a recording is read in chunks
+_NON_ASCII = re.compile("[^\x00-\x7f]")
+
+
+def _line_reads(path: Path, fh, size: int):
+    """The complete lines of each ``fh.read(size)``, in file order.
+
+    ``fh`` is a text file opened with ``errors="surrogateescape"``, so a
+    non-ASCII byte reads as a lone surrogate; text mode has already ended the
+    lines at "\n", "\r\n" and "\r". A line that a read cuts is carried over
+    to the next read. A non-ASCII byte ends the lines at the one before its
+    own, then raises DataError at its line.
+    """
+    tail, lineno = "", 0
+    while block := fh.read(size):
+        text = tail + block
+        del block  # a whole-file read holds the text only until it is split
+        if not text.isascii():
+            head = text[: _NON_ASCII.search(text).start()].split("\n")
+            yield head[:-1]
+            raise DataError(f"{path}:{lineno + len(head)}: non-ASCII byte")
+        lines = text.split("\n")
+        del text
+        tail = lines.pop()
+        lineno += len(lines)
+        yield lines
+    if tail:
+        yield [tail]
+
+
 def _read_lines(path: Path, kind: str) -> list[str]:
     """An ASCII ``kind`` file's lines, split as text mode splits them: at "\n", "\r\n", "\r"."""
     if not path.is_file():
         raise DataError(f"no such {kind} file: {path}")
-    raw = path.read_bytes()
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        head = raw[: exc.start].decode("ascii")
-        lineno = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
-        raise DataError(f"{path}:{lineno}: non-ASCII byte") from None
-    del raw  # the text replaces the bytes before the split adds its lines
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the end of the last line, not a blank line
-    return lines
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        return list(itertools.chain.from_iterable(_line_reads(path, fh, -1)))
 
 
 class _LineReader:
@@ -309,10 +328,8 @@ def read_header(path) -> list[ChannelSpec]:
     return channels_from_names(names)
 
 
-def _scale_columns(raw: np.ndarray, channels: list[ChannelSpec]) -> np.ndarray:
+def _scale_columns(raw: np.ndarray, mins: np.ndarray, spans: np.ndarray) -> np.ndarray:
     """``-1.0 + 2.0 * (raw - mins) / spans``, in one array: the same operations, the same bits."""
-    mins = np.array([c.raw_min for c in channels], dtype=np.float64)
-    spans = np.array([c.raw_max - c.raw_min for c in channels], dtype=np.float64)
     scaled = raw - mins
     scaled *= 2.0
     scaled /= spans
@@ -376,6 +393,59 @@ def _scan_rows(path: Path, rows: list[str], first_line: int, n_cols: int) -> np.
     return np.array(table, dtype=object)
 
 
+def recording_chunks(path, channels: list[ChannelSpec], chunk_lines: int | None = None):
+    """Yield a recording as scaled, labeled sequences of ``chunk_lines`` frames, the last one shorter.
+
+    With ``chunk_lines`` None the whole file is read at once and makes one
+    sequence; otherwise it is read ``_READ_CHARS`` characters at a time, so
+    memory does not grow with the recording. Each chunk's lines are parsed
+    and checked before it is yielded, with parse_recording's rules, messages
+    and error order; an error in a chunk is raised after the chunks before it
+    have been yielded.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"no such recording file: {path}")
+    mins = np.array([c.raw_min for c in channels])
+    maxs = np.array([c.raw_max for c in channels])
+    offsets, spans = mins.astype(np.float64), (maxs - mins).astype(np.float64)
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        size = -1 if chunk_lines is None else _READ_CHARS
+        lines = itertools.chain.from_iterable(_line_reads(path, fh, size))
+        if chunk_lines is None:  # a non-ASCII byte anywhere is reported before the header's errors
+            lines = iter(list(lines))
+        subject, rate, names, n_head = _read_header(path, lines)
+        if names is not None and names != [c.name for c in channels]:
+            raise DataError(f"{path}:{n_head}: header columns do not match the channel spec")
+        first_line = n_head + 1
+        for rows in iter(lambda: list(itertools.islice(lines, chunk_lines)), []):
+            raw = _parse_rows(path, rows, first_line, len(channels) + 1)
+            del rows  # the table replaces the text lines
+            if subject is None:
+                raise DataError(f"{path}: missing '#subject' metadata line")
+            acts = raw[:, -1].copy()  # a view would keep the whole table alive with the labels
+            bad = (acts < 1) | (acts > N_ACTIVITIES)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise DataError(f"{path}:{first_line + i}: unknown label id {acts[i]}")
+            values = raw[:, :-1]
+            out_of_range = (values < mins) | (values > maxs)
+            if out_of_range.any():
+                r, c = map(int, np.argwhere(out_of_range)[0])
+                raise DataError(
+                    f"{path}:{first_line + r}: value {values[r, c]} outside the raw range of "
+                    f"channel {channels[c].name!r}"
+                )
+            first_line += len(acts)
+            yield LabeledSequence(subject, _scale_columns(values, offsets, spans), acts, rate)
+    if subject is None:
+        raise DataError(f"{path}: missing '#subject' metadata line")
+    if names is None:
+        raise DataError(f"{path}: missing header line")
+    if first_line == n_head + 1:
+        raise DataError(f"{path}: no data rows")
+
+
 def parse_recording(path, channels: list[ChannelSpec]) -> LabeledSequence:
     """Parse one recording file into a scaled, labeled sequence.
 
@@ -385,37 +455,8 @@ def parse_recording(path, channels: list[ChannelSpec]) -> LabeledSequence:
     Errors in the lines come first, in line order, then the missing
     ``#subject``, header or rows, then label ids, then raw values.
     """
-    path = Path(path)
-    lines = _read_lines(path, "recording")
-    subject, rate, names, n_head = _read_header(path, lines)
-    if names is not None and names != [c.name for c in channels]:
-        raise DataError(f"{path}:{n_head}: header columns do not match the channel spec")
-    rows, first_line = lines[n_head:], n_head + 1
-    del lines  # rows alone hold the data lines, and they go once the table is parsed
-    raw = _parse_rows(path, rows, first_line, len(channels) + 1) if rows else None
-    del rows
-    if subject is None:
-        raise DataError(f"{path}: missing '#subject' metadata line")
-    if names is None:
-        raise DataError(f"{path}: missing header line")
-    if raw is None:
-        raise DataError(f"{path}: no data rows")
-    acts = raw[:, -1].copy()  # a view would keep the whole table alive with the labels
-    bad = (acts < 1) | (acts > N_ACTIVITIES)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DataError(f"{path}:{first_line + i}: unknown label id {acts[i]}")
-    values = raw[:, :-1]
-    mins = np.array([c.raw_min for c in channels])
-    maxs = np.array([c.raw_max for c in channels])
-    out_of_range = (values < mins) | (values > maxs)
-    if out_of_range.any():
-        r, c = map(int, np.argwhere(out_of_range)[0])
-        raise DataError(
-            f"{path}:{first_line + r}: value {values[r, c]} outside the raw range of "
-            f"channel {channels[c].name!r}"
-        )
-    return LabeledSequence(subject, _scale_columns(values, channels), acts, rate)
+    (seq,) = recording_chunks(path, channels)
+    return seq
 
 
 def write_recording(seq: LabeledSequence, channels: list[ChannelSpec], path) -> None:

@@ -4,10 +4,11 @@ Directional features are causal lagged differences d[t] = s[t] - s[t - lag]
 appended to the frame; they encode which way a signal is moving and are left
 unclamped (magnitude at most 2 for inputs in [-1, 1]). Both are computed in
 one place, the block streamer: ``FeatureConfig.apply`` pushes a whole
-recording through it as one block, and ``predict -`` pushes each frame into
-one reused output row. The streamer keeps the last ``lag`` source rows twice
-over in one ring, so a one-row push is one subtraction against the oldest row
-and two row writes, with no concatenation.
+recording through it as one block, ``predict FILE`` pushes each chunk of the
+recording, and ``predict -`` pushes each frame into one reused output row.
+The streamer keeps the last ``lag`` source rows twice over in one ring, so a
+one-row push is one subtraction against the oldest row and two row writes,
+with no concatenation.
 """
 
 from __future__ import annotations

@@ -19,11 +19,21 @@ from .gmm import GmmModel
 from .hmm import TransitionMatrix
 
 DEFAULT_SYNTH_SEED = 20260101
-# The largest draws default_spec accepts: the frame width of the generators,
-# and the frame values of a whole dataset (n_subjects * frames_per_subject * dim,
-# 800 MB as float64). Both are checked before anything is allocated.
+# The largest draws accepted: the frame width of default_generators, and the
+# frame values of a whole dataset (n_subjects * frames_per_subject * dim, 800 MB
+# as float64), which every SynthSpec checks. Both are checked before anything
+# is allocated.
 MAX_DIM = 1024
 MAX_DRAW_VALUES = 100_000_000
+
+
+def _check_draw(n_subjects: int, frames_per_subject: int, dim: int) -> None:
+    n_values = n_subjects * frames_per_subject * dim
+    if n_values > MAX_DRAW_VALUES:
+        raise DataError(
+            f"a draw of {n_values} frame values (n_subjects * frames_per_subject * dim) "
+            f"exceeds the cap of {MAX_DRAW_VALUES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,7 @@ class SynthSpec:
             raise DataError("generator mixtures must share one dimensionality")
         if self.n_subjects < 1 or self.frames_per_subject < 1 or self.min_segment < 1:
             raise DataError("subject, frame, and segment counts must be positive")
+        _check_draw(self.n_subjects, self.frames_per_subject, self.dim)
         if self.frames_per_subject < self.min_segment:
             raise DataError("frames_per_subject must be at least min_segment")
         if self.seed < 0:
@@ -93,16 +104,11 @@ def default_spec(**overrides) -> SynthSpec:
     A draw of more than ``MAX_DRAW_VALUES`` frame values is rejected first.
     """
     dim = overrides.pop("dim", 6)
-    n_values = (
-        overrides.get("n_subjects", SynthSpec.n_subjects)
-        * overrides.get("frames_per_subject", SynthSpec.frames_per_subject)
-        * dim
+    _check_draw(
+        overrides.get("n_subjects", SynthSpec.n_subjects),
+        overrides.get("frames_per_subject", SynthSpec.frames_per_subject),
+        dim,
     )
-    if n_values > MAX_DRAW_VALUES:
-        raise DataError(
-            f"a draw of {n_values} frame values (n_subjects * frames_per_subject * dim) "
-            f"exceeds the cap of {MAX_DRAW_VALUES}"
-        )
     separation = overrides.pop("separation", 0.6)
     sigma = overrides.pop("sigma", 0.02)
     overrides.setdefault("generators", default_generators(dim, separation, sigma))

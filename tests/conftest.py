@@ -12,11 +12,13 @@ from hypothesis import settings
 import rapidhare
 from rapidhare import (
     ALL_LABELS, ActivityLabel, ActivityModelSet, DataError, GmmModel, LabeledSequence,
+    PredictorSession, naive_window_scores, parse_recording, read_header,
 )
+from rapidhare.cli import _feature_config, _write_predictions
 from rapidhare.data import N_ACTIVITIES
 from rapidhare.gmm import KMEANS_MAX_ITERS, MODEL_FORMAT_TAG, _kmeans_pp_seeds
 from rapidhare.hmm import TransitionMatrix
-from rapidhare.predictor import posterior
+from rapidhare.predictor import BLOCK_ROWS, posterior
 from rapidhare.synth import default_spec
 
 # Every property test draws the same examples on every run, however long it takes.
@@ -424,6 +426,23 @@ def write_predictions_oracle(first_index, scores):
     lines = [line % (i, names[b], *row) for i, (b, row) in enumerate(zip(best, rows), first_index)]
     if lines:
         sys.stdout.write("\n".join(lines) + "\n")
+
+
+def predict_file_oracle(model_set, args) -> int:
+    """``predict FILE`` as it was before it read the recording in chunks: parsed whole, then scored."""
+    channels = read_header(args.input)
+    seq = parse_recording(args.input, channels)
+    frames = _feature_config(args, channels).apply(seq).frames
+    try:
+        if args.oracle:
+            _write_predictions(0, naive_window_scores(model_set, frames, args.window))
+            return 0
+        session = PredictorSession(model_set, args.window)
+        for lo in range(0, len(frames), BLOCK_ROWS):
+            _write_predictions(lo, session.push_block(frames[lo : lo + BLOCK_ROWS]))
+    except DataError as exc:
+        raise DataError(f"{args.input}: {exc}") from None
+    return 0
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rapidhare
+from rapidhare.bench import MAX_BENCH_FRAMES
 from rapidhare.cli import main
 from rapidhare import ALL_LABELS, PredictorSession, load_model_set, parse_recording, read_header
 
@@ -531,6 +532,19 @@ def test_synth_rejects_a_draw_beyond_its_cap_at_once(key, flag, value, n_values,
     )
     assert float(child.stdout) < 1.0
     assert not out.exists()
+
+
+@pytest.mark.parametrize("frames", [MAX_BENCH_FRAMES + 1, 10**15])
+def test_bench_rejects_frames_beyond_the_cap_at_once(frames, model_path):
+    """Exit 2 in under a second, before any frame is drawn, under a 1 GiB address-space limit."""
+    child = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, "bench", "--model", str(model_path), "--frames", str(frames)],
+        capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS="1"), timeout=10,
+        preexec_fn=_limit_memory,
+    )
+    assert child.returncode == 2
+    assert child.stderr == f"error: frames must be in 1..{MAX_BENCH_FRAMES}, got {frames}\n"
+    assert float(child.stdout) < 1.0
 
 
 def test_synth_out_of_range_draws_name_file_subject_and_channel(tmp_path, capsys):

@@ -4,21 +4,25 @@ and `predict FILE` and `predict -` over corrupted inputs and drawn flags."""
 import contextlib
 import io
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rapidhare import ALL_LABELS, cli
+from rapidhare import ALL_LABELS, DataError, cli, load_model_set, parse_recording, read_header
 from rapidhare.cli import main
 from rapidhare.features import MAX_DIRECTIONAL_LAG
 from rapidhare.gmm import save_model_set
 from rapidhare.predictor import MAX_WINDOW_K, posterior
 
-from conftest import child_env, random_model_set, write_predictions_oracle
+from conftest import (
+    child_env, predict_file_oracle, random_model_set, write_predictions_oracle,
+)
 from test_data import _recordings
 
 _NAMES = [label.label_name for label in ALL_LABELS]
@@ -217,3 +221,102 @@ def test_a_byte_stdin_cannot_decode_is_a_non_numeric_field(models):
     assert child.returncode == 2
     assert child.stderr == b"error: stdin:3: non-numeric frame value\n"
     assert child.stdout.startswith(b"0\t") and child.stdout.count(b"\n") == 1
+
+
+# ------------------------------------------------------- the chunked file reader
+
+_CHUNK = cli._CHUNK_LINES  # data lines per chunk of `predict FILE`, 1024
+# Three thigh accelerometers, so `--df lag=N` finds three sources by name.
+_CHUNK_HEADER = "acc_rt_x\tacc_rt_z\tacc_lt_x\tgyro_lt_y\tact"
+
+
+def _recording_text(n_frames, seed, newline="\n"):
+    """A valid recording of random raw values and 100-frame label runs."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-32768, 32768, size=(n_frames, 4))
+    labels = np.repeat(rng.integers(1, 9, size=-(-n_frames // 100)), 100)[:n_frames]
+    rows = np.column_stack([values, labels]).tolist()
+    lines = ["#subject 01", _CHUNK_HEADER] + ["\t".join(map(str, row)) for row in rows]
+    return newline.join(lines) + newline
+
+
+def _predict_output(predict, argv):
+    """What a ``predict FILE`` function prints for ``argv``, run as cmd_predict runs it."""
+    args = cli.build_parser().parse_args(argv)
+    with contextlib.redirect_stdout(io.StringIO()) as out, np.errstate(over="ignore", invalid="ignore"):
+        assert predict(load_model_set(args.model), args) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=40)
+@given(
+    n_frames=st.sampled_from([1, 255, 256, 257, 1023, 1024, 1025, 2049]),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    seed=st.integers(0, 2**32 - 1),
+    window=st.integers(0, 1100),
+    lag=st.none() | st.integers(1, 2100),
+)
+def test_predict_file_in_chunks_prints_what_the_whole_file_path_printed(
+    n_frames, newline, seed, window, lag, models, tmp_path_factory
+):
+    path = tmp_path_factory.getbasetemp() / "chunks.tsv"
+    path.write_bytes(_recording_text(n_frames, seed, newline).encode("ascii"))
+    width, flags = (4, []) if lag is None else (7, [f"--df=lag={lag}"])
+    argv = ["predict", str(path), f"--model={models(width)}", f"--window={window}", *flags]
+    expected = _predict_output(predict_file_oracle, argv)
+    assert len(expected.splitlines()) == n_frames
+    assert _predict_output(cli._predict_file, argv) == expected
+
+
+@pytest.mark.parametrize("column, field", [(0, b"12x"), (1, b"1\xe92"), (-1, b"9")])
+def test_an_error_in_the_second_chunk_comes_after_the_first_chunks_lines(
+    column, field, models, tmp_path, capsys
+):
+    """Exit 2 with the whole-file parse's message, after exactly the first chunk's lines."""
+    path = tmp_path / "r.tsv"
+    text = _recording_text(2 * _CHUNK + 1, 3).encode("ascii")
+    path.write_bytes(text)
+    argv = ["predict", str(path), f"--model={models(4)}"]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out.splitlines(keepends=True)
+    lines = text.split(b"\n")
+    frame = _CHUNK + 476  # in the second chunk, its line past the header's two
+    fields = lines[2 + frame].split(b"\t")
+    fields[column] = field
+    lines[2 + frame] = b"\t".join(fields)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(DataError) as whole:
+        parse_recording(path, read_header(path))
+    assert f":{3 + frame}: " in str(whole.value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {whole.value}\n"
+    assert captured.out == "".join(clean[:_CHUNK])
+
+
+def _traced_peak(argv):
+    """The tracemalloc peak of one ``main(argv)``, after a first run has made its one-off allocations."""
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_predict_file_memory_does_not_grow_with_the_recording(models, tmp_path):
+    """Eight times the frames, less than twice the traced peak.
+
+    The bound is set from a measurement: the peaks at 2,048 and 16,384 frames
+    were 544 and 824 kB (1.52 times), and they stay at 824 kB up to 32,768
+    frames; the smaller file fits in fewer reads and chunks. Reading the
+    whole recording first, they were 0.41 and 2.41 MB (5.8 times).
+    """
+    peaks = []
+    for n_frames in (2048, 16384):
+        path = tmp_path / f"r{n_frames}.tsv"
+        path.write_text(_recording_text(n_frames, 5))
+        peaks.append(_traced_peak(["predict", str(path), f"--model={models(7)}", "--df=lag=15"]))
+    assert peaks[1] <= 2.0 * peaks[0]

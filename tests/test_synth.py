@@ -132,3 +132,14 @@ def test_default_spec_caps_the_draw_at_its_documented_size():
     assert default_generators(dim=MAX_DIM)[ActivityLabel.WALKING].dim == MAX_DIM
     with pytest.raises(DataError, match=f"at most {MAX_DIM} dimensions"):
         default_spec(n_subjects=1, frames_per_subject=200, dim=MAX_DIM + 1)
+
+
+def test_a_spec_built_directly_is_capped_too():
+    """The draw cap is the spec's own check, not only default_spec's."""
+    with pytest.raises(DataError) as err:
+        SynthSpec(default_generators(4), uniform_activity_chain(), n_subjects=10**12,
+                  frames_per_subject=300, min_segment=50)
+    assert str(err.value) == (
+        f"a draw of {10**12 * 300 * 4} frame values (n_subjects * frames_per_subject * dim) "
+        f"exceeds the cap of {MAX_DRAW_VALUES}"
+    )
