@@ -192,13 +192,8 @@ def _predict_stream(model_set, args) -> int:
     return 0
 
 
-# Data lines per chunk of `predict FILE`: whole scoring blocks, so every
-# push_block call gets the rows it would get with the recording in memory.
-_CHUNK_LINES = 4 * BLOCK_ROWS
-
-
 def _predict_file(model_set, args) -> int:
-    """Label a recording chunk by chunk; ``--oracle`` reads it whole."""
+    """Label a recording chunk by chunk; ``--oracle`` joins the chunks first."""
     channels = read_header(args.input)
     if args.oracle:
         seq = parse_recording(args.input, channels)
@@ -209,8 +204,8 @@ def _predict_file(model_set, args) -> int:
             raise DataError(f"{args.input}: {exc}") from None
         return 0
     streamer = session = None
-    for chunk in recording_chunks(args.input, channels, _CHUNK_LINES):
-        if streamer is None:  # after the first chunk's errors, as after a whole parse
+    for chunk in recording_chunks(args.input, channels):
+        if streamer is None:  # so that the first chunk's errors come first
             streamer = _feature_config(args, channels).streamer(len(channels))
         frames = streamer.push(chunk.frames)
         try:

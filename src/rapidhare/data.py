@@ -14,6 +14,10 @@ Files are ASCII; lines end at ``\n``, ``\r\n`` or ``\r``. A field is an
 optionally signed run of ASCII digits, optionally padded with spaces, vertical
 tabs or form feeds (``_FIELD``). Every parse error names ``file:line``.
 
+A recording is read one way: in chunks of ``CHUNK_LINES`` data lines
+(``recording_chunks``), which ``parse_recording`` joins, so every command
+reports a recording's errors in one order.
+
 Raw integers are scaled to [-1, 1] at parse time with the affine map of each
 channel's declared raw range, so everything downstream sees scaled reals.
 """
@@ -179,54 +183,56 @@ class Dataset:
         return sorted({seq.subject_id for seq in self.sequences})
 
 
-_READ_CHARS = 1 << 16  # characters per read when a recording is read in chunks
-_NON_ASCII = re.compile("[^\x00-\x7f]")
+_READ_CHARS = 1 << 16  # characters per read of a file
+# Data lines per chunk of a recording: a multiple of predictor.BLOCK_ROWS, so
+# that push_block sees the 256-row blocks it would see with the whole
+# recording in memory.
+CHUNK_LINES = 1024
 
 
-def _line_reads(path: Path, fh, size: int):
-    """The complete lines of each ``fh.read(size)``, in file order.
+def _open(path: Path, kind: str):
+    """``path`` opened as ASCII text that reads a non-ASCII byte as a lone surrogate.
 
-    ``fh`` is a text file opened with ``errors="surrogateescape"``, so a
-    non-ASCII byte reads as a lone surrogate; text mode has already ended the
-    lines at "\n", "\r\n" and "\r". A line that a read cuts is carried over
-    to the next read. A non-ASCII byte ends the lines at the one before its
-    own, then raises DataError at its line.
+    Text mode ends the lines at "\n", "\r\n" and "\r".
     """
-    tail, lineno = "", 0
-    while block := fh.read(size):
+    if not path.is_file():
+        raise DataError(f"no such {kind} file: {path}")
+    return open(path, encoding="ascii", errors="surrogateescape")
+
+
+def _line_reads(fh):
+    """The complete lines of each ``fh.read(_READ_CHARS)``, in file order.
+
+    A line that a read cuts is carried over to the next read.
+    """
+    tail = ""
+    while block := fh.read(_READ_CHARS):
         text = tail + block
-        del block  # a whole-file read holds the text only until it is split
-        if not text.isascii():
-            head = text[: _NON_ASCII.search(text).start()].split("\n")
-            yield head[:-1]
-            raise DataError(f"{path}:{lineno + len(head)}: non-ASCII byte")
+        del block  # the text is held only until it is split
         lines = text.split("\n")
         del text
         tail = lines.pop()
-        lineno += len(lines)
         yield lines
     if tail:
         yield [tail]
 
 
-def _read_lines(path: Path, kind: str) -> list[str]:
-    """An ASCII ``kind`` file's lines, split as text mode splits them: at "\n", "\r\n", "\r"."""
-    if not path.is_file():
-        raise DataError(f"no such {kind} file: {path}")
-    with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        return list(itertools.chain.from_iterable(_line_reads(path, fh, -1)))
-
-
 class _LineReader:
-    """A cursor over a file's lines, past the lines ``skip`` matches.
+    """A cursor over an ASCII ``kind`` file's lines, past the lines ``skip`` matches.
 
-    Every line keeps its number in the file, and ``fail`` writes every error.
+    The first non-ASCII byte is reported before anything else. Every line
+    keeps its number in the file, and ``fail`` writes every error.
     """
 
     def __init__(self, path, kind: str, skip=None):
         self.path = Path(path)
-        numbered = enumerate(_read_lines(self.path, kind), start=1)
-        self._lines = [(i, line) for i, line in numbered if not (skip and skip(line))]
+        self._lines = []
+        with _open(self.path, kind) as fh:
+            for i, line in enumerate(itertools.chain.from_iterable(_line_reads(fh)), start=1):
+                if not line.isascii():
+                    self.fail("non-ASCII byte", i)
+                if not (skip and skip(line)):
+                    self._lines.append((i, line))
         self._pos = 0
         self.lineno = 0  # of the line last read
 
@@ -288,6 +294,8 @@ def _read_header(path: Path, lines) -> tuple[str | None, float, list[str] | None
     """
     subject, rate, lineno = None, NOMINAL_SAMPLE_RATE_HZ, 0
     for lineno, line in enumerate(lines, start=1):
+        if not line.isascii():
+            raise DataError(f"{path}:{lineno}: non-ASCII byte")
         if not line:
             raise DataError(f"{path}:{lineno}: blank line")
         if not line.startswith("#"):
@@ -311,18 +319,13 @@ def _read_header(path: Path, lines) -> tuple[str | None, float, list[str] | None
 def read_header(path) -> list[ChannelSpec]:
     """Channel specs inferred from a recording's header, its first non-metadata line.
 
-    The lines before it follow parse_recording's rules (no blank line, a
-    numeric ``#rate``); nothing after the header is parsed.
+    The lines before it follow parse_recording's rules (ASCII, no blank
+    line, a numeric ``#rate``); the file is read line by line up to the header,
+    and nothing after it is read or checked.
     """
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such recording file: {path}")
-    try:
-        with open(path, encoding="ascii") as fh:
-            _, _, names, _ = _read_header(path, (line.rstrip("\n") for line in fh))
-    except UnicodeDecodeError:
-        # Text mode decodes in chunks and cannot say where the byte was.
-        _, _, names, _ = _read_header(path, _read_lines(path, "recording"))
+    with _open(path, "recording") as fh:
+        _, _, names, _ = _read_header(path, (line.rstrip("\n") for line in fh))
     if names is None:
         raise DataError(f"{path}: missing header line")
     return channels_from_names(names)
@@ -342,26 +345,18 @@ def _scale_columns(raw: np.ndarray, mins: np.ndarray, spans: np.ndarray) -> np.n
 # neither belongs to the format.
 _FIELD = re.compile(r"[ \v\f]*[+-]?[0-9]+[ \v\f]*")
 _FIELD_BYTES = b"0123456789+- \v\f\t"
-_GUARD_ROWS = 4096  # lines joined at a time by the field-character check
-
-
-def _field_characters_only(rows: list[str]) -> bool:
-    """Whether the lines hold nothing but field characters, without one copy of them all."""
-    return not any(
-        "".join(rows[lo : lo + _GUARD_ROWS]).encode("ascii").translate(None, _FIELD_BYTES)
-        for lo in range(0, len(rows), _GUARD_ROWS)
-    )
 
 
 def _parse_rows(path: Path, rows: list[str], first_line: int, n_cols: int) -> np.ndarray:
     """The data lines as an (n, n_cols) integer table, parsed by one np.loadtxt call.
 
-    np.loadtxt decides only data made of the field characters alone; any other
-    character, a raised ValueError (including an int64 overflow) or a table of
-    the wrong shape (it skips blank lines) sends the lines to _scan_rows, which
-    names the first bad one.
+    np.loadtxt decides only data made of the field characters alone; any
+    other character (a non-ASCII byte encodes back to itself), a raised
+    ValueError (including an int64 overflow) or a table of the wrong shape (it
+    skips blank lines) sends the lines to _scan_rows, which names the first
+    bad one.
     """
-    if _field_characters_only(rows):
+    if not "".join(rows).encode("ascii", "surrogateescape").translate(None, _FIELD_BYTES):
         try:
             raw = np.loadtxt(rows, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
         except ValueError:
@@ -380,6 +375,8 @@ def _scan_rows(path: Path, rows: list[str], first_line: int, n_cols: int) -> np.
     """
     table = []
     for lineno, line in enumerate(rows, start=first_line):
+        if not line.isascii():
+            raise DataError(f"{path}:{lineno}: non-ASCII byte")
         if not line:
             raise DataError(f"{path}:{lineno}: blank line")
         if line.startswith("#"):
@@ -393,32 +390,27 @@ def _scan_rows(path: Path, rows: list[str], first_line: int, n_cols: int) -> np.
     return np.array(table, dtype=object)
 
 
-def recording_chunks(path, channels: list[ChannelSpec], chunk_lines: int | None = None):
-    """Yield a recording as scaled, labeled sequences of ``chunk_lines`` frames, the last one shorter.
+def recording_chunks(path, channels: list[ChannelSpec]):
+    """Yield a recording as scaled, labeled sequences of ``CHUNK_LINES`` frames, the last one shorter.
 
-    With ``chunk_lines`` None the whole file is read at once and makes one
-    sequence; otherwise it is read ``_READ_CHARS`` characters at a time, so
-    memory does not grow with the recording. Each chunk's lines are parsed
-    and checked before it is yielded, with parse_recording's rules, messages
-    and error order; an error in a chunk is raised after the chunks before it
-    have been yielded.
+    The file is read ``_READ_CHARS`` characters at a time, so memory does not
+    grow with the recording. The lines up to the header are checked first.
+    Each chunk is then checked before it is yielded: its lines in line order,
+    then a missing ``#subject``, then its label ids, then its raw values. An
+    error in a chunk is raised after the chunks before it have been yielded.
+    A missing header, ``#subject`` or data rows is raised at the end.
     """
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such recording file: {path}")
     mins = np.array([c.raw_min for c in channels])
     maxs = np.array([c.raw_max for c in channels])
     offsets, spans = mins.astype(np.float64), (maxs - mins).astype(np.float64)
-    with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        size = -1 if chunk_lines is None else _READ_CHARS
-        lines = itertools.chain.from_iterable(_line_reads(path, fh, size))
-        if chunk_lines is None:  # a non-ASCII byte anywhere is reported before the header's errors
-            lines = iter(list(lines))
+    with _open(path, "recording") as fh:
+        lines = itertools.chain.from_iterable(_line_reads(fh))
         subject, rate, names, n_head = _read_header(path, lines)
         if names is not None and names != [c.name for c in channels]:
             raise DataError(f"{path}:{n_head}: header columns do not match the channel spec")
         first_line = n_head + 1
-        for rows in iter(lambda: list(itertools.islice(lines, chunk_lines)), []):
+        for rows in iter(lambda: list(itertools.islice(lines, CHUNK_LINES)), []):
             raw = _parse_rows(path, rows, first_line, len(channels) + 1)
             del rows  # the table replaces the text lines
             if subject is None:
@@ -447,16 +439,17 @@ def recording_chunks(path, channels: list[ChannelSpec], chunk_lines: int | None 
 
 
 def parse_recording(path, channels: list[ChannelSpec]) -> LabeledSequence:
-    """Parse one recording file into a scaled, labeled sequence.
+    """Parse one recording file into a scaled, labeled sequence: ``recording_chunks`` joined.
 
     Raises DataError with the offending line number for non-ASCII bytes,
     blank lines, malformed headers, wrong row widths, non-integer fields,
-    unknown label ids, and raw values outside a channel's declared range.
-    Errors in the lines come first, in line order, then the missing
-    ``#subject``, header or rows, then label ids, then raw values.
+    unknown label ids, and raw values outside a channel's declared range, in
+    ``recording_chunks``' order.
     """
-    (seq,) = recording_chunks(path, channels)
-    return seq
+    chunks = list(recording_chunks(path, channels))
+    frames = np.concatenate([c.frames for c in chunks])
+    labels = np.concatenate([c.labels for c in chunks])
+    return LabeledSequence(chunks[0].subject_id, frames, labels, chunks[0].sample_rate_hz)
 
 
 def write_recording(seq: LabeledSequence, channels: list[ChannelSpec], path) -> None:

@@ -212,8 +212,12 @@ class EmConfig:
     n_init_restarts: int = 1
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.tol <= 0 or self.variance_floor <= 0:
-            raise DataError("EM configuration values must be positive")
+        if self.max_iters < 1:
+            raise DataError(f"max_iters must be positive, got {self.max_iters}")
+        for name in ("tol", "variance_floor"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:  # a NaN tol would never stop EM early
+                raise DataError(f"{name} must be finite and positive, got {value!r}")
         if self.n_init_restarts < 1:
             raise DataError("n_init_restarts must be positive")
         if self.seed < 0:

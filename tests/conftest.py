@@ -77,20 +77,17 @@ def parse_recording_oracle(path, channels):
 
     It reads the file in text mode and converts each field with ``int()``.
     Four rules were added to the original: a non-ASCII byte is a DataError
-    naming its line, a field holding ``_`` is non-integer (``int()`` reads
-    ``1_000``; the format does not), label ids and raw ranges are checked
-    on Python integers, so a value beyond int64 is an unknown label or out of
-    range instead of an OverflowError, and a ``#rate`` that is not finite and
-    positive is a DataError naming its line.
+    naming its line, the first check made on each line; a field holding ``_``
+    is non-integer (``int()`` reads ``1_000``; the format does not); label ids
+    and raw ranges are checked on Python integers, so a value beyond int64 is
+    an unknown label or out of range instead of an OverflowError; and a
+    ``#rate`` that is not finite and positive is a DataError naming its line.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such recording file: {path}")
     with open(path, encoding="ascii", errors="replace") as fh:
         lines = [line.rstrip("\n") for line in fh]
-    for lineno, line in enumerate(lines, start=1):
-        if "\ufffd" in line:
-            raise DataError(f"{path}:{lineno}: non-ASCII byte")
     subject = None
     rate = 56.35
     header_seen = False
@@ -98,6 +95,8 @@ def parse_recording_oracle(path, channels):
     first_data_line = 0
     n_cols = len(channels) + 1
     for lineno, line in enumerate(lines, start=1):
+        if "\ufffd" in line:
+            raise DataError(f"{path}:{lineno}: non-ASCII byte")
         if not line:
             raise DataError(f"{path}:{lineno}: blank line")
         if line.startswith("#"):

@@ -114,6 +114,23 @@ def test_components_override_is_partial(synth_dir, tmp_path, capsys):
     assert counts["walking"] == 18  # untouched default
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--em-tol=nan", "tol must be finite and positive, got nan"),
+        ("--em-tol=inf", "tol must be finite and positive, got inf"),
+        ("--variance-floor=nan", "variance_floor must be finite and positive, got nan"),
+        ("--variance-floor=inf", "variance_floor must be finite and positive, got inf"),
+    ],
+)
+def test_em_settings_must_be_finite_and_positive(flag, message, synth_dir, tmp_path, capsys):
+    """A NaN tolerance never stops EM early; a non-finite floor made every mixture non-finite."""
+    path = tmp_path / "m.txt"
+    assert main(["train", str(synth_dir), "--out", str(path), "--em-iters=2", flag]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not path.exists()
+
+
 def test_predict_file_outputs_one_line_per_frame(synth_dir, model_path, capsys):
     recording = sorted(synth_dir.iterdir())[0]
     rc = main(["predict", str(recording), "--model", str(model_path), "--window", "8"])

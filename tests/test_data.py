@@ -307,6 +307,15 @@ def test_read_header(tmp_path):
         read_header(tmp_path / "absent.tsv")
 
 
+def test_read_header_does_not_read_past_the_header(tmp_path):
+    """A non-ASCII byte after the header is the parse's error, not read_header's."""
+    p = tmp_path / "r.tsv"
+    p.write_bytes(b"#subject 01\nacc_rt_x\temg_r\tact\n0\t0\t1\n0\t0\xe9\t1\n")
+    assert read_header(p) == TWO_CHANNELS
+    with pytest.raises(DataError, match="r.tsv:4: non-ASCII byte$"):
+        parse_recording(p, TWO_CHANNELS)
+
+
 def test_round_trip_is_bit_exact(tmp_path, rng):
     channels = full_sensor_channels()
     raw = np.column_stack(

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from rapidhare import ALL_LABELS, DataError, cli, load_model_set, parse_recording, read_header
 from rapidhare.cli import main
+from rapidhare.data import CHUNK_LINES
 from rapidhare.features import MAX_DIRECTIONAL_LAG
 from rapidhare.gmm import save_model_set
 from rapidhare.predictor import MAX_WINDOW_K, posterior
@@ -23,7 +24,7 @@ from rapidhare.predictor import MAX_WINDOW_K, posterior
 from conftest import (
     child_env, predict_file_oracle, random_model_set, write_predictions_oracle,
 )
-from test_data import _recordings
+from test_data import TWO_CHANNELS, _recordings
 
 _NAMES = [label.label_name for label in ALL_LABELS]
 _FAR = -800.0  # exp(-800) is 0.0, so a score this far below the maximum has posterior 0.0
@@ -225,7 +226,7 @@ def test_a_byte_stdin_cannot_decode_is_a_non_numeric_field(models):
 
 # ------------------------------------------------------- the chunked file reader
 
-_CHUNK = cli._CHUNK_LINES  # data lines per chunk of `predict FILE`, 1024
+_CHUNK = CHUNK_LINES  # data lines per chunk of a recording, 1024
 # Three thigh accelerometers, so `--df lag=N` finds three sources by name.
 _CHUNK_HEADER = "acc_rt_x\tacc_rt_z\tacc_lt_x\tgyro_lt_y\tact"
 
@@ -292,6 +293,66 @@ def test_an_error_in_the_second_chunk_comes_after_the_first_chunks_lines(
     captured = capsys.readouterr()
     assert captured.err == f"error: {whole.value}\n"
     assert captured.out == "".join(clean[:_CHUNK])
+
+
+def _two_channel_lines(n_frames):
+    """A valid recording of ``n_frames`` frames ``0 0 1`` as lines of bytes; frame i is on line i + 3."""
+    return [b"#subject 01", b"acc_rt_x\temg_r\tact"] + [b"0\t0\t1"] * n_frames
+
+
+def test_a_byte_early_in_the_second_chunk_comes_after_the_first_chunks_lines(
+    models, tmp_path, capsys
+):
+    """The header is read line by line, so a byte after it waits for its chunk's turn.
+
+    Line 1033 starts 6.2 kB into the file, inside the first 8 kB that text
+    mode decodes at once.
+    """
+    path = tmp_path / "r.tsv"
+    lines = _two_channel_lines(1100)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    argv = ["predict", str(path), f"--model={models(2)}"]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out.splitlines(keepends=True)
+    lines[1032] = b"0\t0\xe9\t1"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(DataError) as whole:
+        parse_recording(path, TWO_CHANNELS)
+    assert str(whole.value) == f"{path}:1033: non-ASCII byte"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {whole.value}\n"
+    assert captured.out == "".join(clean[:_CHUNK])
+
+
+@pytest.mark.parametrize(
+    "command", ["parse_recording", "train", "evaluate", "predict", "predict --oracle"]
+)
+def test_every_reader_reports_a_first_chunk_label_before_a_second_chunk_line(
+    command, models, tmp_path, capsys
+):
+    """One error order: each chunk's lines, labels and values before the next chunk's."""
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    path = data_dir / "r.tsv"
+    lines = _two_channel_lines(1100)
+    lines[12] = b"0\t0\t9"  # frame 10, in the first chunk
+    lines[1052] = b"0\tx\t1"  # frame 1050, in the second
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    message = f"{path}:13: unknown label id 9"
+    if command == "parse_recording":
+        with pytest.raises(DataError) as err:
+            parse_recording(path, TWO_CHANNELS)
+        assert str(err.value) == message
+        return
+    args = {
+        "train": ["train", str(data_dir), "--out", str(tmp_path / "model.txt")],
+        "evaluate": ["evaluate", str(data_dir)],
+        "predict": ["predict", str(path), f"--model={models(2)}"],
+        "predict --oracle": ["predict", str(path), f"--model={models(2)}", "--oracle"],
+    }[command]
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _traced_peak(argv):

@@ -72,7 +72,7 @@ def test_predict_file_hits_its_layers(inputs, tmp_path):
     assert meta["gmm_evaluations"] == 8 * N_FRAMES
     for name in ("cli.main", "gmm.load_model_set", "predictor.session_init"):
         assert counts[name] == 1, (name, counts)
-    assert counts["features.stream_push"] == -(-N_FRAMES // rapidhare.cli._CHUNK_LINES)  # one per chunk
+    assert counts["features.stream_push"] == -(-N_FRAMES // rapidhare.data.CHUNK_LINES)  # one per chunk
     assert counts["predictor.posterior"] == -(-N_FRAMES // BLOCK_ROWS)
     assert counts["data.parse_recording"] == counts["features.apply"] == 0
 
