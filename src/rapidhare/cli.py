@@ -208,6 +208,7 @@ def _predict_file(model_set, args) -> int:
         if streamer is None:  # so that the first chunk's errors come first
             streamer = _feature_config(args, channels).streamer(len(channels))
         frames = streamer.push(chunk.frames)
+        del chunk  # only its features are scored
         try:
             if session is None:
                 session = PredictorSession(model_set, args.window)
@@ -216,6 +217,7 @@ def _predict_file(model_set, args) -> int:
                 _write_predictions(first, session.push_block(frames[lo : lo + BLOCK_ROWS]))
         except DataError as exc:
             raise DataError(f"{args.input}: {exc}") from None
+        del frames  # before the next chunk is read
     return 0
 
 
@@ -265,7 +267,6 @@ def cmd_evaluate(args) -> int:
         window_w=args.hmm_window,
         tolerance=args.tolerance,
         method=args.method,
-        jobs=args.jobs,
     )
     _print_report(raw, args.format, f"== {args.method}, no border tolerance ==")
     _print_report(tol, args.format, f"== {args.method}, border tolerance {args.tolerance} frames ==")
@@ -383,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Viterbi block length (default: 10)")
     p.add_argument("--transitions", default=None,
                    help="transition matrix file (default: built-in matrix)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel CV folds (default: 1)")
     seed_flag(p)
     format_flag(p)
     em_flags(p)

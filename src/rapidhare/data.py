@@ -429,7 +429,9 @@ def recording_chunks(path, channels: list[ChannelSpec]):
                     f"channel {channels[c].name!r}"
                 )
             first_line += len(acts)
-            yield LabeledSequence(subject, _scale_columns(values, offsets, spans), acts, rate)
+            chunk = [LabeledSequence(subject, _scale_columns(values, offsets, spans), acts, rate)]
+            del raw, values, acts, bad, out_of_range
+            yield chunk.pop()  # so that only the consumer holds the chunk
     if subject is None:
         raise DataError(f"{path}: missing '#subject' metadata line")
     if names is None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -12,7 +11,7 @@ from .errors import DataError
 from .features import FeatureConfig
 from .gmm import EmConfig, fit_activity_models
 from .hmm import TransitionMatrix, default_transition_matrix, predict_stream_hmm
-from .predictor import PredictorSession
+from .predictor import PredictorSession, checked_window
 
 
 def _as_label_ids(labels) -> np.ndarray:
@@ -170,18 +169,23 @@ def run_cv(
     window_w: int = 10,
     tolerance: int = 25,
     method: str = "rapidhare",
-    jobs: int = 1,
 ) -> tuple[EvalReport, EvalReport]:
     """Leave-one-subject-out cross-validation; returns (raw, border-tolerant) reports.
 
     Every subject takes one turn as the test subject; its cyclic successor is
     held out for validation and stays unused by both methods here, keeping
     folds comparable. Per-fold training seeds derive from the base seed, so
-    the whole run is reproducible. ``split_loso`` rejects fewer than three
-    subjects before any training.
+    the whole run is reproducible. The settings are checked, and then
+    ``split_loso`` rejects fewer than three subjects, before any training.
     """
     if method not in ("rapidhare", "hmm"):
         raise DataError(f"unknown method: {method!r}")
+    if method == "rapidhare":
+        checked_window(window_k)
+    elif window_w < 1:
+        raise DataError("window_w must be positive")
+    if tolerance < 0:
+        raise DataError("tolerance must be non-negative")
     trans = default_transition_matrix() if trans is None else trans
 
     def fold(i, subject):
@@ -202,15 +206,8 @@ def run_cv(
             conf_raw += confusion(fseq.labels, pred)
             adjusted = apply_border_tolerance(fseq.labels, pred, tolerance)
             conf_tol += confusion(fseq.labels, adjusted)
-        return conf_raw, conf_tol
+        return metrics(conf_raw), metrics(conf_tol)
 
     subjects = dataset.subjects()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(fold, range(len(subjects)), subjects))
-    else:
-        results = list(map(fold, range(len(subjects)), subjects))
-
-    raw_reports = [metrics(raw) for raw, _ in results]
-    tol_reports = [metrics(tol) for _, tol in results]
-    return aggregate_reports(raw_reports), aggregate_reports(tol_reports)
+    raw_reports, tol_reports = zip(*map(fold, range(len(subjects)), subjects))
+    return aggregate_reports(list(raw_reports)), aggregate_reports(list(tol_reports))

@@ -38,7 +38,8 @@ MAX_WINDOW_K = 100_000  # about half an hour at 56.35 Hz; the ring holds 2 * win
 _NON_FINITE = "frame gives non-finite activity scores"
 
 
-def _checked_window(window_k: int) -> int:
+def checked_window(window_k: int) -> int:
+    """``window_k``, after a DataError if it is outside 0..MAX_WINDOW_K."""
     if not 0 <= window_k <= MAX_WINDOW_K:
         raise DataError(f"window_k must be in 0..{MAX_WINDOW_K}, got {window_k}")
     return window_k
@@ -123,7 +124,7 @@ class PredictorSession:
         self.frames_seen = 0
         self.gmm_evaluations = 0
         self._scorer = _FrameScorer(models)
-        self._k = _checked_window(window_k)
+        self._k = checked_window(window_k)
         # Each row is written at _pos and _pos + k, so _ring[_pos : _pos + k]
         # is the look-back, oldest first; rows not yet written are zero.
         self._ring = np.zeros((2 * self._k, N_ACTIVITIES))
@@ -206,7 +207,7 @@ def naive_window_scores(models: ActivityModelSet, frames, window_k: int = 26) ->
     streaming session's caching and serves as its oracle. Like ``push_block``,
     it raises DataError at the first frame whose scores' total is not finite.
     """
-    k = _checked_window(window_k)
+    k = checked_window(window_k)
     frames = np.asarray(frames, dtype=np.float64)
     if frames.size == 0:
         return np.empty((0, N_ACTIVITIES))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rapidhare
+from rapidhare import evaluation
 from rapidhare.bench import MAX_BENCH_FRAMES
 from rapidhare.cli import main
 from rapidhare import ALL_LABELS, PredictorSession, load_model_set, parse_recording, read_header
@@ -445,21 +446,31 @@ def test_evaluate_reports_both_tables(synth_dir, capsys):
     assert "confusion" in out
 
 
-def test_evaluate_parallel_folds(synth_dir, capsys):
-    args = [
-        "evaluate", str(synth_dir),
-        "--components", "walking=2,running=2,going_up=2,going_down=2,"
-        "sitting=2,sitting_down=2,standing_up=2,standing=2",
-        "--em-iters", "15",
-        "--window", "8",
-        "--seed", "5",
-        "--format", "tsv",
-    ]
-    assert main(args) == 0
-    serial = capsys.readouterr().out
-    assert main(args + ["--jobs", "2"]) == 0
-    parallel = capsys.readouterr().out
-    assert parallel == serial
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--window", "100001"], "window_k must be in 0..100000, got 100001"),
+        (["--tolerance", "-1"], "tolerance must be non-negative"),
+        (["--method", "hmm", "--hmm-window", "0"], "window_w must be positive"),
+    ],
+    ids=["window", "tolerance", "hmm-window"],
+)
+def test_evaluate_rejects_bad_settings_before_it_trains(flags, message, synth_dir, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("evaluate trained a fold")
+
+    with mock.patch.object(evaluation, "fit_activity_models", no_training):
+        assert main(["evaluate", str(synth_dir), *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    """``concurrent.futures`` brings ``logging`` and ``queue``: 0.7 MB of RSS for every command."""
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, rapidhare.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
 
 
 @pytest.mark.parametrize("method", ["rapidhare", "batch", "hmm"])

@@ -247,21 +247,6 @@ def test_run_cv_hmm_small():
     assert raw.macro.f1 > 50.0
 
 
-def test_run_cv_parallel_matches_serial():
-    ds = small_synth_dataset()
-    counts = {label: 2 for label in ALL_LABELS}
-    kwargs = dict(
-        counts=counts,
-        em_cfg=EmConfig(seed=3, max_iters=30),
-        window_k=8,
-        tolerance=10,
-    )
-    raw_serial, _ = run_cv(ds, **kwargs)
-    raw_parallel, _ = run_cv(ds, jobs=2, **kwargs)
-    assert np.array_equal(raw_serial.confusion, raw_parallel.confusion)
-    assert raw_serial.macro.f1 == raw_parallel.macro.f1
-
-
 def test_run_cv_needs_three_subjects():
     rng = np.random.default_rng(0)
     chans = [channel("acc_rt_x", "accel")]

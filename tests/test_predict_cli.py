@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from rapidhare import ALL_LABELS, DataError, cli, load_model_set, parse_recording, read_header
 from rapidhare.cli import main
-from rapidhare.data import CHUNK_LINES
+from rapidhare.data import CHUNK_LINES, LabeledSequence, full_sensor_channels, write_recording
 from rapidhare.features import MAX_DIRECTIONAL_LAG
 from rapidhare.gmm import save_model_set
 from rapidhare.predictor import MAX_WINDOW_K, posterior
@@ -371,7 +371,7 @@ def test_predict_file_memory_does_not_grow_with_the_recording(models, tmp_path):
     """Eight times the frames, less than twice the traced peak.
 
     The bound is set from a measurement: the peaks at 2,048 and 16,384 frames
-    were 544 and 824 kB (1.52 times), and they stay at 824 kB up to 32,768
+    were 455 and 679 kB (1.49 times), and they stay at 679 kB up to 32,768
     frames; the smaller file fits in fewer reads and chunks. Reading the
     whole recording first, they were 0.41 and 2.41 MB (5.8 times).
     """
@@ -381,3 +381,21 @@ def test_predict_file_memory_does_not_grow_with_the_recording(models, tmp_path):
         path.write_text(_recording_text(n_frames, 5))
         peaks.append(_traced_peak(["predict", str(path), f"--model={models(7)}", "--df=lag=15"]))
     assert peaks[1] <= 2.0 * peaks[0]
+
+
+def test_predict_file_frees_each_chunks_tables_before_it_scores_the_chunk(models, tmp_path):
+    """On 38 channels the traced peak stays below five of one chunk's float tables.
+
+    The bound is set from measurements at 2,048 to 16,384 frames: 3.6 tables
+    when the chunk's integer table, masks, scaled frames and features are freed
+    as soon as they are used, 4.7 when only the integer table, masks and scaled
+    frames are, and 6.7 when the integer table and masks are held while the
+    chunk is scored and the features while the next chunk is read.
+    """
+    channels = full_sensor_channels()
+    rng = np.random.default_rng(3)
+    labels = np.repeat(rng.integers(1, 9, size=41), 100)[:4096]
+    path = tmp_path / "wide.tsv"
+    write_recording(LabeledSequence("01", rng.uniform(-1, 1, (4096, 38)), labels), channels, path)
+    peak = _traced_peak(["predict", str(path), f"--model={models(42)}", "--df=lag=15"])
+    assert peak < 5.0 * CHUNK_LINES * len(channels) * 8
