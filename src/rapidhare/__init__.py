@@ -18,7 +18,6 @@ from .data import (
     full_sensor_channels,
     load_dataset,
     parse_recording,
-    read_header,
     split_loso,
     write_recording,
 )

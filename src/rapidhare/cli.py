@@ -17,7 +17,6 @@ from .data import (
     frames_by_label,
     load_dataset,
     parse_recording,
-    read_header,
     recording_chunks,
     write_dataset,
 )
@@ -31,7 +30,7 @@ from .features import (
 )
 from .gmm import EmConfig, fit_activity_models, load_model_set, save_model_set
 from .hmm import load_transition_matrix
-from .predictor import BLOCK_ROWS, PredictorSession, naive_window_scores, posterior
+from .predictor import BLOCK_ROWS, PredictorSession, checked_window, naive_window_scores, posterior
 from .synth import default_spec, generate, load_spec
 
 
@@ -56,6 +55,8 @@ def _parse_components(text: str) -> dict[ActivityLabel, int]:
         try:
             label = ActivityLabel[name.strip().upper()]
             overrides[label] = int(value)
+            if overrides[label] < 1:
+                raise ValueError
         except (KeyError, ValueError):
             raise argparse.ArgumentTypeError(f"bad component override: {item!r}") from None
     return overrides
@@ -193,25 +194,33 @@ def _predict_stream(model_set, args) -> int:
 
 
 def _predict_file(model_set, args) -> int:
-    """Label a recording chunk by chunk; ``--oracle`` joins the chunks first."""
-    channels = read_header(args.input)
+    """Label a recording chunk by chunk; ``--oracle`` parses it whole on its own.
+
+    Both check every setting against the recording's header before any data
+    line is checked.
+    """
+    chunks = recording_chunks(args.input)
+    channels = next(chunks)
+    feat = _feature_config(args, channels)
+    streamer = feat.streamer(len(channels))
+    checked_window(args.window)
+    if streamer.dim != model_set.dim:
+        raise DataError(
+            f"{args.input}: model has {model_set.dim} dimensions, the features have {streamer.dim}"
+        )
     if args.oracle:
-        seq = parse_recording(args.input, channels)
-        frames = _feature_config(args, channels).apply(seq).frames
+        chunks.close()
+        frames = feat.apply(parse_recording(args.input)).frames
         try:
             _write_predictions(0, naive_window_scores(model_set, frames, args.window))
         except DataError as exc:
             raise DataError(f"{args.input}: {exc}") from None
         return 0
-    streamer = session = None
-    for chunk in recording_chunks(args.input, channels):
-        if streamer is None:  # so that the first chunk's errors come first
-            streamer = _feature_config(args, channels).streamer(len(channels))
+    session = PredictorSession(model_set, args.window)
+    for chunk in chunks:
         frames = streamer.push(chunk.frames)
         del chunk  # only its features are scored
         try:
-            if session is None:
-                session = PredictorSession(model_set, args.window)
             for lo in range(0, len(frames), BLOCK_ROWS):
                 first = session.frames_seen
                 _write_predictions(first, session.push_block(frames[lo : lo + BLOCK_ROWS]))

@@ -14,9 +14,9 @@ Files are ASCII; lines end at ``\n``, ``\r\n`` or ``\r``. A field is an
 optionally signed run of ASCII digits, optionally padded with spaces, vertical
 tabs or form feeds (``_FIELD``). Every parse error names ``file:line``.
 
-A recording is read one way: in chunks of ``CHUNK_LINES`` data lines
-(``recording_chunks``), which ``parse_recording`` joins, so every command
-reports a recording's errors in one order.
+A recording is read one way: its header's channel specs, then chunks of
+``CHUNK_LINES`` data lines (``recording_chunks``), which ``parse_recording``
+joins, so every command reports a recording's errors in one order.
 
 Raw integers are scaled to [-1, 1] at parse time with the affine map of each
 channel's declared raw range, so everything downstream sees scaled reals.
@@ -284,15 +284,15 @@ class _LineReader:
             self.fail(f"non-numeric {keyword} value")
 
 
-def _read_header(path: Path, lines) -> tuple[str | None, float, list[str] | None, int]:
+def _parse_header(path: Path, lines) -> tuple[str | None, float, list[str], int]:
     """Read the metadata lines and the header at the start of ``lines``.
 
     Returns the ``#subject`` (None if there is none before the header), the
-    sample rate, the header's channel names without ``act`` (None if the lines
-    end before a header) and the number of lines read. Stops at the header, so
-    ``lines`` may be a lazy iterator.
+    sample rate, the header's channel names without ``act`` and the number of
+    lines read; lines that end first raise. Stops at the header, so ``lines``
+    may be a lazy iterator.
     """
-    subject, rate, lineno = None, NOMINAL_SAMPLE_RATE_HZ, 0
+    subject, rate = None, NOMINAL_SAMPLE_RATE_HZ
     for lineno, line in enumerate(lines, start=1):
         if not line.isascii():
             raise DataError(f"{path}:{lineno}: non-ASCII byte")
@@ -313,22 +313,8 @@ def _read_header(path: Path, lines) -> tuple[str | None, float, list[str] | None
                 rate = np.nan
             if not 0 < rate < np.inf:
                 raise DataError(f"{path}:{lineno}: bad sample rate {parts[1]!r}")
-    return subject, rate, None, lineno
-
-
-def read_header(path) -> list[ChannelSpec]:
-    """Channel specs inferred from a recording's header, its first non-metadata line.
-
-    The lines before it follow parse_recording's rules (ASCII, no blank
-    line, a numeric ``#rate``); the file is read line by line up to the header,
-    and nothing after it is read or checked.
-    """
-    path = Path(path)
-    with _open(path, "recording") as fh:
-        _, _, names, _ = _read_header(path, (line.rstrip("\n") for line in fh))
-    if names is None:
-        raise DataError(f"{path}: missing header line")
-    return channels_from_names(names)
+    missing = "header line" if subject else "'#subject' metadata line"
+    raise DataError(f"{path}: missing {missing}")
 
 
 def _scale_columns(raw: np.ndarray, mins: np.ndarray, spans: np.ndarray) -> np.ndarray:
@@ -390,25 +376,32 @@ def _scan_rows(path: Path, rows: list[str], first_line: int, n_cols: int) -> np.
     return np.array(table, dtype=object)
 
 
-def recording_chunks(path, channels: list[ChannelSpec]):
-    """Yield a recording as scaled, labeled sequences of ``CHUNK_LINES`` frames, the last one shorter.
+def recording_chunks(path, channels: list[ChannelSpec] | None = None):
+    """Yield a recording's channel specs, then its frames in chunks of ``CHUNK_LINES``.
 
-    The file is read ``_READ_CHARS`` characters at a time, so memory does not
-    grow with the recording. The lines up to the header are checked first.
-    Each chunk is then checked before it is yielded: its lines in line order,
-    then a missing ``#subject``, then its label ids, then its raw values. An
-    error in a chunk is raised after the chunks before it have been yielded.
-    A missing header, ``#subject`` or data rows is raised at the end.
+    The specs are inferred from the header, or are ``channels`` once the
+    header names them; no data line is checked before they are yielded. Each
+    chunk, a scaled, labeled sequence (the last one shorter), is checked before
+    it is yielded: its lines in line order, then a missing ``#subject``, then
+    its label ids, then its raw values. The file is read ``_READ_CHARS``
+    characters at a time, so memory does not grow with the recording. A
+    missing ``#subject`` or data rows is raised at the end.
     """
     path = Path(path)
-    mins = np.array([c.raw_min for c in channels])
-    maxs = np.array([c.raw_max for c in channels])
-    offsets, spans = mins.astype(np.float64), (maxs - mins).astype(np.float64)
     with _open(path, "recording") as fh:
         lines = itertools.chain.from_iterable(_line_reads(fh))
-        subject, rate, names, n_head = _read_header(path, lines)
-        if names is not None and names != [c.name for c in channels]:
+        subject, rate, names, n_head = _parse_header(path, lines)
+        if channels is None:
+            try:
+                channels = channels_from_names(names)
+            except DataError as exc:
+                raise DataError(f"{path}:{n_head}: {exc}") from None
+        elif names != [c.name for c in channels]:
             raise DataError(f"{path}:{n_head}: header columns do not match the channel spec")
+        yield channels
+        mins = np.array([c.raw_min for c in channels])
+        maxs = np.array([c.raw_max for c in channels])
+        offsets, spans = mins.astype(np.float64), (maxs - mins).astype(np.float64)
         first_line = n_head + 1
         for rows in iter(lambda: list(itertools.islice(lines, CHUNK_LINES)), []):
             raw = _parse_rows(path, rows, first_line, len(channels) + 1)
@@ -434,13 +427,11 @@ def recording_chunks(path, channels: list[ChannelSpec]):
             yield chunk.pop()  # so that only the consumer holds the chunk
     if subject is None:
         raise DataError(f"{path}: missing '#subject' metadata line")
-    if names is None:
-        raise DataError(f"{path}: missing header line")
     if first_line == n_head + 1:
         raise DataError(f"{path}: no data rows")
 
 
-def parse_recording(path, channels: list[ChannelSpec]) -> LabeledSequence:
+def parse_recording(path, channels: list[ChannelSpec] | None = None) -> LabeledSequence:
     """Parse one recording file into a scaled, labeled sequence: ``recording_chunks`` joined.
 
     Raises DataError with the offending line number for non-ASCII bytes,
@@ -448,7 +439,7 @@ def parse_recording(path, channels: list[ChannelSpec]) -> LabeledSequence:
     unknown label ids, and raw values outside a channel's declared range, in
     ``recording_chunks``' order.
     """
-    chunks = list(recording_chunks(path, channels))
+    chunks = list(itertools.islice(recording_chunks(path, channels), 1, None))
     frames = np.concatenate([c.frames for c in chunks])
     labels = np.concatenate([c.labels for c in chunks])
     return LabeledSequence(chunks[0].subject_id, frames, labels, chunks[0].sample_rate_hz)
@@ -484,7 +475,9 @@ def load_dataset(data_dir) -> Dataset:
     files = sorted(p for p in data_dir.iterdir() if p.is_file())
     if not files:
         raise DataError(f"no recording files in {data_dir}")
-    channels = read_header(files[0])
+    chunks = recording_chunks(files[0])
+    channels = next(chunks)
+    chunks.close()
     sequences = [parse_recording(p, channels) for p in files]
     return Dataset(sequences, channels)
 

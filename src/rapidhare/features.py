@@ -172,17 +172,16 @@ class StreamingDirectional:
 
 
 class FeatureStreamer:
-    """FeatureConfig's transform over (n, ``n_channels``) blocks pushed in stream order."""
+    """FeatureConfig's transform of (n, ``n_channels``) blocks, in stream order, to (n, ``dim``)."""
 
     def __init__(self, cfg: FeatureConfig, n_channels: int):
-        self.n_channels = n_channels
         self._keep = None if cfg.keep_channels is None else list(cfg.keep_channels)
         if self._keep is not None:
             _check_indices(self._keep, n_channels, "channel selection")
+        width = n_channels if self._keep is None else len(self._keep)
         directional = cfg._selected_directional()
-        self._directional = None if directional is None else StreamingDirectional(
-            directional, n_channels if self._keep is None else len(self._keep)
-        )
+        self._directional = None if directional is None else StreamingDirectional(directional, width)
+        self.dim = width if directional is None else width + len(directional.source_channels)
 
     def push(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The features of ``block``; the directional features are written into ``out``.

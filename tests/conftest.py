@@ -12,10 +12,10 @@ from hypothesis import settings
 import rapidhare
 from rapidhare import (
     ALL_LABELS, ActivityLabel, ActivityModelSet, DataError, GmmModel, LabeledSequence,
-    PredictorSession, naive_window_scores, parse_recording, read_header,
+    PredictorSession, naive_window_scores, parse_recording,
 )
 from rapidhare.cli import _feature_config, _write_predictions
-from rapidhare.data import N_ACTIVITIES
+from rapidhare.data import N_ACTIVITIES, recording_chunks
 from rapidhare.gmm import KMEANS_MAX_ITERS, MODEL_FORMAT_TAG, _kmeans_pp_seeds
 from rapidhare.hmm import TransitionMatrix
 from rapidhare.predictor import BLOCK_ROWS, posterior
@@ -429,8 +429,8 @@ def write_predictions_oracle(first_index, scores):
 
 def predict_file_oracle(model_set, args) -> int:
     """``predict FILE`` as it was before it read the recording in chunks: parsed whole, then scored."""
-    channels = read_header(args.input)
-    seq = parse_recording(args.input, channels)
+    seq = parse_recording(args.input)
+    channels = next(recording_chunks(args.input))  # the header's channel specs
     frames = _feature_config(args, channels).apply(seq).frames
     try:
         if args.oracle:

@@ -17,7 +17,7 @@ import rapidhare
 from rapidhare import evaluation
 from rapidhare.bench import MAX_BENCH_FRAMES
 from rapidhare.cli import main
-from rapidhare import ALL_LABELS, PredictorSession, load_model_set, parse_recording, read_header
+from rapidhare import ALL_LABELS, PredictorSession, load_model_set, parse_recording
 
 from conftest import child_env
 
@@ -115,6 +115,18 @@ def test_components_override_is_partial(synth_dir, tmp_path, capsys):
     assert counts["walking"] == 18  # untouched default
 
 
+@pytest.mark.parametrize("override", ["sitting=x", "sitting=0", "walking=-1"])
+def test_a_component_override_below_one_is_a_usage_error(override, synth_dir, tmp_path, capsys):
+    """Rejected with the flags, before any activity is trained."""
+    path = tmp_path / "m.txt"
+    with pytest.raises(SystemExit) as err:
+        main(["train", str(synth_dir), "--out", str(path), "--components", override])
+    assert err.value.code == 1
+    message = f"error: argument --components: bad component override: '{override}'\n"
+    assert capsys.readouterr().err.endswith(message)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "flag, message",
     [
@@ -198,7 +210,7 @@ def test_predict_stdin_features_match_file_oracle(synth_dir, tmp_path, capsys, m
     assert main(["predict", str(recording), "--oracle"] + predict) == 0
     oracle_out = capsys.readouterr().out
 
-    frames = parse_recording(recording, read_header(recording)).frames
+    frames = parse_recording(recording).frames
     stream = "".join("\t".join(repr(float(v)) for v in x) + "\n" for x in frames)
     monkeypatch.setattr("sys.stdin", io.StringIO(stream))
     assert main(["predict", "-"] + predict) == 0
@@ -208,7 +220,7 @@ def test_predict_stdin_features_match_file_oracle(synth_dir, tmp_path, capsys, m
 def test_predict_stdin_numbers_frames_not_lines(synth_dir, model_path, capsys, monkeypatch):
     """Blank lines between frames change neither the frame indices nor the labels."""
     recording = sorted(synth_dir.iterdir())[0]
-    frames = parse_recording(recording, read_header(recording)).frames[:3]
+    frames = parse_recording(recording).frames[:3]
     lines = ["\t".join(repr(float(v)) for v in x) for x in frames]
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
     assert main(["predict", "-", "--model", str(model_path)]) == 0

@@ -15,7 +15,6 @@ from rapidhare import (
     full_sensor_channels,
     load_dataset,
     parse_recording,
-    read_header,
     split_loso,
     write_recording,
 )
@@ -25,6 +24,11 @@ from rapidhare.data import channels_from_names, frames_by_label
 from conftest import parse_recording_oracle
 
 TWO_CHANNELS = [channel("acc_rt_x", "accel"), channel("emg_r", "emg")]
+
+
+def header_channels(path):
+    """The first item of ``recording_chunks``: the channel specs its header names."""
+    return next(data.recording_chunks(path))
 
 
 def make_recording(path, rows, subject="01", channels=TWO_CHANNELS, rate=None, header=None):
@@ -141,21 +145,21 @@ def test_non_ascii_byte_names_the_line(tmp_path, text, line):
     p.write_bytes(text)
     with pytest.raises(DataError, match=f"r.tsv:{line}: non-ASCII byte$"):
         parse_recording(p, TWO_CHANNELS)
-    if line <= 2:  # within the lines read_header reads
+    if line <= 2:  # within the lines read before the header's channels are yielded
         with pytest.raises(DataError, match=f"r.tsv:{line}: non-ASCII byte$"):
-            read_header(p)
+            header_channels(p)
 
 
-def test_read_header_applies_the_rules_of_the_lines_before_it(tmp_path):
+def test_header_channels_follow_the_rules_of_the_lines_before_them(tmp_path):
     p = tmp_path / "r.tsv"
     p.write_text("#subject 01\n\nacc_rt_x\temg_r\tact\n0\t0\t1\n")
     with pytest.raises(DataError, match="r.tsv:2: blank line"):
-        read_header(p)
+        header_channels(p)
     p.write_text("#subject 01\r\n#rate fast\r\nacc_rt_x\temg_r\tact\r\n0\t0\t1\r\n")
     with pytest.raises(DataError, match="r.tsv:2: bad sample rate 'fast'"):
-        read_header(p)
+        header_channels(p)
     p.write_text("#subject 01\racc_rt_x\temg_r\tact\r0\t0\t1\r")
-    assert read_header(p) == TWO_CHANNELS
+    assert header_channels(p) == TWO_CHANNELS
 
 
 def test_well_formed_recording_is_parsed_without_the_line_scan(tmp_path, monkeypatch):
@@ -294,24 +298,26 @@ def test_parse_missing_file(tmp_path):
         parse_recording(tmp_path / "absent.tsv", TWO_CHANNELS)
 
 
-def test_read_header(tmp_path):
+def test_recording_chunks_yields_the_header_channels_first(tmp_path):
     p = make_recording(tmp_path / "r.tsv", [[0, 10, 1]])
-    assert read_header(p) == TWO_CHANNELS
+    assert header_channels(p) == TWO_CHANNELS
+    specs, chunk = data.recording_chunks(p, TWO_CHANNELS)  # given specs come back first
+    assert specs is TWO_CHANNELS and chunk.labels.tolist() == [1]
     p.write_text("#subject 01\nacc_rt_x\temg_r\n")
     with pytest.raises(DataError, match="r.tsv:2: header must end with an 'act' column"):
-        read_header(p)
+        header_channels(p)
     p.write_text("#subject 01\n")
     with pytest.raises(DataError, match="missing header line"):
-        read_header(p)
+        header_channels(p)
     with pytest.raises(DataError, match="no such recording file"):
-        read_header(tmp_path / "absent.tsv")
+        header_channels(tmp_path / "absent.tsv")
 
 
-def test_read_header_does_not_read_past_the_header(tmp_path):
-    """A non-ASCII byte after the header is the parse's error, not read_header's."""
+def test_header_channels_are_yielded_before_any_data_line_is_checked(tmp_path):
+    """A non-ASCII byte after the header is the chunks' error, not the header's."""
     p = tmp_path / "r.tsv"
     p.write_bytes(b"#subject 01\nacc_rt_x\temg_r\tact\n0\t0\t1\n0\t0\xe9\t1\n")
-    assert read_header(p) == TWO_CHANNELS
+    assert header_channels(p) == TWO_CHANNELS
     with pytest.raises(DataError, match="r.tsv:4: non-ASCII byte$"):
         parse_recording(p, TWO_CHANNELS)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rapidhare import ALL_LABELS, DataError, cli, load_model_set, parse_recording, read_header
+from rapidhare import ALL_LABELS, DataError, cli, load_model_set, parse_recording
 from rapidhare.cli import main
 from rapidhare.data import CHUNK_LINES, LabeledSequence, full_sensor_channels, write_recording
 from rapidhare.features import MAX_DIRECTIONAL_LAG
@@ -287,7 +287,7 @@ def test_an_error_in_the_second_chunk_comes_after_the_first_chunks_lines(
     lines[2 + frame] = b"\t".join(fields)
     path.write_bytes(b"\n".join(lines))
     with pytest.raises(DataError) as whole:
-        parse_recording(path, read_header(path))
+        parse_recording(path)
     assert f":{3 + frame}: " in str(whole.value)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -353,6 +353,73 @@ def test_every_reader_reports_a_first_chunk_label_before_a_second_chunk_line(
     }[command]
     assert main(args) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("bad_line", [3, 1053])
+@pytest.mark.parametrize(
+    "flags, width, message",
+    [
+        (["--channels=0,7"], 2, "channel selection: channel index 7 out of range for 2 channels"),
+        (["--window=-1"], 2, f"window_k must be in 0..{MAX_WINDOW_K}, got -1"),
+        ([], 3, "{path}: model has 3 dimensions, the features have 2"),
+    ],
+)
+def test_predict_file_and_its_oracle_check_every_setting_before_the_first_data_line(
+    flags, width, message, bad_line, oracle, models, tmp_path, capsys
+):
+    """A bad setting comes before a bad data line, in the first chunk or the second, on both paths."""
+    path = tmp_path / "r.tsv"
+    lines = _two_channel_lines(1100)
+    lines[bad_line - 1] = b"0\tx\t1"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    argv = ["predict", str(path), f"--model={models(width)}", *flags, *["--oracle"] * oracle]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+
+def _first_file_error(command, path, models, tmp_path):
+    """The one error line of ``command`` on the recording at ``path``, which must exit 2."""
+    if command == "parse_recording":
+        with pytest.raises(DataError) as err:
+            parse_recording(path)
+        return f"error: {err.value}\n"
+    args = {
+        "train": ["train", str(path.parent), "--out", str(tmp_path / "model.txt")],
+        "predict": ["predict", str(path), f"--model={models(2)}"],
+        "predict --oracle": ["predict", str(path), f"--model={models(2)}", "--oracle"],
+    }[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(args) == 2
+    assert out.getvalue() == ""
+    return err.getvalue()
+
+
+@pytest.mark.parametrize("second", [False, True])
+@pytest.mark.parametrize("command", ["parse_recording", "train", "predict", "predict --oracle"])
+def test_a_file_of_only_a_rate_line_misses_its_subject_for_every_reader(
+    command, second, models, tmp_path
+):
+    """No header and no ``#subject``: the subject is missed first, wherever the file comes."""
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    if second:  # a valid recording before it in the directory
+        (data_dir / "a.tsv").write_bytes(b"\n".join(_two_channel_lines(3)) + b"\n")
+    path = data_dir / "b.tsv"
+    path.write_bytes(b"#rate 50\n")
+    message = f"error: {path}: missing '#subject' metadata line\n"
+    assert _first_file_error(command, path, models, tmp_path) == message
+
+
+@pytest.mark.parametrize("command", ["parse_recording", "train", "predict", "predict --oracle"])
+def test_a_header_column_of_no_known_kind_names_its_line(command, models, tmp_path):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    path = data_dir / "r.tsv"
+    path.write_bytes(b"#subject 01\nacc_rt_x\tfoo\tact\n0\t0\t1\n")
+    message = f"error: {path}:2: cannot infer sensor kind from column name 'foo'\n"
+    assert _first_file_error(command, path, models, tmp_path) == message
 
 
 def _traced_peak(argv):

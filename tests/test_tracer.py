@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import rapidhare
-from rapidhare import ALL_LABELS, parse_recording, read_header
+from rapidhare import ALL_LABELS, parse_recording
 from rapidhare.cli import main
 from rapidhare.predictor import BLOCK_ROWS
 
@@ -59,7 +59,7 @@ def _traced(tmp_path, args, stdin=None):
 
 def _frames_as_stdin(recording: Path) -> bytes:
     """The recording's frames scaled to [-1, 1] as the file reader scales them, one per line."""
-    seq = parse_recording(recording, read_header(recording))
+    seq = parse_recording(recording)
     return "".join("\t".join(map(repr, row)) + "\n" for row in seq.frames.tolist()).encode()
 
 
