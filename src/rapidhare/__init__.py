@@ -14,7 +14,6 @@ from .data import (
     Dataset,
     LabeledSequence,
     channel,
-    frames_by_label,
     full_sensor_channels,
     load_dataset,
     parse_recording,

@@ -14,7 +14,6 @@ from .bench import BENCH_METHODS, run_bench
 from .data import (
     ALL_LABELS,
     ActivityLabel,
-    frames_by_label,
     load_dataset,
     parse_recording,
     recording_chunks,
@@ -30,7 +29,7 @@ from .features import (
 )
 from .gmm import EmConfig, fit_activity_models, load_model_set, save_model_set
 from .hmm import load_transition_matrix
-from .predictor import BLOCK_ROWS, PredictorSession, checked_window, naive_window_scores, posterior
+from .predictor import BLOCK_ROWS, MAX_WINDOW_K, PredictorSession, naive_window_scores, posterior
 from .synth import default_spec, generate, load_spec
 
 
@@ -48,16 +47,27 @@ def _parse_indices(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad channel list: {text!r}") from None
 
 
+def _int_in(lo: int, hi: float = np.inf):
+    """An argparse type for an integer in lo..hi; a non-integer is an "invalid int value"."""
+
+    def int_in(text: str) -> int:
+        if lo <= (value := int(text)) <= hi:
+            return value
+        bound = f"in {lo}..{hi}" if hi < np.inf else f"at least {lo}"
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+
+    int_in.__name__ = "int"
+    return int_in
+
+
 def _parse_components(text: str) -> dict[ActivityLabel, int]:
     overrides = {}
     for item in text.split(","):
         name, _, value = item.partition("=")
         try:
             label = ActivityLabel[name.strip().upper()]
-            overrides[label] = int(value)
-            if overrides[label] < 1:
-                raise ValueError
-        except (KeyError, ValueError):
+            overrides[label] = _int_in(1)(value)
+        except (KeyError, ValueError, argparse.ArgumentTypeError):
             raise argparse.ArgumentTypeError(f"bad component override: {item!r}") from None
     return overrides
 
@@ -98,20 +108,16 @@ def _feature_config(args, channels) -> FeatureConfig:
 
 def _em_config(args) -> EmConfig:
     return EmConfig(
-        max_iters=args.em_iters,
-        tol=args.em_tol,
-        seed=args.seed,
-        variance_floor=args.variance_floor,
-        n_init_restarts=args.restarts,
+        max_iters=args.em_iters, tol=args.em_tol, seed=args.seed,
+        variance_floor=args.variance_floor, n_init_restarts=args.restarts,
     )
 
 
 def cmd_train(args) -> int:
     dataset = load_dataset(args.data_dir)
     feat = _feature_config(args, dataset.channels)
-    sequences = [feat.apply(s) for s in dataset.sequences]
     model_set, final_ll = fit_activity_models(
-        frames_by_label(sequences), args.components, _em_config(args)
+        [feat.apply(s) for s in dataset.sequences], args.components, _em_config(args)
     )
     save_model_set(model_set, args.out)
     for label in ALL_LABELS:
@@ -203,7 +209,6 @@ def _predict_file(model_set, args) -> int:
     channels = next(chunks)
     feat = _feature_config(args, channels)
     streamer = feat.streamer(len(channels))
-    checked_window(args.window)
     if streamer.dim != model_set.dim:
         raise DataError(
             f"{args.input}: model has {model_set.dim} dimensions, the features have {streamer.dim}"
@@ -285,13 +290,8 @@ def cmd_evaluate(args) -> int:
 def cmd_bench(args) -> int:
     model_set = load_model_set(args.model)
     stats = run_bench(
-        model_set,
-        method=args.method,
-        frames=args.frames,
-        repeats=args.repeats,
-        window_k=args.window,
-        window_w=args.hmm_window,
-        seed=args.seed,
+        model_set, method=args.method, frames=args.frames, repeats=args.repeats,
+        window_k=args.window, window_w=args.hmm_window, seed=args.seed,
     )
     fields = [
         ("method", stats.method),
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="label frames from a recording file or stdin")
     p.add_argument("input", help="recording file, or '-' for tab-separated frames on stdin")
     p.add_argument("--model", required=True, help="model file to load")
-    p.add_argument("--window", type=int, default=26,
+    p.add_argument("--window", type=_int_in(0, MAX_WINDOW_K), default=26,
                    help="context window look-back K (default: 26)")
     p.add_argument("--oracle", action="store_true",
                    help="batch reference path that recomputes each window from scratch")
@@ -385,11 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data_dir", help="directory of recording files")
     p.add_argument("--method", choices=("rapidhare", "hmm"), default="rapidhare",
                    help="predictor to evaluate (default: rapidhare)")
-    p.add_argument("--tolerance", type=int, default=25,
+    p.add_argument("--tolerance", type=_int_in(0), default=25,
                    help="border tolerance in frames (default: 25)")
-    p.add_argument("--window", type=int, default=26,
+    p.add_argument("--window", type=_int_in(0, MAX_WINDOW_K), default=26,
                    help="context window look-back K (default: 26)")
-    p.add_argument("--hmm-window", type=int, default=10,
+    p.add_argument("--hmm-window", type=_int_in(1), default=10,
                    help="Viterbi block length (default: 10)")
     p.add_argument("--transitions", default=None,
                    help="transition matrix file (default: built-in matrix)")
@@ -407,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="timed passes (default: 5)")
     p.add_argument("--method", choices=BENCH_METHODS, default="rapidhare",
                    help="predictor to time (default: rapidhare)")
-    p.add_argument("--window", type=int, default=26,
+    p.add_argument("--window", type=_int_in(0, MAX_WINDOW_K), default=26,
                    help="context window look-back K (default: 26)")
-    p.add_argument("--hmm-window", type=int, default=10,
+    p.add_argument("--hmm-window", type=_int_in(1), default=10,
                    help="Viterbi block length (default: 10)")
     seed_flag(p)
     format_flag(p)

@@ -519,13 +519,3 @@ def split_loso(dataset: Dataset, test_subject: str) -> tuple[Dataset, Dataset, D
     test = pick(lambda s: s == test_subject)
     return train, validation, test
 
-
-def frames_by_label(sequences: list[LabeledSequence]) -> dict[ActivityLabel, np.ndarray]:
-    """Concatenate all frames carrying each label across sequences."""
-    out: dict[ActivityLabel, np.ndarray] = {}
-    for label in ALL_LABELS:
-        chunks = [seq.frames[seq.labels == label] for seq in sequences]
-        chunks = [c for c in chunks if len(c)]
-        if chunks:
-            out[label] = np.concatenate(chunks, axis=0)
-    return out

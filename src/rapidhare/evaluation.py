@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel, Dataset, frames_by_label, split_loso
+from .data import ALL_LABELS, CHUNK_LINES, N_ACTIVITIES, ActivityLabel, Dataset, split_loso
 from .errors import DataError
 from .features import FeatureConfig
 from .gmm import EmConfig, fit_activity_models
@@ -190,16 +190,20 @@ def run_cv(
 
     def fold(i, subject):
         train, _validation, test = split_loso(dataset, subject)
-        train_frames = frames_by_label([feat_cfg.apply(s) for s in train.sequences])
         fold_cfg = replace(em_cfg, seed=em_cfg.seed + 1009 * i)
-        model_set, _ = fit_activity_models(train_frames, counts, fold_cfg)
+        model_set, _ = fit_activity_models(
+            [feat_cfg.apply(s) for s in train.sequences], counts, fold_cfg
+        )
         conf_raw = np.zeros((N_ACTIVITIES, N_ACTIVITIES), dtype=np.int64)
         conf_tol = np.zeros_like(conf_raw)
         for seq in test.sequences:
             fseq = feat_cfg.apply(seq)
             if method == "rapidhare":
                 session = PredictorSession(model_set, window_k)
-                pred = session.push_block(fseq.frames).argmax(axis=1) + 1
+                pred = np.empty(fseq.n_frames, dtype=np.int64)
+                for lo in range(0, len(pred), CHUNK_LINES):  # one block of scores at a time
+                    block = session.push_block(fseq.frames[lo : lo + CHUNK_LINES])
+                    pred[lo : lo + CHUNK_LINES] = block.argmax(axis=1) + 1
             else:
                 decoded = predict_stream_hmm(model_set, trans, window_w, fseq.frames)
                 pred = np.asarray([int(label) for label in decoded])

@@ -12,8 +12,8 @@ one uses that log(w N(x)) is linear in (x*x, x, 1): ``expansion_coefficients``
 makes one row per component and ``expansion_lift`` lifts the input, so all
 component densities are one matrix product. EM's E-step and the streaming
 frame scorer use it. Its absolute error grows with sum_d (x_d^2 + mu_d^2) /
-var_d, since the three terms cancel near a mean. Training reuses its (n, k)
-buffers with the same bits as the allocating form of each step.
+var_d, since the three terms cancel near a mean. Training reuses one (n, k)
+table and one row-maximum vector with the bits of the allocating steps.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ALL_LABELS, ActivityLabel, _LineReader
+from .data import ALL_LABELS, ActivityLabel, LabeledSequence, _LineReader
 from .errors import DataError, NumericError
 
 KMEANS_MAX_ITERS = 100  # Lloyd steps per kmeans_init, at most
@@ -225,17 +225,18 @@ class EmConfig:
 
 
 def _em(data, init: GmmModel, cfg: EmConfig, rng) -> tuple[GmmModel, list[float]]:
-    """EM from ``init``, reusing one (n, k) buffer; row maxima come from a transposed copy."""
+    """EM from ``init``, reusing one (n, k) table and one length-n buffer of its row maxima."""
     n, dim = data.shape
     lifted = expansion_lift(data)
     comp = np.empty((n, init.n_components))
-    comp_t = np.empty((init.n_components, n))
+    rowmax = np.empty(n)
     weights, means, variances = init.weights, init.means, init.variances
     trace: list[float] = []
     for it in range(cfg.max_iters):
         np.matmul(lifted, expansion_coefficients(weights, means, variances).T, out=comp)
-        np.copyto(comp_t, comp.T)
-        rowmax = np.maximum.reduce(comp_t, axis=0)
+        np.copyto(rowmax, comp[:, 0])  # then column by column: a maximum is exact in any order
+        for column in comp.T[1:]:
+            np.maximum(rowmax, column, out=rowmax)
         np.subtract(comp, rowmax[:, None], out=comp)
         np.exp(comp, out=comp)
         rowsum = comp.sum(axis=1)
@@ -312,29 +313,31 @@ class ActivityModelSet:
 
 
 def fit_activity_models(
-    frames_per_label: dict[ActivityLabel, np.ndarray],
+    sequences: list[LabeledSequence],
     counts: dict[ActivityLabel, int] | None = None,
     cfg: EmConfig = EmConfig(),
 ) -> tuple[ActivityModelSet, dict[ActivityLabel, float]]:
-    """Train one mixture per activity on that activity's pooled frames.
+    """Train one mixture per activity on the frames of ``sequences`` that carry its label.
 
-    ``counts`` overrides DEFAULT_COMPONENT_COUNTS for the activities it names.
-    Each activity gets a seed derived from the base seed so training whole
-    sets stays deterministic.
+    Only one activity's frames are gathered at a time. ``counts`` overrides
+    DEFAULT_COMPONENT_COUNTS for the activities it names. Each activity gets a
+    seed derived from the base seed so training whole sets stays deterministic.
     """
+    if not sequences:
+        raise DataError("no training sequences")
     counts = {**DEFAULT_COMPONENT_COUNTS, **(counts or {})}
     models = {}
     final_ll = {}
     for label in ALL_LABELS:
         k = counts[label]
-        frames = frames_per_label.get(label)
-        if frames is None or len(frames) < k:
-            have = 0 if frames is None else len(frames)
+        frames = np.concatenate([s.frames[s.labels == label] for s in sequences])
+        if len(frames) < k:
             raise DataError(
-                f"activity {label.label_name}: {have} training frames, need at least {k}"
+                f"activity {label.label_name}: {len(frames)} training frames, need at least {k}"
             )
         per_label_cfg = replace(cfg, seed=cfg.seed + int(label))
         models[label], final_ll[label] = fit_em(frames, k, per_label_cfg)
+        del frames  # before the next activity's are gathered
     return ActivityModelSet(models), final_ll
 
 

@@ -1,8 +1,10 @@
 """Shared builders and independent oracles used across the test suite."""
 
+import contextlib
 import itertools
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from rapidhare import (
     ALL_LABELS, ActivityLabel, ActivityModelSet, DataError, GmmModel, LabeledSequence,
     PredictorSession, naive_window_scores, parse_recording,
 )
-from rapidhare.cli import _feature_config, _write_predictions
+from rapidhare.cli import _feature_config, _write_predictions, main
 from rapidhare.data import N_ACTIVITIES, recording_chunks
 from rapidhare.gmm import KMEANS_MAX_ITERS, MODEL_FORMAT_TAG, _kmeans_pp_seeds
 from rapidhare.hmm import TransitionMatrix
@@ -414,6 +416,27 @@ def child_env(**extra):
     env["PYTHONPATH"] = str(Path(rapidhare.__file__).resolve().parents[1])
     env.update(extra)
     return env
+
+
+def traced_peak(run):
+    """The tracemalloc peak of ``run()``, after a first call has made its one-off allocations."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def traced_main_peak(argv):
+    """``traced_peak`` of ``main(argv)``, which must exit 0; what it prints is dropped."""
+
+    def run():
+        assert main(argv) == 0
+
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        return traced_peak(run)
 
 
 def write_predictions_oracle(first_index, scores):

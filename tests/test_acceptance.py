@@ -24,7 +24,6 @@ from rapidhare import (
     fit_activity_models,
     fit_em,
     fit_em_trace,
-    frames_by_label,
     load_dataset,
     log_pdf,
     metrics,
@@ -207,7 +206,7 @@ def test_criterion_6_synthetic_cv_end_to_end():
     for i, subject in enumerate(dataset.subjects()):
         train, _validation, test = split_loso(dataset, subject)
         model_set, _ = fit_activity_models(
-            frames_by_label(train.sequences),
+            train.sequences,
             DEFAULT_COMPONENT_COUNTS,
             EmConfig(seed=11 + i),
         )

@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rapidhare
-from rapidhare import evaluation
+from rapidhare import cli, evaluation
 from rapidhare.bench import MAX_BENCH_FRAMES
 from rapidhare.cli import main
-from rapidhare import ALL_LABELS, PredictorSession, load_model_set, parse_recording
+from rapidhare import (
+    ALL_LABELS, DataError, PredictorSession, load_dataset, load_model_set, parse_recording,
+)
 
-from conftest import child_env
+from conftest import child_env, traced_main_peak
 
 
 @pytest.fixture(scope="module")
@@ -461,19 +463,40 @@ def test_evaluate_reports_both_tables(synth_dir, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--window", "100001"], "window_k must be in 0..100000, got 100001"),
-        (["--tolerance", "-1"], "tolerance must be non-negative"),
-        (["--method", "hmm", "--hmm-window", "0"], "window_w must be positive"),
+        (["--window", "100001"], "argument --window: must be in 0..100000, got 100001"),
+        (["--tolerance", "-1"], "argument --tolerance: must be at least 0, got -1"),
+        (["--method", "hmm", "--hmm-window", "0"], "argument --hmm-window: must be at least 1, got 0"),
+        (["--window", "x"], "argument --window: invalid int value: 'x'"),
+    ],
+    ids=["window", "tolerance", "hmm-window", "non-integer"],
+)
+def test_evaluate_rejects_bad_settings_as_usage_errors(flags, message, synth_dir, capsys):
+    """Rejected with the flags, before any recording is read."""
+    with mock.patch.object(cli, "load_dataset", side_effect=AssertionError("evaluate read data")):
+        with pytest.raises(SystemExit) as err:
+            main(["evaluate", str(synth_dir), *flags])
+    assert err.value.code == 1
+    out, stderr = capsys.readouterr()
+    assert out == "" and stderr.endswith(f"rapidhare evaluate: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"window_k": 100001}, "window_k must be in 0..100000, got 100001"),
+        ({"tolerance": -1}, "tolerance must be non-negative"),
+        ({"method": "hmm", "window_w": 0}, "window_w must be positive"),
     ],
     ids=["window", "tolerance", "hmm-window"],
 )
-def test_evaluate_rejects_bad_settings_before_it_trains(flags, message, synth_dir, capsys):
+def test_run_cv_rejects_bad_settings_before_it_trains(overrides, message, synth_dir):
     def no_training(*args, **kwargs):
-        raise AssertionError("evaluate trained a fold")
+        raise AssertionError("run_cv trained a fold")
 
     with mock.patch.object(evaluation, "fit_activity_models", no_training):
-        assert main(["evaluate", str(synth_dir), *flags]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+        with pytest.raises(DataError) as err:
+            evaluation.run_cv(load_dataset(synth_dir), **overrides)
+    assert str(err.value) == message
 
 
 def test_importing_the_cli_loads_no_thread_pool():
@@ -483,6 +506,46 @@ def test_importing_the_cli_loads_no_thread_pool():
         capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
+
+
+def test_train_holds_one_activitys_frames_at_a_time(tmp_path):
+    """The traced peak of ``train``, in units of the dataset's frame table, stays below 3.3.
+
+    The bound is set from measurements on 3 subjects of 2,400 frames and 6
+    channels: 2.64 tables when each activity's frames are gathered just before
+    its fit, 3.90 when every activity's were copied at once.
+    """
+    data = tmp_path / "data"
+    synth = ["synth", f"--out={data}", "--frames=2400", "--dim=6", "--min-segment=40", "--seed=99"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(synth) == 0
+    table = sum(s.frames.nbytes for s in load_dataset(data).sequences)
+    peak = traced_main_peak(["train", str(data), f"--out={tmp_path / 'm.txt'}", "--em-iters=5"])
+    assert peak < 3.3 * table
+
+
+# Runs predict FILE, its oracle and predict - on three frames in one child, then
+# prints their exit codes and whether numpy.random was imported on the way.
+_PREDICT_MODULES = """
+import contextlib, io, sys
+from rapidhare.cli import main
+model, recording = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["predict", recording, "--model", model, *oracle]) for oracle in ([], ["--oracle"])]
+    sys.stdin = io.StringIO("0.1\\t0.2\\t0.3\\t0.4\\n" * 3)
+    codes.append(main(["predict", "-", "--model", model]))
+print(codes, "numpy.random" in sys.modules)
+"""
+
+
+def test_predict_loads_no_random_number_generator(synth_dir, model_path):
+    """``numpy.random`` costs 6.3 MB of RSS, and only training draws numbers."""
+    recording = sorted(synth_dir.iterdir())[0]
+    child = subprocess.run(
+        [sys.executable, "-c", _PREDICT_MODULES, str(model_path), str(recording)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[0, 0, 0] False\n", "")
 
 
 @pytest.mark.parametrize("method", ["rapidhare", "batch", "hmm"])
@@ -498,9 +561,12 @@ def test_bench_reports_stats(method, model_path, capsys):
 
 def test_bench_hmm_rejects_zero_block_width(model_path, capsys):
     args = ["bench", "--model", str(model_path), "--method", "hmm", "--hmm-window", "0"]
-    assert main(args) == 2
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: window_w must be positive\n"
+    message = "rapidhare bench: error: argument --hmm-window: must be at least 1, got 0\n"
+    assert captured.err.endswith(message)
     assert captured.out == ""
 
 

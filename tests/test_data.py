@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from rapidhare import (
     ChannelSpec,
     DataError,
     Dataset,
+    EmConfig,
     LabeledSequence,
     channel,
+    fit_activity_models,
+    fit_em,
     full_sensor_channels,
     load_dataset,
     parse_recording,
@@ -19,7 +23,7 @@ from rapidhare import (
     write_recording,
 )
 from rapidhare import data
-from rapidhare.data import channels_from_names, frames_by_label
+from rapidhare.data import channels_from_names
 
 from conftest import parse_recording_oracle
 
@@ -464,14 +468,20 @@ def test_load_dataset_round_trip(tmp_path, rng):
     assert [c.name for c in ds.channels] == ["acc_rt_x", "emg_r"]
 
 
-def test_frames_by_label_concatenates():
-    frames = np.arange(12, dtype=float).reshape(6, 2)
-    labels = np.array([1, 2, 1, 2, 1, 8])
-    seq = LabeledSequence("01", frames, labels)
-    grouped = frames_by_label([seq, seq])
-    assert grouped[ActivityLabel.WALKING].shape == (6, 2)
-    assert grouped[ActivityLabel.STANDING].shape == (2, 2)
-    assert ActivityLabel.SITTING not in grouped
+def test_fit_activity_models_concatenates_each_activity_across_sequences():
+    """Each mixture is fit_em on its activity's frames of every sequence, in sequence order, bit for bit."""
+    rng = np.random.default_rng(4)
+    labels = rng.permutation(np.arange(48) % 8 + 1)
+    seq = LabeledSequence("01", rng.normal(size=(48, 2)), labels)
+    cfg = EmConfig(seed=3, max_iters=20)
+    model_set, final_ll = fit_activity_models([seq, seq], {label: 2 for label in ActivityLabel}, cfg)
+    for label in ActivityLabel:
+        frames = seq.frames[seq.labels == label]
+        want, want_ll = fit_em(np.concatenate([frames, frames]), 2, replace(cfg, seed=3 + int(label)))
+        got = model_set.models[label]
+        for field in ("weights", "means", "variances"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        assert final_ll[label] == want_ll
 
 
 def test_channel_spec_validation():

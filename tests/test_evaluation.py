@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,12 @@ from rapidhare import (
     apply_border_tolerance,
     channel,
     confusion,
+    evaluation,
     metrics,
     run_cv,
 )
 from rapidhare.synth import default_spec, generate
+from conftest import random_model_set, traced_peak
 
 
 def test_confusion_perfect_prediction_is_diagonal():
@@ -260,3 +264,23 @@ def test_run_cv_needs_three_subjects():
 def test_run_cv_unknown_method():
     with pytest.raises(DataError, match="unknown method"):
         run_cv(small_synth_dataset(), method="rnn")
+
+
+def test_run_cv_scores_each_test_recording_one_block_at_a_time():
+    """Four times the frames add less than one (n, 8) float table per added test frame to the peak.
+
+    Training is replaced by a fixed model set, so only the scoring pass
+    grows. The bound is set from measurements with one channel: 16 bytes per
+    added test frame when each 1024-row block's scores are dropped once their
+    labels are taken, 153 bytes when the whole recording was scored at once.
+    """
+    rng = np.random.default_rng(0)
+    model_set = random_model_set(rng, 1)
+    peaks = []
+    for n in (2000, 8000):
+        labels = np.repeat(np.arange(n // 100) % 8 + 1, 100)
+        seqs = [LabeledSequence(f"0{i}", rng.uniform(-1, 1, (n, 1)), labels) for i in range(3)]
+        dataset = Dataset(seqs, [channel("acc_rt_x", "accel")])
+        with mock.patch.object(evaluation, "fit_activity_models", lambda *args: (model_set, {})):
+            peaks.append(traced_peak(lambda: run_cv(dataset)))
+    assert peaks[1] - peaks[0] < 8 * 8 * 6000

@@ -8,6 +8,7 @@ from rapidhare import (
     DataError,
     EmConfig,
     GmmModel,
+    LabeledSequence,
     fit_activity_models,
     fit_em,
     fit_em_trace,
@@ -25,6 +26,7 @@ from conftest import (
     log_pdf_oracle,
     random_gmm,
     random_model_set,
+    traced_peak,
 )
 
 
@@ -336,26 +338,47 @@ def test_model_set_rejects_lines_after_the_last_activity(tmp_path):
     )
 
 
+def _one_sequence(rng, per_label, dim):
+    """One sequence of ``per_label[i]`` frames of activity i + 1, drawn in activity order."""
+    labels = np.repeat(np.arange(1, 9), per_label)
+    return LabeledSequence("01", rng.normal(size=(len(labels), dim)), labels)
+
+
 def test_fit_activity_models_fills_missing_counts_from_the_defaults(rng):
-    frames = {label: rng.normal(size=(40, 2)) for label in ActivityLabel}
-    model_set, _ = fit_activity_models(frames, {ActivityLabel.WALKING: 3}, EmConfig(max_iters=5))
+    seq = _one_sequence(rng, 40, 2)
+    model_set, _ = fit_activity_models([seq], {ActivityLabel.WALKING: 3}, EmConfig(max_iters=5))
     counts = {label: m.n_components for label, m in model_set.models.items()}
     assert counts == {**DEFAULT_COMPONENT_COUNTS, ActivityLabel.WALKING: 3}
 
 
 def test_fit_activity_models_insufficient_data(rng):
-    frames = {label: rng.normal(size=(40, 3)) for label in ActivityLabel}
-    frames[ActivityLabel.WALKING] = rng.normal(size=(5, 3))
+    seq = _one_sequence(rng, [5] + [40] * 7, 3)
     counts = {label: 2 for label in ActivityLabel}
     counts[ActivityLabel.WALKING] = 18
     with pytest.raises(DataError, match="walking: 5 training frames"):
-        fit_activity_models(frames, counts, EmConfig(seed=1))
+        fit_activity_models([seq], counts, EmConfig(seed=1))
+
+
+def test_fit_activity_models_needs_a_sequence():
+    with pytest.raises(DataError, match="no training sequences"):
+        fit_activity_models([], None, EmConfig(seed=1))
 
 
 def test_fit_activity_models_defaults(rng):
-    frames = {label: rng.normal(size=(60, 2)) for label in ActivityLabel}
+    seq = _one_sequence(rng, 60, 2)
     counts = {label: 2 for label in ActivityLabel}
-    model_set, final_ll = fit_activity_models(frames, counts, EmConfig(seed=1))
+    model_set, final_ll = fit_activity_models([seq], counts, EmConfig(seed=1))
     assert model_set.dim == 2
     assert model_set.n_total_components == 16
     assert set(final_ll) == set(ActivityLabel)
+
+
+def test_fit_em_holds_one_n_by_k_table():
+    """At n = 20000 and k = 18 the traced peak stays below two (n, k) tables.
+
+    Measured: 1.50 tables with one row-maximum vector, 2.50 with a
+    transposed (k, n) copy of the table.
+    """
+    data = np.random.default_rng(1).normal(size=(20000, 2))
+    peak = traced_peak(lambda: fit_em(data, 18, EmConfig(max_iters=5)))
+    assert peak < 2 * 20000 * 18 * 8

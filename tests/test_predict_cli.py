@@ -4,10 +4,8 @@ and `predict FILE` and `predict -` over corrupted inputs and drawn flags."""
 import contextlib
 import io
 import math
-import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +20,7 @@ from rapidhare.gmm import save_model_set
 from rapidhare.predictor import MAX_WINDOW_K, posterior
 
 from conftest import (
-    child_env, predict_file_oracle, random_model_set, write_predictions_oracle,
+    child_env, predict_file_oracle, random_model_set, traced_main_peak, write_predictions_oracle,
 )
 from test_data import TWO_CHANNELS, _recordings
 
@@ -107,6 +105,14 @@ def models(tmp_path_factory):
     return model
 
 
+def _exit_code(argv):
+    """``main(argv)``'s exit code, a usage error's included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def _run(argv, stdin=None):
     """Run the CLI in process; a traceback fails the test. Checks how the run ended."""
     out, err = io.StringIO(), io.StringIO()
@@ -115,10 +121,13 @@ def _run(argv, stdin=None):
         sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", newline=None)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv)
+            rc = _exit_code(argv)
     finally:
         sys.stdin = old_stdin
-    if rc == 0:
+    if rc == 1:  # a flag refused while the arguments are parsed, before any input is read
+        assert out.getvalue() == ""
+        assert err.getvalue().splitlines()[-1].startswith("rapidhare predict: error: argument ")
+    elif rc == 0:
         assert err.getvalue() == ""
         for i, line in enumerate(out.getvalue().splitlines()):
             fields = line.split("\t")
@@ -160,7 +169,7 @@ def _feature_flags(draw, n_channels):
 @settings(max_examples=200)
 @given(data=st.data(), recording=_recordings(), window=_WINDOWS, oracle=st.booleans())
 def test_predict_file_ends_in_lines_or_one_error(data, recording, window, oracle, models, tmp_path_factory):
-    """Exit 0 with finite posteriors, or exit 2/3 with one ``error:`` line, never a traceback."""
+    """Exit 0 with finite posteriors, 1 with a usage error, or 2/3 with one ``error:`` line."""
     channels, raw = recording
     path = tmp_path_factory.getbasetemp() / "fuzz.tsv"
     path.write_bytes(raw)
@@ -198,18 +207,22 @@ def test_predict_stdin_ends_in_lines_or_one_error(data, n_channels, window, mode
     _run(argv, stdin=b"\n".join(lines) + b"\n")
 
 
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        ([f"--window={MAX_WINDOW_K + 1}"], f"window_k must be in 0..{MAX_WINDOW_K}, got {MAX_WINDOW_K + 1}"),
-        (["--df=lag=1000000000000000,channels=0"],
-         f"directional lag must be in 1..{MAX_DIRECTIONAL_LAG}, got 1000000000000000"),
-    ],
-)
-def test_a_window_or_lag_beyond_its_cap_exits_two(flags, message, models, capsys):
-    """Both sizes set a ring of twice their length, so a huge one would be allocated, not refused."""
-    assert main(["predict", "-", f"--model={models(4)}", *flags]) == 2
+def test_a_lag_beyond_its_cap_exits_two(models, capsys):
+    """The lag sets a ring of twice its length, so a huge one would be allocated, not refused."""
+    assert main(["predict", "-", f"--model={models(4)}", "--df=lag=1000000000000000,channels=0"]) == 2
+    message = f"directional lag must be in 1..{MAX_DIRECTIONAL_LAG}, got 1000000000000000"
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("window", ["-1", str(MAX_WINDOW_K + 1), "x"])
+@pytest.mark.parametrize("mode", [["-"], ["r.tsv"], ["r.tsv", "--oracle"]], ids=["stdin", "file", "oracle"])
+def test_a_window_outside_its_range_is_a_usage_error(window, mode, tmp_path, capsys):
+    """The window sets a ring of twice its length; a bad one is refused before the model or input is read."""
+    argv = ["predict", *mode, f"--model={tmp_path / 'missing.txt'}", f"--window={window}"]
+    assert _exit_code(argv) == 1
+    out, err = capsys.readouterr()
+    want = "invalid int value: 'x'" if window == "x" else f"must be in 0..{MAX_WINDOW_K}, got {window}"
+    assert out == "" and err.endswith(f"rapidhare predict: error: argument --window: {want}\n")
 
 
 def test_a_byte_stdin_cannot_decode_is_a_non_numeric_field(models):
@@ -361,7 +374,6 @@ def test_every_reader_reports_a_first_chunk_label_before_a_second_chunk_line(
     "flags, width, message",
     [
         (["--channels=0,7"], 2, "channel selection: channel index 7 out of range for 2 channels"),
-        (["--window=-1"], 2, f"window_k must be in 0..{MAX_WINDOW_K}, got -1"),
         ([], 3, "{path}: model has 3 dimensions, the features have 2"),
     ],
 )
@@ -422,18 +434,6 @@ def test_a_header_column_of_no_known_kind_names_its_line(command, models, tmp_pa
     assert _first_file_error(command, path, models, tmp_path) == message
 
 
-def _traced_peak(argv):
-    """The tracemalloc peak of one ``main(argv)``, after a first run has made its one-off allocations."""
-    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
-        assert main(argv) == 0
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-
 def test_predict_file_memory_does_not_grow_with_the_recording(models, tmp_path):
     """Eight times the frames, less than twice the traced peak.
 
@@ -446,7 +446,7 @@ def test_predict_file_memory_does_not_grow_with_the_recording(models, tmp_path):
     for n_frames in (2048, 16384):
         path = tmp_path / f"r{n_frames}.tsv"
         path.write_text(_recording_text(n_frames, 5))
-        peaks.append(_traced_peak(["predict", str(path), f"--model={models(7)}", "--df=lag=15"]))
+        peaks.append(traced_main_peak(["predict", str(path), f"--model={models(7)}", "--df=lag=15"]))
     assert peaks[1] <= 2.0 * peaks[0]
 
 
@@ -464,5 +464,5 @@ def test_predict_file_frees_each_chunks_tables_before_it_scores_the_chunk(models
     labels = np.repeat(rng.integers(1, 9, size=41), 100)[:4096]
     path = tmp_path / "wide.tsv"
     write_recording(LabeledSequence("01", rng.uniform(-1, 1, (4096, 38)), labels), channels, path)
-    peak = _traced_peak(["predict", str(path), f"--model={models(42)}", "--df=lag=15"])
+    peak = traced_main_peak(["predict", str(path), f"--model={models(42)}", "--df=lag=15"])
     assert peak < 5.0 * CHUNK_LINES * len(channels) * 8
