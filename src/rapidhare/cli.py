@@ -114,10 +114,11 @@ def _em_config(args) -> EmConfig:
 
 
 def cmd_train(args) -> int:
+    em_cfg = _em_config(args)
     dataset = load_dataset(args.data_dir)
     feat = _feature_config(args, dataset.channels)
     model_set, final_ll = fit_activity_models(
-        [feat.apply(s) for s in dataset.sequences], args.components, _em_config(args)
+        [feat.apply(s) for s in dataset.sequences], args.components, em_cfg
     )
     save_model_set(model_set, args.out)
     for label in ALL_LABELS:
@@ -268,13 +269,14 @@ def _print_report(report: EvalReport, fmt: str, title: str) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    em_cfg = _em_config(args)
     dataset = load_dataset(args.data_dir)
     feat = _feature_config(args, dataset.channels)
     trans = load_transition_matrix(args.transitions) if args.transitions else None
     raw, tol = run_cv(
         dataset,
         counts=args.components,
-        em_cfg=_em_config(args),
+        em_cfg=em_cfg,
         feat_cfg=feat,
         window_k=args.window,
         trans=trans,

@@ -183,7 +183,6 @@ class Dataset:
         return sorted({seq.subject_id for seq in self.sequences})
 
 
-_READ_CHARS = 1 << 16  # characters per read of a file
 # Data lines per chunk of a recording: a multiple of predictor.BLOCK_ROWS, so
 # that push_block sees the 256-row blocks it would see with the whole
 # recording in memory.
@@ -193,28 +192,12 @@ CHUNK_LINES = 1024
 def _open(path: Path, kind: str):
     """``path`` opened as ASCII text that reads a non-ASCII byte as a lone surrogate.
 
-    Text mode ends the lines at "\n", "\r\n" and "\r".
+    Iterating it yields lines that text mode ends at "\n", "\r\n" and "\r",
+    each given as one trailing "\n" (the last line may have none).
     """
     if not path.is_file():
         raise DataError(f"no such {kind} file: {path}")
     return open(path, encoding="ascii", errors="surrogateescape")
-
-
-def _line_reads(fh):
-    """The complete lines of each ``fh.read(_READ_CHARS)``, in file order.
-
-    A line that a read cuts is carried over to the next read.
-    """
-    tail = ""
-    while block := fh.read(_READ_CHARS):
-        text = tail + block
-        del block  # the text is held only until it is split
-        lines = text.split("\n")
-        del text
-        tail = lines.pop()
-        yield lines
-    if tail:
-        yield [tail]
 
 
 class _LineReader:
@@ -228,7 +211,8 @@ class _LineReader:
         self.path = Path(path)
         self._lines = []
         with _open(self.path, kind) as fh:
-            for i, line in enumerate(itertools.chain.from_iterable(_line_reads(fh)), start=1):
+            for i, line in enumerate(fh, start=1):
+                line = line.removesuffix("\n")
                 if not line.isascii():
                     self.fail("non-ASCII byte", i)
                 if not (skip and skip(line)):
@@ -294,6 +278,7 @@ def _parse_header(path: Path, lines) -> tuple[str | None, float, list[str], int]
     """
     subject, rate = None, NOMINAL_SAMPLE_RATE_HZ
     for lineno, line in enumerate(lines, start=1):
+        line = line.removesuffix("\n")
         if not line.isascii():
             raise DataError(f"{path}:{lineno}: non-ASCII byte")
         if not line:
@@ -330,17 +315,17 @@ def _scale_columns(raw: np.ndarray, mins: np.ndarray, spans: np.ndarray) -> np.n
 # Python's int() also reads "1_000", and np.loadtxt also pads with \x1c-\x1f;
 # neither belongs to the format.
 _FIELD = re.compile(r"[ \v\f]*[+-]?[0-9]+[ \v\f]*")
-_FIELD_BYTES = b"0123456789+- \v\f\t"
+_FIELD_BYTES = b"0123456789+- \v\f\t\n"
 
 
 def _parse_rows(path: Path, rows: list[str], first_line: int, n_cols: int) -> np.ndarray:
     """The data lines as an (n, n_cols) integer table, parsed by one np.loadtxt call.
 
-    np.loadtxt decides only data made of the field characters alone; any
-    other character (a non-ASCII byte encodes back to itself), a raised
-    ValueError (including an int64 overflow) or a table of the wrong shape (it
-    skips blank lines) sends the lines to _scan_rows, which names the first
-    bad one.
+    The lines keep their "\n", which np.loadtxt drops. np.loadtxt decides only
+    data made of the field characters alone; any other character (a non-ASCII
+    byte encodes back to itself), a raised ValueError (including an int64
+    overflow) or a table of the wrong shape (it skips blank lines) sends the
+    lines to _scan_rows, which names the first bad one.
     """
     if not "".join(rows).encode("ascii", "surrogateescape").translate(None, _FIELD_BYTES):
         try:
@@ -361,6 +346,7 @@ def _scan_rows(path: Path, rows: list[str], first_line: int, n_cols: int) -> np.
     """
     table = []
     for lineno, line in enumerate(rows, start=first_line):
+        line = line.removesuffix("\n")
         if not line.isascii():
             raise DataError(f"{path}:{lineno}: non-ASCII byte")
         if not line:
@@ -372,7 +358,10 @@ def _scan_rows(path: Path, rows: list[str], first_line: int, n_cols: int) -> np.
             raise DataError(f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
         if not all(_FIELD.fullmatch(p) for p in parts):
             raise DataError(f"{path}:{lineno}: non-integer field")
-        table.append([int(p) for p in parts])
+        try:
+            table.append([int(p) for p in parts])
+        except ValueError:  # more digits than int() converts
+            raise DataError(f"{path}:{lineno}: integer field too long") from None
     return np.array(table, dtype=object)
 
 
@@ -383,14 +372,13 @@ def recording_chunks(path, channels: list[ChannelSpec] | None = None):
     header names them; no data line is checked before they are yielded. Each
     chunk, a scaled, labeled sequence (the last one shorter), is checked before
     it is yielded: its lines in line order, then a missing ``#subject``, then
-    its label ids, then its raw values. The file is read ``_READ_CHARS``
-    characters at a time, so memory does not grow with the recording. A
+    its label ids, then its raw values. Each chunk's lines are taken from the
+    text stream as they come, so memory does not grow with the recording. A
     missing ``#subject`` or data rows is raised at the end.
     """
     path = Path(path)
     with _open(path, "recording") as fh:
-        lines = itertools.chain.from_iterable(_line_reads(fh))
-        subject, rate, names, n_head = _parse_header(path, lines)
+        subject, rate, names, n_head = _parse_header(path, fh)
         if channels is None:
             try:
                 channels = channels_from_names(names)
@@ -403,7 +391,7 @@ def recording_chunks(path, channels: list[ChannelSpec] | None = None):
         maxs = np.array([c.raw_max for c in channels])
         offsets, spans = mins.astype(np.float64), (maxs - mins).astype(np.float64)
         first_line = n_head + 1
-        for rows in iter(lambda: list(itertools.islice(lines, CHUNK_LINES)), []):
+        for rows in iter(lambda: list(itertools.islice(fh, CHUNK_LINES)), []):
             raw = _parse_rows(path, rows, first_line, len(channels) + 1)
             del rows  # the table replaces the text lines
             if subject is None:

@@ -371,6 +371,8 @@ def test_predict_bad_model_number_exits_two(synth_dir, model_path, tmp_path, cap
             "value -99999999999999999999 outside the raw range of channel 'acc_sig_0'",
         ),
         (2, b"12\xe9", "non-ASCII byte"),
+        (-1, b"1" * 4301, "integer field too long"),
+        (0, b"1" * 4301, "integer field too long"),
     ],
 )
 def test_bad_recording_field_exits_two_naming_the_line(
@@ -478,6 +480,29 @@ def test_evaluate_rejects_bad_settings_as_usage_errors(flags, message, synth_dir
     assert err.value.code == 1
     out, stderr = capsys.readouterr()
     assert out == "" and stderr.endswith(f"rapidhare evaluate: error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--em-tol=nan", "tol must be finite and positive, got nan"),
+        ("--variance-floor=0", "variance_floor must be finite and positive, got 0.0"),
+        ("--em-iters=0", "max_iters must be positive, got 0"),
+        ("--restarts=0", "n_init_restarts must be positive"),
+        ("--seed=-1", "seed must be non-negative"),
+    ],
+)
+def test_em_settings_are_checked_before_any_recording_is_read(
+    command, flag, message, synth_dir, tmp_path, capsys
+):
+    args = {
+        "train": ["train", str(synth_dir), "--out", str(tmp_path / "m.txt")],
+        "evaluate": ["evaluate", str(synth_dir)],
+    }[command]
+    with mock.patch.object(cli, "load_dataset", side_effect=AssertionError("read data")):
+        assert main([*args, flag]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

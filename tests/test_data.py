@@ -126,6 +126,7 @@ def test_parse_error_line_number_past_first_row(tmp_path):
             [[0, -(2**63) - 1, 1]],
             ":3: value -9223372036854775809 outside the raw range of channel 'emg_r'",
         ),
+        ([[0, 0, 1], [0, 0, "1" * 4301]], ":4: integer field too long$"),  # too long for int()
     ],
 )
 def test_parse_values_beyond_int64_name_the_line(tmp_path, rows, message):
@@ -133,6 +134,53 @@ def test_parse_values_beyond_int64_name_the_line(tmp_path, rows, message):
     with pytest.raises(DataError, match=message):
         parse_recording(p, TWO_CHANNELS)
 
+
+
+def _buffer_edge_recording(kind, n_rows=3000):
+    """Recording text whose line ends meet the edges of the text layer's reads.
+
+    ``crlf_<n>``: a ``#note`` line of n characters first, so that with n near
+    8192 its CRLF straddles the first 8 KiB buffer, and CRLF on every line;
+    ``long_metadata``: a 70,000-character metadata line before the header;
+    ``no_final_newline``: the last data line has no line end.
+    """
+    rng = np.random.default_rng(len(kind))
+    rows = [f"{a}\t{b}\t{c}" for a, b, c in zip(
+        rng.integers(-32768, 32768, n_rows), rng.integers(0, 256, n_rows), rng.integers(1, 9, n_rows)
+    )]
+    head = ["#subject 01", "acc_rt_x\temg_r\tact"]
+    if kind.startswith("crlf_"):
+        note = "#note " + "x" * (int(kind[5:]) - 6)
+        return "\r\n".join([note, *head, *rows]) + "\r\n"
+    if kind == "long_metadata":
+        return "\n".join([head[0], "#note " + "y" * 70000, head[1], *rows]) + "\n"
+    return "\n".join(head + rows)
+
+
+@pytest.mark.parametrize(
+    "kind", [f"crlf_{n}" for n in range(8189, 8196)] + ["long_metadata", "no_final_newline"]
+)
+@pytest.mark.parametrize("last_label", ["", "9"])
+def test_parse_matches_the_oracle_at_the_text_buffer_edges(tmp_path, kind, last_label):
+    """The same frames as the oracle, or with a bad last label the same error at the same line."""
+    text = _buffer_edge_recording(kind)
+    if last_label:
+        end = "\r\n" if text.endswith("\r\n") else "\n" if text.endswith("\n") else ""
+        text = text[: len(text) - len(end) - 1] + last_label + end
+    p = tmp_path / "edge.tsv"
+    p.write_bytes(text.encode("ascii"))
+    if last_label:
+        with pytest.raises(DataError) as expected:
+            parse_recording_oracle(p, TWO_CHANNELS)
+        with pytest.raises(DataError) as err:
+            parse_recording(p, TWO_CHANNELS)
+        assert str(err.value) == str(expected.value)
+        return
+    expected = parse_recording_oracle(p, TWO_CHANNELS)
+    seq = parse_recording(p, TWO_CHANNELS)
+    assert (seq.subject_id, seq.sample_rate_hz) == (expected.subject_id, expected.sample_rate_hz)
+    assert np.array_equal(seq.frames.view(np.int64), expected.frames.view(np.int64))
+    assert np.array_equal(seq.labels, expected.labels)
 
 @pytest.mark.parametrize(
     "text,line",

@@ -272,6 +272,17 @@ def test_model_set_round_trip(tmp_path, rng):
     assert text[2] == "activities 8"
 
 
+
+def test_model_set_round_trip_with_lines_longer_than_64_ki_characters(tmp_path, rng):
+    """Each ``mean`` and ``var`` line of a 4000-dimension model holds about 90,000 characters."""
+    model_set = random_model_set(rng, dim=4000, k_lo=1, k_hi=1)
+    path = tmp_path / "model.txt"
+    save_model_set(model_set, path)
+    assert min(len(line) for line in path.read_text().splitlines()[5:7]) > 1 << 16
+    loaded = load_model_set(path)
+    for label, model in model_set.models.items():
+        assert_same_model(model, loaded.models[label])
+
 def test_model_set_load_errors(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("NOT-A-MODEL\n")

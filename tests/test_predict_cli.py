@@ -438,9 +438,10 @@ def test_predict_file_memory_does_not_grow_with_the_recording(models, tmp_path):
     """Eight times the frames, less than twice the traced peak.
 
     The bound is set from a measurement: the peaks at 2,048 and 16,384 frames
-    were 455 and 679 kB (1.49 times), and they stay at 679 kB up to 32,768
-    frames; the smaller file fits in fewer reads and chunks. Reading the
-    whole recording first, they were 0.41 and 2.41 MB (5.8 times).
+    were 308 and 307 kB (1.00 times), and 290 kB at 32,768 frames, with each
+    chunk's lines taken from the text stream. With 64 Ki-character reads
+    they were 472 and 699 kB (1.48 times); reading the whole recording
+    first, 0.41 and 2.41 MB (5.8 times).
     """
     peaks = []
     for n_frames in (2048, 16384):
