@@ -254,7 +254,8 @@ class _LineReader:
         try:
             value = int(text)
         except ValueError:
-            self.fail(f"{what} must be an integer, got {text!r}")
+            shown = repr(text) if len(text) <= 40 else f"a {len(text)}-character value"
+            self.fail(f"{what} must be an integer, got {shown}")
         if value < 1:
             self.fail(f"{what} must be at least 1, got {value}")
         return value
@@ -325,9 +326,11 @@ def _parse_rows(path: Path, rows: list[str], first_line: int, n_cols: int) -> np
     data made of the field characters alone; any other character (a non-ASCII
     byte encodes back to itself), a raised ValueError (including an int64
     overflow) or a table of the wrong shape (it skips blank lines) sends the
-    lines to _scan_rows, which names the first bad one.
+    lines to _scan_rows, which names the first bad one. So do lines that are
+    all blank, on which np.loadtxt would first print a warning.
     """
-    if not "".join(rows).encode("ascii", "surrogateescape").translate(None, _FIELD_BYTES):
+    text = "".join(rows).encode("ascii", "surrogateescape")
+    if text.lstrip(b"\n") and not text.translate(None, _FIELD_BYTES):
         try:
             raw = np.loadtxt(rows, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
         except ValueError:

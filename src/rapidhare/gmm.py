@@ -14,6 +14,14 @@ component densities are one matrix product. EM's E-step and the streaming
 frame scorer use it. Its absolute error grows with sum_d (x_d^2 + mu_d^2) /
 var_d, since the three terms cancel near a mean. Training reuses one (n, k)
 table and one row-maximum vector with the bits of the allocating steps.
+
+Training's random draws (k-means++ seeds, restarts of starved components)
+come from ``_Pcg64``: the stream of ``np.random.default_rng(seed)``, bit for
+bit, for the only two calls training makes, ``integers(n)`` and
+``choice(n, p=...)``. So ``train`` and ``evaluate`` never import numpy's
+random module, whose compiled modules and OpenSSL's libcrypto (through
+``secrets``) added 6.2 MB to their peak RSS, and trained models stay those of
+numpy's generator; the tests hold the copy to numpy's stream.
 """
 
 from __future__ import annotations
@@ -129,6 +137,97 @@ def expansion_lift(X) -> np.ndarray:
     return np.hstack([X * X, X, np.ones((len(X), 1))])
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence_state(seed: int) -> list[int]:
+    """``np.random.SeedSequence(seed).generate_state(4, np.uint64)`` as Python integers."""
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:  # seeds wider than the pool
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, state = 0x8B51F9DD, []  # generate_state: the same hash, other constants
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]  # little-endian pairs
+
+
+class _Pcg64:
+    """The stream of ``np.random.default_rng(seed)``, bit for bit, for the draws training makes.
+
+    PCG64 with XSL-RR output, seeded through a SeedSequence; 128-bit state on
+    Python integers. ``integers(n)`` and ``choice(n, p=...)`` take numpy's
+    code paths, including the high half of a 64-bit draw that a 32-bit draw
+    keeps for the next one.
+    """
+
+    def __init__(self, seed: int):
+        s0, s1, i0, i1 = _seed_sequence_state(seed)
+        self._inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        # From state 0: one step, add the initial state, one more step.
+        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG64_MULTIPLIER + self._inc) & _MASK128
+        self._kept32 = None
+
+    def _next64(self) -> int:
+        self._state = state = (self._state * _PCG64_MULTIPLIER + self._inc) & _MASK128
+        x, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
+        return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def _next32(self) -> int:
+        if self._kept32 is not None:
+            value, self._kept32 = self._kept32, None
+            return value
+        x = self._next64()
+        self._kept32 = x >> 32
+        return x & _MASK32
+
+    def integers(self, n: int) -> int:
+        """A draw from range(n), n >= 1: Lemire's method on 32 bits while n < 2**32."""
+        if n == 1:
+            return 0
+        if n == 1 << 32:
+            return self._next32()
+        bits, draw = (32, self._next32) if n < 1 << 32 else (64, self._next64)
+        mask = (1 << bits) - 1
+        m = draw() * n
+        if m & mask < n:
+            threshold = (1 << bits) % n  # numpy's (mask - (n - 1)) % n
+            while m & mask < threshold:
+                m = draw() * n
+        return m >> bits
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
+
+    def choice(self, n: int, p) -> int:
+        """An index into ``p``, of length ``n``, drawn with those weights."""
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(self.random(), side="right"))
+
+
 def _kmeans_pp_seeds(data, k, rng):
     n = len(data)
     centers = np.empty((k, data.shape[1]))
@@ -136,6 +235,8 @@ def _kmeans_pp_seeds(data, k, rng):
     d2 = ((data - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise NumericError("squared distances overflow in k-means++ seeding")
         if total > 0:
             idx = rng.choice(n, p=d2 / total)
         else:
@@ -172,7 +273,7 @@ def kmeans_init(
     """
     data = _validate_training_data(data, k)
     n = len(data)
-    centers = _kmeans_pp_seeds(data, k, np.random.default_rng(seed))
+    centers = _kmeans_pp_seeds(data, k, _Pcg64(seed))
     sq_norms = (data * data).sum(axis=1)
     columns = data.T.copy()  # contiguous weights for bincount
     dists = np.empty((n, k))
@@ -274,7 +375,7 @@ def fit_em_trace(data, k: int, cfg: EmConfig = EmConfig()) -> tuple[GmmModel, li
     for r in range(cfg.n_init_restarts):
         seed = cfg.seed + 9973 * r
         init = kmeans_init(data, k, seed=seed, variance_floor=cfg.variance_floor)
-        fitted = _em(data, init, cfg, np.random.default_rng(seed))
+        fitted = _em(data, init, cfg, _Pcg64(seed))
         if best is None or fitted[1][-1] > best[1][-1]:
             best = fitted
     return best

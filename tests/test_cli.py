@@ -360,6 +360,19 @@ def test_predict_bad_model_number_exits_two(synth_dir, model_path, tmp_path, cap
     assert "bad.txt:2: dim must be an integer" in capsys.readouterr().err
 
 
+def test_predict_model_count_of_5000_digits_is_named_by_its_length(
+    synth_dir, model_path, tmp_path, capsys
+):
+    bad = tmp_path / "bad.txt"
+    lines = model_path.read_text().splitlines()
+    lines[1] = "dim " + "1" * 5000
+    bad.write_text("\n".join(lines) + "\n")
+    recording = sorted(synth_dir.iterdir())[0]
+    assert main(["predict", str(recording), "--model", str(bad)]) == 2
+    message = f"error: {bad}:2: dim must be an integer, got a 5000-character value\n"
+    assert capsys.readouterr() == ("", message)
+
+
 @pytest.mark.parametrize("command", ["predict", "train", "evaluate"])
 @pytest.mark.parametrize(
     "column,field,message",
@@ -531,6 +544,34 @@ def test_importing_the_cli_loads_no_thread_pool():
         capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
+
+
+# Trains, evaluates and predicts from a file and from stdin in one child, then
+# prints their exit codes and whether numpy.random was imported on the way.
+_COMMAND_MODULES = """
+import contextlib, io, pathlib, sys
+from rapidhare.cli import main
+data, model = sys.argv[1:]
+recording = str(sorted(pathlib.Path(data).iterdir())[0])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["train", data, "--out", model, "--em-iters", "5"]),
+        main(["evaluate", data, "--em-iters", "5"]),
+        main(["predict", recording, "--model", model]),
+    ]
+    sys.stdin = io.StringIO("0.1\\t0.2\\t0.3\\t0.4\\n" * 3)
+    codes.append(main(["predict", "-", "--model", model]))
+print(codes, "numpy.random" in sys.modules)
+"""
+
+
+def test_train_evaluate_and_predict_load_no_random_number_generator(synth_dir, tmp_path):
+    """Training draws from ``gmm._Pcg64``: ``numpy.random`` would add about 6 MB of peak RSS."""
+    child = subprocess.run(
+        [sys.executable, "-c", _COMMAND_MODULES, str(synth_dir), str(tmp_path / "m.txt")],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[0, 0, 0, 0] False\n", "")
 
 
 def test_train_holds_one_activitys_frames_at_a_time(tmp_path):

@@ -9,6 +9,7 @@ from rapidhare import (
     EmConfig,
     GmmModel,
     LabeledSequence,
+    NumericError,
     fit_activity_models,
     fit_em,
     fit_em_trace,
@@ -18,7 +19,7 @@ from rapidhare import (
     log_pdf_batch,
     save_model_set,
 )
-from rapidhare.gmm import DEFAULT_COMPONENT_COUNTS, expansion_coefficients
+from rapidhare.gmm import DEFAULT_COMPONENT_COUNTS, _Pcg64, expansion_coefficients
 from conftest import (
     expansion_coefficients_oracle,
     fit_em_trace_oracle,
@@ -154,6 +155,57 @@ def test_training_equals_allocating_oracle_bit_for_bit(n, dim, k, distinct, seed
     oracle_model, oracle_trace = fit_em_trace_oracle(data, k, cfg)
     assert trace == oracle_trace
     assert_same_model(model, oracle_model)
+
+
+_DRAWS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("integers"),
+            st.sampled_from([1, 2, 3, 1000, 2**32 - 1, 2**32, 2**40 + 7, 2**63 - 1])
+            | st.integers(1, 2**63 - 1),
+        ),
+        st.tuples(st.just("random"), st.none()),
+        st.tuples(st.just("choice"), st.lists(st.integers(0, 9), min_size=1, max_size=20).filter(any)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**256), draws=_DRAWS)
+def test_training_stream_equals_numpys_default_rng(seed, draws):
+    """Mixed draws in any order: a 32-bit draw keeps half of a 64-bit one for the next."""
+    ours, theirs = _Pcg64(seed), np.random.default_rng(seed)
+    for method, arg in draws:
+        if method == "integers":
+            assert ours.integers(arg) == theirs.integers(arg)
+        elif method == "random":
+            assert ours.random() == theirs.random()
+        else:
+            p = np.array(arg) / sum(arg)
+            assert ours.choice(len(p), p=p) == theirs.choice(len(p), p=p)
+
+
+@pytest.mark.parametrize(
+    "seed, first",
+    [
+        (0, [850, 296633628804, 0.04097352393619469, 0, 2735729615]),
+        (5, [670, 888340292875, 0.515325561042142, 2, 3457461230]),
+        (2**70, [635, 1025968478409, 0.4725998338797154, 2, 2331484082]),
+    ],
+)
+def test_training_stream_first_draws_are_pinned(seed, first):
+    """Recorded from numpy 2.4.6: numpy may change its Generator's algorithms, trained models may not."""
+    rng = _Pcg64(seed)
+    p = np.array([0.25, 0.0, 0.75])
+    draws = [rng.integers(1000), rng.integers(2**40 + 7), rng.random(), rng.choice(3, p=p)]
+    assert draws + [rng.integers(2**32)] == first
+
+
+def test_overflowing_kmeans_pp_weights_are_a_numeric_error():
+    """Finite rows whose squared distances overflow stop before a draw from NaN weights."""
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="k-means"):
+        fit_em(np.array([[1e200], [-1e200], [0.0], [5.0]]), 2)
 
 
 def test_expansion_coefficients_equal_hstack_oracle(rng):

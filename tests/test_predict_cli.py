@@ -434,6 +434,17 @@ def test_a_header_column_of_no_known_kind_names_its_line(command, models, tmp_pa
     assert _first_file_error(command, path, models, tmp_path) == message
 
 
+@pytest.mark.filterwarnings("error")  # np.loadtxt warns when every line it is given is blank
+@pytest.mark.parametrize("command", ["parse_recording", "train", "predict", "predict --oracle"])
+def test_a_chunk_of_only_blank_lines_is_one_error_line(command, models, tmp_path):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    path = data_dir / "r.tsv"
+    path.write_bytes(b"#subject 01\nacc_rt_x\temg_r\tact\n\n\n")
+    message = f"error: {path}:3: blank line\n"
+    assert _first_file_error(command, path, models, tmp_path) == message
+
+
 def test_predict_file_memory_does_not_grow_with_the_recording(models, tmp_path):
     """Eight times the frames, less than twice the traced peak.
 
