@@ -31,7 +31,6 @@ from .evaluation import (
 from .features import (
     DirectionalConfig,
     FeatureConfig,
-    StreamingDirectional,
     directional_sources_by_name,
 )
 from .gmm import (

@@ -23,6 +23,7 @@ from .errors import DataError, NumericError
 from .evaluation import EvalReport, run_cv
 from .features import (
     DEFAULT_DIRECTIONAL_LAG,
+    MAX_DIRECTIONAL_LAG,
     DirectionalConfig,
     FeatureConfig,
     directional_sources_by_name,
@@ -78,9 +79,11 @@ def _parse_df(text: str) -> dict:
         key, sep, value = item.partition("=")
         if key == "lag" and sep:
             try:
-                spec["lag"] = int(value)
+                spec["lag"] = _int_in(1, MAX_DIRECTIONAL_LAG)(value)
             except ValueError:
                 raise argparse.ArgumentTypeError(f"bad directional lag: {value!r}") from None
+            except argparse.ArgumentTypeError as exc:
+                raise argparse.ArgumentTypeError(f"directional lag {exc}") from None
         elif key == "channels" and sep:
             rest = text[text.index("channels=") + len("channels="):]
             spec["channels"] = _parse_indices(rest)

@@ -3,12 +3,13 @@
 Directional features are causal lagged differences d[t] = s[t] - s[t - lag]
 appended to the frame; they encode which way a signal is moving and are left
 unclamped (magnitude at most 2 for inputs in [-1, 1]). Both are computed in
-one place, the block streamer: ``FeatureConfig.apply`` pushes a whole
-recording through it as one block, ``predict FILE`` pushes each chunk of the
-recording, and ``predict -`` pushes each frame into one reused output row.
-The streamer keeps the last ``lag`` source rows twice over in one ring, so a
-one-row push is one subtraction against the oldest row and two row writes,
-with no concatenation.
+one class, ``FeatureStreamer``, which checks each block's width, selects the
+kept channels and appends the differences: ``FeatureConfig.apply`` pushes a
+whole recording through it as one block, ``predict FILE`` pushes each chunk
+of the recording, and ``predict -`` pushes each frame into one reused output
+row. The streamer keeps the last ``lag`` source rows twice over in one ring,
+so a one-row push is one subtraction against the oldest row and two row
+writes, with no concatenation.
 """
 
 from __future__ import annotations
@@ -75,17 +76,7 @@ class FeatureConfig:
             if self.directional is not None:
                 missing = set(self.directional.source_channels) - set(self.keep_channels)
                 if missing:
-                    raise DataError(
-                        f"directional source channels {sorted(missing)} are not kept"
-                    )
-
-    def _selected_directional(self) -> DirectionalConfig | None:
-        """The directional config with its sources renumbered into the kept channels."""
-        directional = self.directional
-        if directional is None or self.keep_channels is None:
-            return directional
-        pos = {orig: i for i, orig in enumerate(self.keep_channels)}
-        return DirectionalConfig(directional.lag, tuple(pos[c] for c in directional.source_channels))
+                    raise DataError(f"directional source channels {sorted(missing)} are not kept")
 
     def apply(self, seq: LabeledSequence) -> LabeledSequence:
         """The whole recording pushed through ``streamer`` as one block; labels are untouched."""
@@ -115,39 +106,55 @@ def directional_sources_by_name(channels: list[ChannelSpec], keep=None) -> tuple
     return sources
 
 
-class StreamingDirectional:
-    """Lagged differences appended to frames pushed in blocks of any length.
+class FeatureStreamer:
+    """FeatureConfig's transform of (n, ``n_channels``) blocks, in stream order, to (n, ``dim``).
 
-    The last ``lag`` source rows are kept twice over in one ring, zeros before
-    the stream starts, so they are always one contiguous slice, oldest first.
-    A one-row push subtracts the oldest row from the new one and writes the
-    new row over both copies of the oldest; a longer block is one subtraction
-    over the kept rows and the block. Rows whose stream index is below ``lag``
-    get zeros instead. The output does not depend on how the stream is split
-    into blocks.
+    A block's kept channels come first, then one lagged difference per
+    directional source. The last ``lag`` source rows are kept twice over in
+    one ring, zeros before the stream starts, so they are always one
+    contiguous slice, oldest first. A one-row push subtracts the oldest row
+    from the new one and writes the new row over both copies of the oldest; a
+    longer block is one subtraction over the kept rows and the block. Rows
+    whose stream index is below ``lag`` get zeros instead. The output does not
+    depend on how the stream is split into blocks.
     """
 
-    def __init__(self, cfg: DirectionalConfig, dim: int):
-        _check_indices(cfg.source_channels, dim, "directional source_channels")
-        self._sources = np.array(cfg.source_channels)
-        self._dim = dim
-        self._lag = cfg.lag
-        # Each source row is written at _pos and _pos + lag, so
-        # _ring[_pos : _pos + lag] holds the last lag rows, oldest first.
-        self._ring = np.zeros((2 * cfg.lag, len(self._sources)))
-        self._pos = 0
-        self._rows = 0
+    def __init__(self, cfg: FeatureConfig, n_channels: int):
+        keep, directional = cfg.keep_channels, cfg.directional
+        if keep is not None:
+            _check_indices(keep, n_channels, "channel selection")
+        self._n_channels = n_channels
+        self._keep = None if keep is None else list(keep)
+        self._width = self.dim = n_channels if keep is None else len(keep)
+        self._sources = None
+        if directional is not None:
+            sources = directional.source_channels
+            _check_indices(sources, n_channels, "directional source_channels")
+            if keep is not None:  # renumbered into the kept channels, which hold every source
+                sources = [keep.index(c) for c in sources]
+            self._sources = np.array(sources)
+            self._lag = directional.lag
+            # Each source row is written at _pos and _pos + lag, so
+            # _ring[_pos : _pos + lag] holds the last lag rows, oldest first.
+            self._ring = np.zeros((2 * directional.lag, len(sources)))
+            self._pos = self._rows = 0
+            self.dim += len(sources)
 
     def push(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``block`` (n, dim) with its n rows of differences appended, (n, dim + sources).
+        """The features of ``block``; the directional features are written into ``out``.
 
-        The result is written into ``out`` when it is given.
+        ``out`` is ignored without directional features: the result is then
+        ``block`` or its kept channels.
         """
-        n, dim, lag, ring, q = len(block), self._dim, self._lag, self._ring, self._pos
-        if block.shape[1] != dim:
-            raise DataError(f"expected blocks of {dim} channels, got shape {block.shape}")
+        if block.shape[1] != self._n_channels:
+            raise DataError(f"expected blocks of {self._n_channels} channels, got shape {block.shape}")
+        if self._keep is not None:
+            block = block[:, self._keep]
+        if self._sources is None:
+            return block
+        n, dim, lag, ring, q = len(block), self._width, self._lag, self._ring, self._pos
         # Source columns are taken with mode="clip", which skips the buffered
-        # copy of mode="raise"; the indices were checked against dim in __init__.
+        # copy of mode="raise"; __init__ checked the indices against n_channels.
         if n != 1:
             src = np.empty((lag + n, len(self._sources)))
             src[:lag] = ring[q : q + lag]
@@ -159,7 +166,7 @@ class StreamingDirectional:
             self._pos, self._rows = 0, self._rows + n
             return np.concatenate((block, d), axis=1, out=out)
         if out is None:
-            out = np.empty((1, dim + len(self._sources)))
+            out = np.empty((1, self.dim))
         out[:, :dim] = block
         new = ring[q + lag]  # the oldest row's second copy, free once it is subtracted
         block[0].take(self._sources, out=new, mode="clip")
@@ -171,26 +178,5 @@ class StreamingDirectional:
         return out
 
 
-class FeatureStreamer:
-    """FeatureConfig's transform of (n, ``n_channels``) blocks, in stream order, to (n, ``dim``)."""
-
-    def __init__(self, cfg: FeatureConfig, n_channels: int):
-        self._keep = None if cfg.keep_channels is None else list(cfg.keep_channels)
-        if self._keep is not None:
-            _check_indices(self._keep, n_channels, "channel selection")
-        width = n_channels if self._keep is None else len(self._keep)
-        directional = cfg._selected_directional()
-        self._directional = None if directional is None else StreamingDirectional(directional, width)
-        self.dim = width if directional is None else width + len(directional.source_channels)
-
-    def push(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The features of ``block``; the directional features are written into ``out``.
-
-        ``out`` is ignored without directional features: the result is then
-        ``block`` or its kept channels.
-        """
-        if self._keep is not None:
-            block = block[:, self._keep]
-        if self._directional is not None:
-            block = self._directional.push(block, out)
-        return block
+# The old name, kept while perfbench/tracer.py hooks features.stream_push on it.
+StreamingDirectional = FeatureStreamer

@@ -26,6 +26,7 @@ numpy's generator; the tests hold the copy to numpy's stream.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -235,8 +236,6 @@ def _kmeans_pp_seeds(data, k, rng):
     d2 = ((data - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = d2.sum()
-        if not np.isfinite(total):
-            raise NumericError("squared distances overflow in k-means++ seeding")
         if total > 0:
             idx = rng.choice(n, p=d2 / total)
         else:
@@ -244,6 +243,16 @@ def _kmeans_pp_seeds(data, k, rng):
         centers[j] = data[idx]
         d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
     return centers
+
+
+@contextmanager
+def _overflow_is_an_error(message):
+    """A float64 overflow inside as one NumericError(message), not numpy warnings."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise NumericError(message) from None
 
 
 def _validate_training_data(data, k) -> np.ndarray:
@@ -259,6 +268,7 @@ def _validate_training_data(data, k) -> np.ndarray:
     return data
 
 
+@_overflow_is_an_error("squared distances overflow in k-means")
 def kmeans_init(
     data, k: int, seed: int, variance_floor: float = DEFAULT_VARIANCE_FLOOR
 ) -> GmmModel:
@@ -269,7 +279,8 @@ def kmeans_init(
     the point farthest from its centroid among clusters of two or more points,
     so every component keeps positive weight. Deterministic for a fixed seed.
     Lloyd steps reuse one distance buffer and sum centroids in data order, as
-    a mean does for dim >= 2 (numpy sums a single column pairwise).
+    a mean does for dim >= 2 (numpy sums a single column pairwise). Rows far
+    enough apart to overflow a squared distance raise NumericError.
     """
     data = _validate_training_data(data, k)
     n = len(data)

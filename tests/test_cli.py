@@ -518,6 +518,30 @@ def test_em_settings_are_checked_before_any_recording_is_read(
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize(
+    "lag, message",
+    [
+        ("0", "directional lag must be in 1..100000, got 0"),
+        ("100001", "directional lag must be in 1..100000, got 100001"),
+        ("x", "bad directional lag: 'x'"),
+    ],
+)
+def test_a_bad_lag_is_a_usage_error_before_any_recording_is_read(
+    command, lag, message, synth_dir, tmp_path, capsys
+):
+    args = {
+        "train": ["train", str(synth_dir), "--out", str(tmp_path / "m.txt")],
+        "evaluate": ["evaluate", str(synth_dir)],
+    }[command]
+    with mock.patch.object(cli, "load_dataset", side_effect=AssertionError("read data")):
+        with pytest.raises(SystemExit) as err:
+            main([*args, f"--df=lag={lag}"])
+    assert err.value.code == 1
+    out, stderr = capsys.readouterr()
+    assert out == "" and stderr.endswith(f"rapidhare {command}: error: argument --df: {message}\n")
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [

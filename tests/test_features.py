@@ -9,7 +9,6 @@ from rapidhare import (
     DirectionalConfig,
     FeatureConfig,
     LabeledSequence,
-    StreamingDirectional,
     directional_sources_by_name,
     full_sensor_channels,
 )
@@ -143,7 +142,7 @@ def test_streaming_matches_batch(rng):
     frames = rng.uniform(-1, 1, size=(80, 5))
     cfg = DirectionalConfig(lag=9, source_channels=(0, 3))
     batch = FeatureConfig(directional=cfg).apply(seq_of(frames))
-    streamer = StreamingDirectional(cfg, dim=5)
+    streamer = FeatureConfig(directional=cfg).streamer(5)
     streamed = np.vstack([streamer.push(x[np.newaxis]) for x in frames])
     assert np.array_equal(streamed, batch.frames)
 
@@ -152,6 +151,16 @@ def test_streaming_matches_batch(rng):
         streamer = feat.streamer(5)
         streamed = np.vstack([streamer.push(x[np.newaxis]) for x in frames])
         assert np.array_equal(streamed, feat.apply(seq_of(frames)).frames)
+
+
+def test_a_block_of_the_wrong_width_is_a_data_error():
+    """Every config checks the width of what it is given, not only a directional one."""
+    configs = (FeatureConfig((2, 0)), FeatureConfig(directional=DirectionalConfig(4, (1,))), FeatureConfig())
+    for cfg in configs:
+        streamer = cfg.streamer(3)
+        for block in (np.zeros((1, 2)), np.zeros((5, 4))):
+            with pytest.raises(DataError, match="expected blocks of 3 channels"):
+                streamer.push(block)
 
 
 @st.composite

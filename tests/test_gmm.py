@@ -208,6 +208,21 @@ def test_overflowing_kmeans_pp_weights_are_a_numeric_error():
         fit_em(np.array([[1e200], [-1e200], [0.0], [5.0]]), 2)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1e200], [-1e200], [0.0], [5.0]],  # squared distances overflow in k-means++ seeding
+        [[1e154], [2e154], [-1e154], [3.0]],  # only the largest squared distance overflows
+        (1e160 + np.arange(8.0)[:, None] * 1e146).tolist(),  # close rows, their squares overflow
+    ],
+    ids=["far-apart", "one-pair", "squares"],
+)
+def test_rows_whose_squares_overflow_are_one_numeric_error(rows):
+    """No numpy warning comes first: pyproject makes a RuntimeWarning a failure."""
+    with pytest.raises(NumericError, match="^squared distances overflow in k-means$"):
+        fit_em(np.array(rows), 2)
+
+
 def test_expansion_coefficients_equal_hstack_oracle(rng):
     for k, dim in [(1, 1), (2, 6), (18, 6), (7, 42), (86, 42)]:
         model = random_gmm(rng, dim, k, var_lo=1e-6)

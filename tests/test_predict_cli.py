@@ -207,11 +207,21 @@ def test_predict_stdin_ends_in_lines_or_one_error(data, n_channels, window, mode
     _run(argv, stdin=b"\n".join(lines) + b"\n")
 
 
-def test_a_lag_beyond_its_cap_exits_two(models, capsys):
-    """The lag sets a ring of twice its length, so a huge one would be allocated, not refused."""
-    assert main(["predict", "-", f"--model={models(4)}", "--df=lag=1000000000000000,channels=0"]) == 2
-    message = f"directional lag must be in 1..{MAX_DIRECTIONAL_LAG}, got 1000000000000000"
-    assert capsys.readouterr().err == f"error: {message}\n"
+@pytest.mark.parametrize("lag", ["0", str(MAX_DIRECTIONAL_LAG + 1), "1000000000000000", "x"])
+@pytest.mark.parametrize("mode", [["-"], ["r.tsv"], ["r.tsv", "--oracle"]], ids=["stdin", "file", "oracle"])
+def test_a_lag_outside_its_range_is_a_usage_error(lag, mode, tmp_path, capsys):
+    """The lag sets a ring of twice its length, so a huge one would be allocated, not refused.
+
+    It is refused with the flags, before the model or input is read.
+    """
+    argv = ["predict", *mode, f"--model={tmp_path / 'missing.txt'}", f"--df=lag={lag},channels=0"]
+    assert _exit_code(argv) == 1
+    out, err = capsys.readouterr()
+    want = (
+        "bad directional lag: 'x'" if lag == "x"
+        else f"directional lag must be in 1..{MAX_DIRECTIONAL_LAG}, got {lag}"
+    )
+    assert out == "" and err.endswith(f"rapidhare predict: error: argument --df: {want}\n")
 
 
 @pytest.mark.parametrize("window", ["-1", str(MAX_WINDOW_K + 1), "x"])

@@ -2,11 +2,14 @@
 
 ``perfbench/tracer.py`` wraps functions at the names their callers look them
 up by. A rename in the library would leave a hook wrapping a function nobody
-calls, and its per-layer metric would silently read zero. Each command here
-runs under the tracer in a child process, as ``perfbench/run.py --trace 1``
-runs it, and must record spans under the names its layers go through.
+calls, and its per-layer metric would silently read zero. Every hook's name
+is first looked up in the package, and each command here runs under the
+tracer in a child process, as ``perfbench/run.py --trace 1`` runs it, and
+must record spans under the names its layers go through.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -38,6 +41,56 @@ def inputs(tmp_path_factory):
     assert main(["train", str(data), "--out", str(model), "--components", TWO_EACH,
                  "--em-iters", "10", "--seed", "5", *DF]) == 0
     return data, model
+
+
+@pytest.fixture(scope="module")
+def plain_model(inputs, tmp_path_factory):
+    """A model of the recordings' own channels, for runs without ``--df``."""
+    data, _ = inputs
+    model = tmp_path_factory.mktemp("plain") / "model.txt"
+    assert main(["train", str(data), "--out", str(model), "--components", TWO_EACH,
+                 "--em-iters", "10", "--seed", "5"]) == 0
+    return model
+
+
+def _resolve(expr, names):
+    """The dotted text of an owner expression in the tracer and the object it names, or None."""
+    if isinstance(expr, ast.Name):
+        return names.get(expr.id, (expr.id, None))
+    text, owner = _resolve(expr.value, names)
+    return f"{text}.{expr.attr}", getattr(owner, expr.attr, None)
+
+
+def _hooks(body, names):
+    """(line, owner text, owner, attribute) of each ``tr.patch``/``tr.count`` call in ``body``."""
+    for node in body:
+        if isinstance(node, ast.For):  # ``for owner in (cli, data): tr.patch(owner, ...)``
+            for item in node.iter.elts:
+                yield from _hooks(node.body, {**names, node.target.id: _resolve(item, names)})
+        elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call) and (
+            ast.unparse(node.value.func) in ("tr.patch", "tr.count")
+        ):
+            owner, attr = node.value.args[:2]
+            yield (node.lineno, *_resolve(owner, names), attr.value)
+
+
+def test_every_tracer_hook_names_a_function_of_the_package():
+    """A rename fails here, with the hook's line, not inside a traced child run."""
+    install = next(
+        node for node in ast.parse(TRACER.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "install"
+    )
+    names = {}  # ``cli, data, ... = (rapidhare.cli, rapidhare.data, ...)``
+    for node in install.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+            for target, module in zip(node.targets[0].elts, node.value.elts):
+                text = ast.unparse(module)
+                names[target.id] = (text, importlib.import_module(text))
+    hooks = list(_hooks(install.body, names))
+    assert hooks, "no tr.patch or tr.count call found in install()"
+    missing = [f"tracer.py:{line}: {text}.{attr}" for line, text, owner, attr in hooks
+               if not callable(getattr(owner, attr, None))]
+    assert not missing, f"perfbench/tracer.py hooks names the package does not have: {missing}"
 
 
 def _traced(tmp_path, args, stdin=None):
@@ -77,6 +130,14 @@ def test_predict_file_hits_its_layers(inputs, tmp_path):
     assert counts["data.parse_recording"] == counts["features.apply"] == 0
 
 
+def test_predict_file_without_df_pushes_each_chunk_through_the_feature_span(inputs, plain_model, tmp_path):
+    data, _ = inputs
+    recording = sorted(data.iterdir())[0]
+    counts, meta = _traced(tmp_path, ["predict", str(recording), "--model", str(plain_model)])
+    assert meta["frames_seen"] == N_FRAMES
+    assert counts["features.stream_push"] == -(-N_FRAMES // rapidhare.data.CHUNK_LINES)
+
+
 def test_predict_stdin_hits_its_layers(inputs, tmp_path):
     data, model = inputs
     stdin = _frames_as_stdin(sorted(data.iterdir())[0])
@@ -110,3 +171,11 @@ def test_evaluate_hits_its_layers(inputs, tmp_path):
         ("evaluation.apply_border_tolerance", folds),
     ):
         assert counts[name] == want, (name, counts)
+
+
+def test_evaluate_without_df_pushes_each_subject_through_the_feature_span(inputs, tmp_path):
+    data, _ = inputs
+    args = ["evaluate", str(data), "--components", TWO_EACH, "--em-iters", "10", "--seed", "5"]
+    counts, _ = _traced(tmp_path, args)
+    folds = 3
+    assert counts["features.apply"] == counts["features.stream_push"] == 2 * folds
