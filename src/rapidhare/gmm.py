@@ -336,6 +336,7 @@ class EmConfig:
             raise DataError("seed must be non-negative")
 
 
+@_overflow_is_an_error("mixture terms overflow in EM")
 def _em(data, init: GmmModel, cfg: EmConfig, rng) -> tuple[GmmModel, list[float]]:
     """EM from ``init``, reusing one (n, k) table and one length-n buffer of its row maxima."""
     n, dim = data.shape

@@ -18,7 +18,7 @@ from rapidhare import (
 )
 from rapidhare.cli import _feature_config, _write_predictions, main
 from rapidhare.data import N_ACTIVITIES, recording_chunks
-from rapidhare.gmm import KMEANS_MAX_ITERS, MODEL_FORMAT_TAG, _kmeans_pp_seeds
+from rapidhare.gmm import KMEANS_MAX_ITERS, MODEL_FORMAT_TAG
 from rapidhare.hmm import TransitionMatrix
 from rapidhare.predictor import BLOCK_ROWS, posterior
 from rapidhare.synth import default_spec
@@ -167,9 +167,25 @@ def expansion_coefficients_oracle(weights, means, variances):
     return np.hstack([-0.5 * inv_var, means * inv_var, const[:, None]])
 
 
+def kmeans_pp_seeds_oracle(data, k, rng):
+    """k-means++ seeds by brute force: each row's distance to every seed so far, anew.
+
+    A row is drawn with weight its squared distance to the nearest seed, and
+    uniformly once no weight is left.
+    """
+    n = len(data)
+    chosen = [int(rng.integers(n))]
+    while len(chosen) < k:
+        d2 = np.min([((data - data[i]) ** 2).sum(axis=1) for i in chosen], axis=0)
+        total = d2.sum()
+        chosen.append(int(rng.choice(n, p=d2 / total)) if total > 0 else int(rng.integers(n)))
+    return data[chosen]
+
+
 def kmeans_init_oracle(data, k, seed, variance_floor=1e-6):
     """The allocating Lloyd loop that ``kmeans_init`` replaced, kept as its oracle.
 
+    It starts from ``kmeans_pp_seeds_oracle`` on ``np.random.default_rng(seed)``.
     Each step builds a fresh distance matrix and takes every centroid as the
     mean of a masked copy of its rows. It reseeds an empty cluster by the
     library's rule: the point farthest from its centroid among clusters of two
@@ -177,7 +193,7 @@ def kmeans_init_oracle(data, k, seed, variance_floor=1e-6):
     """
     data = np.asarray(data, dtype=np.float64)
     n = len(data)
-    centers = _kmeans_pp_seeds(data, k, np.random.default_rng(seed))
+    centers = kmeans_pp_seeds_oracle(data, k, np.random.default_rng(seed))
     sq_norms = (data * data).sum(axis=1)
     for _ in range(KMEANS_MAX_ITERS):
         dists = sq_norms[:, None] - 2.0 * (data @ centers.T) + (centers * centers).sum(axis=1)
@@ -197,44 +213,49 @@ def kmeans_init_oracle(data, k, seed, variance_floor=1e-6):
     return GmmModel(weights / weights.sum(), centers, np.maximum(variances, variance_floor))
 
 
-def fit_em_trace_oracle(data, k, cfg):
-    """``fit_em_trace`` with the allocating E-step it replaced and ``kmeans_init_oracle``."""
+def em_oracle(data, init, cfg, rng):
+    """``gmm._em`` with the allocating E-step it replaced; starved components restart at ``rng``'s rows."""
     data = np.asarray(data, dtype=np.float64)
     n, dim = data.shape
     lifted = np.hstack([data * data, data, np.ones((n, 1))])
+    weights, means, variances = init.weights, init.means, init.variances
+    trace = []
+    prev = -np.inf
+    for it in range(cfg.max_iters):
+        comp = lifted @ expansion_coefficients_oracle(weights, means, variances).T
+        rowmax = comp.max(axis=1)
+        shifted = np.exp(comp - rowmax[:, None])
+        rowsum = shifted.sum(axis=1)
+        ll = float((rowmax + np.log(rowsum)).sum())
+        trace.append(ll)
+        if it > 0 and (ll - prev) < cfg.tol * max(abs(prev), 1e-12):
+            break
+        if it == cfg.max_iters - 1:
+            break
+        prev = ll
+        resp = shifted / rowsum[:, None]
+        nk = resp.sum(axis=0)
+        moments = (resp.T @ lifted) / np.maximum(nk, 1e-300)[:, None]
+        means = moments[:, dim : 2 * dim].copy()
+        variances = np.maximum(moments[:, :dim] - means * means, cfg.variance_floor)
+        weights = nk / n
+        for j in np.flatnonzero(nk < 1e-10 * n):
+            means[j] = data[rng.integers(n)]
+            variances[j] = cfg.variance_floor
+            weights[j] = 1.0 / n
+        weights = weights / weights.sum()
+    return GmmModel(weights, means, variances), trace
+
+
+def fit_em_trace_oracle(data, k, cfg):
+    """``fit_em_trace`` with ``kmeans_init_oracle`` and ``em_oracle``, each on numpy's own generator."""
     best = None
     for r in range(cfg.n_init_restarts):
         seed = cfg.seed + 9973 * r
         init = kmeans_init_oracle(data, k, seed, cfg.variance_floor)
-        rng = np.random.default_rng(seed)
-        weights, means, variances = init.weights, init.means, init.variances
-        trace = []
-        prev = -np.inf
-        for it in range(cfg.max_iters):
-            comp = lifted @ expansion_coefficients_oracle(weights, means, variances).T
-            rowmax = comp.max(axis=1)
-            shifted = np.exp(comp - rowmax[:, None])
-            rowsum = shifted.sum(axis=1)
-            ll = float((rowmax + np.log(rowsum)).sum())
-            trace.append(ll)
-            if it > 0 and (ll - prev) < cfg.tol * max(abs(prev), 1e-12):
-                break
-            if it == cfg.max_iters - 1:
-                break
-            prev = ll
-            resp = shifted / rowsum[:, None]
-            nk = resp.sum(axis=0)
-            moments = (resp.T @ lifted) / np.maximum(nk, 1e-300)[:, None]
-            means = moments[:, dim : 2 * dim].copy()
-            variances = np.maximum(moments[:, :dim] - means * means, cfg.variance_floor)
-            weights = nk / n
-            for j in np.flatnonzero(nk < 1e-10 * n):
-                means[j] = data[rng.integers(n)]
-                variances[j] = cfg.variance_floor
-                weights[j] = 1.0 / n
-            weights = weights / weights.sum()
-        if best is None or trace[-1] > best[1][-1]:
-            best = (GmmModel(weights, means, variances), trace)
+        fitted = em_oracle(data, init, cfg, np.random.default_rng(seed))
+        if best is None or fitted[1][-1] > best[1][-1]:
+            best = fitted
     return best
 
 

@@ -684,6 +684,17 @@ def test_synth_spec_file(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_train_on_a_synth_draw_that_misses_an_activity_exits_two(tmp_path, capsys):
+    """Few frames per subject can leave an activity out of a whole ``synth`` draw."""
+    data = tmp_path / "data"
+    synth = ["synth", f"--out={data}", "--subjects=3", "--frames=2000", "--dim=4", "--seed=3"]
+    assert main(synth) == 0
+    capsys.readouterr()
+    assert main(["train", str(data), f"--out={tmp_path / 'm.txt'}"]) == 2
+    message = "activity standing_up: 0 training frames, need at least 5"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

@@ -19,8 +19,9 @@ from rapidhare import (
     log_pdf_batch,
     save_model_set,
 )
-from rapidhare.gmm import DEFAULT_COMPONENT_COUNTS, _Pcg64, expansion_coefficients
+from rapidhare.gmm import DEFAULT_COMPONENT_COUNTS, _em, _Pcg64, expansion_coefficients
 from conftest import (
+    em_oracle,
     expansion_coefficients_oracle,
     fit_em_trace_oracle,
     kmeans_init_oracle,
@@ -157,6 +158,29 @@ def test_training_equals_allocating_oracle_bit_for_bit(n, dim, k, distinct, seed
     assert_same_model(model, oracle_model)
 
 
+
+@pytest.mark.parametrize("max_iters", [2, 8])
+@pytest.mark.parametrize("n_far", [1, 3])
+@pytest.mark.parametrize("seed", [0, 5, 2**40])
+def test_starved_component_restarts_equal_the_oracle(seed, n_far, max_iters):
+    """Components far from every row starve and restart at rows of the seed's stream, in order."""
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(5, 2))
+    data = pool[rng.integers(5, size=60)]  # duplicate rows
+    k = 1 + n_far
+    weights = np.full(k, 0.1 / n_far)
+    weights[0] = 0.9
+    means = np.vstack([data.mean(axis=0), 1e3 + np.arange(2.0 * n_far).reshape(n_far, 2)])
+    init = GmmModel(weights, means, np.full((k, 2), 1e-3))
+    cfg = EmConfig(max_iters=max_iters, variance_floor=1e-4)
+    model, trace = _em(data, init, cfg, _Pcg64(seed))
+    oracle_model, oracle_trace = em_oracle(data, init, cfg, np.random.default_rng(seed))
+    assert trace == oracle_trace
+    assert_same_model(model, oracle_model)
+    if max_iters == 2:  # the model as the restarts left it
+        assert all((data == mean).all(axis=1).any() for mean in model.means[1:])
+        assert (model.variances[1:] == 1e-4).all()
+
 _DRAWS = st.lists(
     st.one_of(
         st.tuples(
@@ -223,6 +247,12 @@ def test_rows_whose_squares_overflow_are_one_numeric_error(rows):
         fit_em(np.array(rows), 2)
 
 
+def test_em_overflow_is_one_numeric_error():
+    """k-means passes, then EM's coefficients overflow; no numpy warning comes first."""
+    with pytest.raises(NumericError, match="^mixture terms overflow in EM$"):
+        fit_em_trace(np.array([[1e152], [0.0], [5.0], [6.0]]), 2)
+
+
 def test_expansion_coefficients_equal_hstack_oracle(rng):
     for k, dim in [(1, 1), (2, 6), (18, 6), (7, 42), (86, 42)]:
         model = random_gmm(rng, dim, k, var_lo=1e-6)
@@ -287,8 +317,8 @@ def test_em_variances_respect_floor(rng):
 
 
 def test_em_surplus_components_stay_valid(rng):
-    # Two tight far-apart blobs with k=3: the surplus component starves and
-    # restarts, and the fitted model must still satisfy every invariant.
+    # Two tight far-apart blobs with k=3: two components share one blob (none
+    # starves here), and the fitted model must still satisfy every invariant.
     data = np.vstack([np.full((50, 1), -5.0), np.full((50, 1), 5.0)])
     data = data + 0.01 * rng.standard_normal((100, 1))
     model, ll = fit_em(data, k=3, cfg=EmConfig(seed=2))
