@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -116,10 +117,23 @@ def _em_config(args) -> EmConfig:
     )
 
 
+def _dataset_and_features(args):
+    """The recordings in ``args.data_dir`` and their features, checked before any data line."""
+    feat = None
+
+    def check_features(channels):
+        nonlocal feat
+        feat = _feature_config(args, channels)
+        feat.streamer(len(channels))  # checks --channels and the --df sources
+
+    return load_dataset(args.data_dir, check_features), feat
+
+
 def cmd_train(args) -> int:
     em_cfg = _em_config(args)
-    dataset = load_dataset(args.data_dir)
-    feat = _feature_config(args, dataset.channels)
+    if not (out_dir := Path(args.out).parent).is_dir():
+        raise DataError(f"no such output directory: {out_dir}")
+    dataset, feat = _dataset_and_features(args)
     model_set, final_ll = fit_activity_models(
         [feat.apply(s) for s in dataset.sequences], args.components, em_cfg
     )
@@ -273,8 +287,7 @@ def _print_report(report: EvalReport, fmt: str, title: str) -> None:
 
 def cmd_evaluate(args) -> int:
     em_cfg = _em_config(args)
-    dataset = load_dataset(args.data_dir)
-    feat = _feature_config(args, dataset.channels)
+    dataset, feat = _dataset_and_features(args)
     trans = load_transition_matrix(args.transitions) if args.transitions else None
     raw, tol = run_cv(
         dataset,

@@ -458,8 +458,11 @@ def write_recording(seq: LabeledSequence, channels: list[ChannelSpec], path) -> 
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def load_dataset(data_dir) -> Dataset:
-    """Load every recording file in a directory; channels inferred from the first header."""
+def load_dataset(data_dir, on_header=None) -> Dataset:
+    """Load every recording file in a directory; channels inferred from the first header.
+
+    ``on_header(channels)``, when given, runs on those channels before any data line is read.
+    """
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise DataError(f"no such data directory: {data_dir}")
@@ -469,6 +472,8 @@ def load_dataset(data_dir) -> Dataset:
     chunks = recording_chunks(files[0])
     channels = next(chunks)
     chunks.close()
+    if on_header is not None:
+        on_header(channels)
     sequences = [parse_recording(p, channels) for p in files]
     return Dataset(sequences, channels)
 
@@ -476,16 +481,19 @@ def load_dataset(data_dir) -> Dataset:
 def write_dataset(dataset: Dataset, out_dir) -> list[Path]:
     """Write one recording file per sequence into a directory."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     counts: dict[str, int] = {}
-    for seq in dataset.sequences:
-        n = counts.get(seq.subject_id, 0)
-        counts[seq.subject_id] = n + 1
-        suffix = f"_{n}" if n else ""
-        p = out_dir / f"subject_{seq.subject_id}{suffix}.tsv"
-        write_recording(seq, dataset.channels, p)
-        paths.append(p)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for seq in dataset.sequences:
+            n = counts.get(seq.subject_id, 0)
+            counts[seq.subject_id] = n + 1
+            suffix = f"_{n}" if n else ""
+            p = out_dir / f"subject_{seq.subject_id}{suffix}.tsv"
+            write_recording(seq, dataset.channels, p)
+            paths.append(p)
+    except OSError as exc:
+        raise DataError(f"cannot write recordings to {out_dir}: {exc.strerror}") from None
     return paths
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import os
+import random
 import sys
 import tracemalloc
 from pathlib import Path
@@ -170,22 +171,27 @@ def expansion_coefficients_oracle(weights, means, variances):
 def kmeans_pp_seeds_oracle(data, k, rng):
     """k-means++ seeds by brute force: each row's distance to every seed so far, anew.
 
-    A row is drawn with weight its squared distance to the nearest seed, and
-    uniformly once no weight is left.
+    Each draw is one ``rng.random()``, r. A uniform row is ``int(r * n)``: the
+    first seed, and every seed once no weight is left. Otherwise the seed is
+    the first row whose cumulative weight, over the total, exceeds r; a row's
+    weight is its squared distance to the nearest seed.
     """
     n = len(data)
-    chosen = [int(rng.integers(n))]
+    chosen = [int(rng.random() * n)]
     while len(chosen) < k:
         d2 = np.min([((data - data[i]) ** 2).sum(axis=1) for i in chosen], axis=0)
-        total = d2.sum()
-        chosen.append(int(rng.choice(n, p=d2 / total)) if total > 0 else int(rng.integers(n)))
+        cdf = np.cumsum(d2)
+        if cdf[-1] > 0:
+            chosen.append(int(np.flatnonzero(cdf / cdf[-1] > rng.random())[0]))
+        else:
+            chosen.append(int(rng.random() * n))
     return data[chosen]
 
 
 def kmeans_init_oracle(data, k, seed, variance_floor=1e-6):
     """The allocating Lloyd loop that ``kmeans_init`` replaced, kept as its oracle.
 
-    It starts from ``kmeans_pp_seeds_oracle`` on ``np.random.default_rng(seed)``.
+    It starts from ``kmeans_pp_seeds_oracle`` on ``random.Random(seed)``.
     Each step builds a fresh distance matrix and takes every centroid as the
     mean of a masked copy of its rows. It reseeds an empty cluster by the
     library's rule: the point farthest from its centroid among clusters of two
@@ -193,7 +199,7 @@ def kmeans_init_oracle(data, k, seed, variance_floor=1e-6):
     """
     data = np.asarray(data, dtype=np.float64)
     n = len(data)
-    centers = kmeans_pp_seeds_oracle(data, k, np.random.default_rng(seed))
+    centers = kmeans_pp_seeds_oracle(data, k, random.Random(seed))
     sq_norms = (data * data).sum(axis=1)
     for _ in range(KMEANS_MAX_ITERS):
         dists = sq_norms[:, None] - 2.0 * (data @ centers.T) + (centers * centers).sum(axis=1)
@@ -240,7 +246,7 @@ def em_oracle(data, init, cfg, rng):
         variances = np.maximum(moments[:, :dim] - means * means, cfg.variance_floor)
         weights = nk / n
         for j in np.flatnonzero(nk < 1e-10 * n):
-            means[j] = data[rng.integers(n)]
+            means[j] = data[int(rng.random() * n)]
             variances[j] = cfg.variance_floor
             weights[j] = 1.0 / n
         weights = weights / weights.sum()
@@ -248,12 +254,12 @@ def em_oracle(data, init, cfg, rng):
 
 
 def fit_em_trace_oracle(data, k, cfg):
-    """``fit_em_trace`` with ``kmeans_init_oracle`` and ``em_oracle``, each on numpy's own generator."""
+    """``fit_em_trace`` with ``kmeans_init_oracle`` and ``em_oracle``, each on ``random.Random(seed)``."""
     best = None
     for r in range(cfg.n_init_restarts):
         seed = cfg.seed + 9973 * r
         init = kmeans_init_oracle(data, k, seed, cfg.variance_floor)
-        fitted = em_oracle(data, init, cfg, np.random.default_rng(seed))
+        fitted = em_oracle(data, init, cfg, random.Random(seed))
         if best is None or fitted[1][-1] > best[1][-1]:
             best = fitted
     return best

@@ -3,6 +3,7 @@ import io
 import os
 import resource
 import selectors
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -542,6 +543,48 @@ def test_a_bad_lag_is_a_usage_error_before_any_recording_is_read(
     assert out == "" and stderr.endswith(f"rapidhare {command}: error: argument --df: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--channels=0,7", "channel selection: channel index 7 out of range for 4 channels"),
+        ("--df=channels=0,9", "directional source_channels: channel index 9 out of range for 4 channels"),
+        ("--df=lag=5", "no thigh accelerometer x/z channels available for directional features"),
+    ],
+    ids=["channels", "df-channels", "df-by-name"],
+)
+def test_feature_flags_are_checked_before_any_data_line(
+    command, flag, message, synth_dir, tmp_path, capsys
+):
+    """A non-integer field on line 50 of the last recording is never reached."""
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    last = sorted(data.iterdir())[-1]
+    lines = last.read_text().splitlines(keepends=True)
+    lines[49] = "x" + lines[49][lines[49].index("\t"):]
+    last.write_text("".join(lines))
+    args = {
+        "train": ["train", str(data), "--out", str(tmp_path / "m.txt")],
+        "evaluate": ["evaluate", str(data)],
+    }[command]
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"error: {last}:50: non-integer field\n")
+    assert main([*args, flag]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_train_to_a_missing_directory_exits_two_before_reading_data(synth_dir, tmp_path, capsys):
+    out = tmp_path / "missing" / "m.txt"
+    with mock.patch.object(cli, "load_dataset", side_effect=AssertionError("read data")):
+        assert main(["train", str(synth_dir), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: no such output directory: {out.parent}\n")
+
+
+def test_a_model_file_that_cannot_be_written_exits_two(synth_dir, tmp_path, capsys):
+    assert main(["train", str(synth_dir), "--out", str(tmp_path), "--em-iters", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write model file {tmp_path}: Is a directory\n")
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -590,7 +633,7 @@ print(codes, "numpy.random" in sys.modules)
 
 
 def test_train_evaluate_and_predict_load_no_random_number_generator(synth_dir, tmp_path):
-    """Training draws from ``gmm._Pcg64``: ``numpy.random`` would add about 6 MB of peak RSS."""
+    """Training draws from ``random.Random``: ``numpy.random`` would add about 6 MB of peak RSS."""
     child = subprocess.run(
         [sys.executable, "-c", _COMMAND_MODULES, str(synth_dir), str(tmp_path / "m.txt")],
         capture_output=True, text=True, env=child_env(), timeout=120,
@@ -682,6 +725,13 @@ def test_synth_spec_file(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == f"error: {where}seed must be non-negative\n"
         assert captured.out == ""
+
+
+def test_synth_onto_an_existing_file_exits_two(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["synth", "--out", str(out), "--frames", "2400", "--min-segment", "40"]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write recordings to {out}: File exists\n")
 
 
 def test_train_on_a_synth_draw_that_misses_an_activity_exits_two(tmp_path, capsys):

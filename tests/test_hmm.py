@@ -196,7 +196,7 @@ def test_per_frame_time_grows_as_blocks_shrink(rng):
     frames = rng.uniform(-1, 1, size=(2500, 6))
     widths = (50, 25, 10, 5)
     # 100 frames is a whole number of blocks at every width. Each width decodes
-    # every slice 8 times, as many frames as 8 passes over the stream, but in
+    # every slice 16 times, as many frames as 16 passes over the stream, but in
     # short samples: their minimum is taken in the quiet moments of a shared
     # machine, where 0.2 s passes rarely see none.
     slices = [frames[lo : lo + 100] for lo in range(0, len(frames), 100)]
@@ -205,7 +205,7 @@ def test_per_frame_time_grows_as_blocks_shrink(rng):
         best = {w: np.inf for w in widths}
         gc.disable()  # as timeit does, so no collection lands in one sample
         try:
-            for _ in range(8):
+            for _ in range(16):
                 for block in slices:
                     for w in widths:  # interleaved so clock drift hits every width equally
                         t0 = time.perf_counter()
