@@ -133,6 +133,8 @@ def cmd_train(args) -> int:
     em_cfg = _em_config(args)
     if not (out_dir := Path(args.out).parent).is_dir():
         raise DataError(f"no such output directory: {out_dir}")
+    if Path(args.out).is_dir():
+        raise DataError(f"cannot write model file {args.out}: Is a directory")
     dataset, feat = _dataset_and_features(args)
     model_set, final_ll = fit_activity_models(
         [feat.apply(s) for s in dataset.sequences], args.components, em_cfg

@@ -12,8 +12,8 @@ one uses that log(w N(x)) is linear in (x*x, x, 1): ``expansion_coefficients``
 makes one row per component and ``expansion_lift`` lifts the input, so all
 component densities are one matrix product. EM's E-step and the streaming
 frame scorer use it. Its absolute error grows with sum_d (x_d^2 + mu_d^2) /
-var_d, since the three terms cancel near a mean. Training reuses one (n, k)
-table and one row-maximum vector with the bits of the allocating steps.
+var_d, since the three terms cancel near a mean. EM reuses one (k, n) table: a
+frame's sum runs over components in order, a component's occupancy pairwise.
 
 Training's random draws (k-means++ seeds, restarts of starved components)
 come from ``random.Random(seed)``, which ``import numpy`` already loads, and
@@ -250,22 +250,20 @@ class EmConfig:
 
 @_overflow_is_an_error("mixture terms overflow in EM")
 def _em(data, init: GmmModel, cfg: EmConfig, rng) -> tuple[GmmModel, list[float]]:
-    """EM from ``init``, reusing one (n, k) table and one length-n buffer of its row maxima."""
+    """EM from ``init``, reusing one (k, n) table, a row per component, and two length-n buffers."""
     n, dim = data.shape
     lifted = expansion_lift(data)
-    comp = np.empty((n, init.n_components))
-    rowmax = np.empty(n)
+    table = np.empty((init.n_components, n))
+    frame_max, frame_sum = np.empty((2, n))
     weights, means, variances = init.weights, init.means, init.variances
     trace: list[float] = []
     for it in range(cfg.max_iters):
-        np.matmul(lifted, expansion_coefficients(weights, means, variances).T, out=comp)
-        np.copyto(rowmax, comp[:, 0])  # then column by column: a maximum is exact in any order
-        for column in comp.T[1:]:
-            np.maximum(rowmax, column, out=rowmax)
-        np.subtract(comp, rowmax[:, None], out=comp)
-        np.exp(comp, out=comp)
-        rowsum = comp.sum(axis=1)
-        ll = float((rowmax + np.log(rowsum)).sum())
+        np.matmul(expansion_coefficients(weights, means, variances), lifted.T, out=table)
+        np.maximum.reduce(table, axis=0, out=frame_max)
+        table -= frame_max
+        np.exp(table, out=table)
+        np.add.reduce(table, axis=0, out=frame_sum)
+        ll = float((frame_max + np.log(frame_sum)).sum())
         if not np.isfinite(ll):
             raise NumericError("log-likelihood became non-finite during EM")
         trace.append(ll)
@@ -274,9 +272,9 @@ def _em(data, init: GmmModel, cfg: EmConfig, rng) -> tuple[GmmModel, list[float]
         if it == cfg.max_iters - 1:
             break
 
-        resp = np.divide(comp, rowsum[:, None], out=comp)
-        nk = resp.sum(axis=0)
-        moments = (resp.T @ lifted) / np.maximum(nk, 1e-300)[:, None]  # E[x*x], E[x], 1
+        resp = np.divide(table, frame_sum, out=table)
+        nk = resp.sum(axis=1)
+        moments = (resp @ lifted) / np.maximum(nk, 1e-300)[:, None]  # E[x*x], E[x], 1
         means = moments[:, dim : 2 * dim].copy()
         variances = np.maximum(moments[:, :dim] - means * means, cfg.variance_floor)
         weights = nk / n

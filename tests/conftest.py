@@ -219,8 +219,12 @@ def kmeans_init_oracle(data, k, seed, variance_floor=1e-6):
     return GmmModel(weights / weights.sum(), centers, np.maximum(variances, variance_floor))
 
 
-def em_oracle(data, init, cfg, rng):
-    """``gmm._em`` with the allocating E-step it replaced; starved components restart at ``rng``'s rows."""
+def _allocating_em(data, init, cfg, rng, component_major):
+    """EM with allocating steps; starved components restart at ``rng``'s rows.
+
+    ``component_major`` keeps the densities as a (k, n) table, as ``gmm._em``
+    does; otherwise as the (n, k) table it used before.
+    """
     data = np.asarray(data, dtype=np.float64)
     n, dim = data.shape
     lifted = np.hstack([data * data, data, np.ones((n, 1))])
@@ -228,20 +232,32 @@ def em_oracle(data, init, cfg, rng):
     trace = []
     prev = -np.inf
     for it in range(cfg.max_iters):
-        comp = lifted @ expansion_coefficients_oracle(weights, means, variances).T
-        rowmax = comp.max(axis=1)
-        shifted = np.exp(comp - rowmax[:, None])
-        rowsum = shifted.sum(axis=1)
-        ll = float((rowmax + np.log(rowsum)).sum())
+        coef = expansion_coefficients_oracle(weights, means, variances)
+        if component_major:
+            table = coef @ lifted.T
+            frame_max = table.max(axis=0)
+            shifted = np.exp(table - frame_max)
+            frame_sum = shifted.sum(axis=0)
+        else:
+            table = lifted @ coef.T
+            frame_max = table.max(axis=1)
+            shifted = np.exp(table - frame_max[:, None])
+            frame_sum = shifted.sum(axis=1)
+        ll = float((frame_max + np.log(frame_sum)).sum())
         trace.append(ll)
         if it > 0 and (ll - prev) < cfg.tol * max(abs(prev), 1e-12):
             break
         if it == cfg.max_iters - 1:
             break
         prev = ll
-        resp = shifted / rowsum[:, None]
-        nk = resp.sum(axis=0)
-        moments = (resp.T @ lifted) / np.maximum(nk, 1e-300)[:, None]
+        if component_major:
+            resp = shifted / frame_sum
+            nk = resp.sum(axis=1)
+            moments = (resp @ lifted) / np.maximum(nk, 1e-300)[:, None]
+        else:
+            resp = shifted / frame_sum[:, None]
+            nk = resp.sum(axis=0)
+            moments = (resp.T @ lifted) / np.maximum(nk, 1e-300)[:, None]
         means = moments[:, dim : 2 * dim].copy()
         variances = np.maximum(moments[:, :dim] - means * means, cfg.variance_floor)
         weights = nk / n
@@ -251,6 +267,16 @@ def em_oracle(data, init, cfg, rng):
             weights[j] = 1.0 / n
         weights = weights / weights.sum()
     return GmmModel(weights, means, variances), trace
+
+
+def em_oracle(data, init, cfg, rng):
+    """``gmm._em`` with allocating steps: the same (k, n) table and summation orders, bit for bit."""
+    return _allocating_em(data, init, cfg, rng, component_major=True)
+
+
+def em_row_major_oracle(data, init, cfg, rng):
+    """EM on an (n, k) table, as ``gmm._em`` ran before: its sums run in other orders."""
+    return _allocating_em(data, init, cfg, rng, component_major=False)
 
 
 def fit_em_trace_oracle(data, k, cfg):

@@ -581,7 +581,9 @@ def test_train_to_a_missing_directory_exits_two_before_reading_data(synth_dir, t
 
 
 def test_a_model_file_that_cannot_be_written_exits_two(synth_dir, tmp_path, capsys):
-    assert main(["train", str(synth_dir), "--out", str(tmp_path), "--em-iters", "2"]) == 2
+    """An existing directory is rejected before any recording is read."""
+    with mock.patch.object(cli, "load_dataset", side_effect=AssertionError("read data")):
+        assert main(["train", str(synth_dir), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr() == ("", f"error: cannot write model file {tmp_path}: Is a directory\n")
 
 

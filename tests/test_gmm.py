@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from rapidhare import (
 from rapidhare.gmm import DEFAULT_COMPONENT_COUNTS, _em, _kmeans_pp_seeds, expansion_coefficients
 from conftest import (
     em_oracle,
+    em_row_major_oracle,
     expansion_coefficients_oracle,
     fit_em_trace_oracle,
     kmeans_init_oracle,
@@ -184,6 +186,26 @@ def test_starved_component_restarts_equal_the_oracle(seed, n_far, max_iters):
         assert (model.variances[1:] == 1e-4).all()
 
 
+@pytest.mark.parametrize(
+    "k, n, seed", [(1, 500, 0), (4, 1954, 1), (7, 2377, 0), (16, 2761, 2), (18, 3952, 3)]
+)
+def test_training_stays_within_1e_9_of_the_row_major_oracle(k, n, seed):
+    """EM on a (k, n) table sums in other orders than on an (n, k) one, and only the low bits move.
+
+    Overlapping blobs at cv-like sizes, 6 dimensions, 2 to 106 iterations.
+    Measured: at most 3e-12 relative here, and 1.5e-11 over 300 random fits.
+    """
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(-3, 3, size=(k, 6))[rng.integers(k, size=n)] + rng.normal(size=(n, 6))
+    cfg = EmConfig(seed=seed)
+    init = kmeans_init(data, k, seed)
+    model, trace = _em(data, init, cfg, random.Random(seed))
+    oracle_model, oracle_trace = em_row_major_oracle(data, init, cfg, random.Random(seed))
+    assert len(trace) == len(oracle_trace)
+    for name in ("weights", "means", "variances"):
+        np.testing.assert_allclose(getattr(model, name), getattr(oracle_model, name), rtol=1e-9)
+
+
 @pytest.mark.parametrize("seed, rows", [(0, [10, 4, 6, 1]), (5, [7, 10, 3, 11])])
 def test_kmeans_pp_seed_rows_are_pinned(seed, rows):
     """Trained models follow these rows: a change to how training draws from its seed fails here."""
@@ -335,6 +357,12 @@ def test_model_set_round_trip(tmp_path, rng):
     assert text[2] == "activities 8"
 
 
+def test_model_set_save_errors_name_the_file(tmp_path, rng):
+    message = f"cannot write model file {tmp_path}: Is a directory"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        save_model_set(random_model_set(rng, dim=2), tmp_path)
+
+
 
 def test_model_set_round_trip_with_lines_longer_than_64_ki_characters(tmp_path, rng):
     """Each ``mean`` and ``var`` line of a 4000-dimension model holds about 90,000 characters."""
@@ -448,10 +476,11 @@ def test_fit_activity_models_defaults(rng):
 
 
 def test_fit_em_holds_one_n_by_k_table():
-    """At n = 20000 and k = 18 the traced peak stays below two (n, k) tables.
+    """At n = 20000 and k = 18 the traced peak stays below two tables of n * k values.
 
-    Measured: 1.50 tables with one row-maximum vector, 2.50 with a
-    transposed (k, n) copy of the table.
+    Measured: 1.50 tables with EM's (k, n) table and its two length-n
+    buffers, as with an (n, k) table and its row maxima; 2.50 when EM kept
+    a transposed copy of its table.
     """
     data = np.random.default_rng(1).normal(size=(20000, 2))
     peak = traced_peak(lambda: fit_em(data, 18, EmConfig(max_iters=5)))
