@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -156,6 +157,11 @@ _SETTLED_TAIL = [
     name + "".join("\t1.00000000" if j == b else "\t0.00000000" for j in range(len(_NAMES)))
     for b, name in enumerate(_NAMES)
 ]
+# A best window score that leads every other by at least _SETTLED_GAP settles
+# its row before any posterior is computed: each other posterior is at most
+# e^-gap = _SETTLED_CUT / 7 < 5.8e-10 and the best at least 1 / (1 + _SETTLED_CUT),
+# so %.8f prints the row as its label's _SETTLED_TAIL.
+_SETTLED_GAP = math.log((len(ALL_LABELS) - 1) / _SETTLED_CUT)
 
 
 def _write_predictions(first_index: int, scores: np.ndarray) -> None:
@@ -173,6 +179,21 @@ def _write_predictions(first_index: int, scores: np.ndarray) -> None:
     ]
     if lines:
         sys.stdout.write("\n".join(lines) + "\n")
+
+
+def _frame_line(i: int, scores: np.ndarray, probs: np.ndarray) -> str:
+    """Frame ``i``'s line from its (8,) window scores, the text ``_write_predictions`` gives.
+
+    A frame whose best score leads every other by at least ``_SETTLED_GAP``
+    prints its label's ``_SETTLED_TAIL`` with no posterior computed; any other
+    computes its posterior into ``probs``.
+    """
+    values = scores.tolist()
+    ranked = sorted(values)
+    b = values.index(ranked[-1])  # the first maximum, the one argmax picks
+    if ranked[-1] - ranked[-2] >= _SETTLED_GAP:
+        return f"{i}\t{_SETTLED_TAIL[b]}"
+    return _LINE % (i, _NAMES[b], *posterior(scores, probs).tolist())
 
 
 def _predict_stream(model_set, args) -> int:
@@ -212,9 +233,7 @@ def _predict_stream(model_set, args) -> int:
             scores = session.push_frame(features[0])
         except DataError as exc:
             raise DataError(f"stdin:{lineno}: {exc}") from None
-        label = _NAMES[scores.argmax()]
-        text = _LINE % (session.frames_seen - 1, label, *posterior(scores, probs).tolist())
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(_frame_line(session.frames_seen - 1, scores, probs) + "\n")
         sys.stdout.flush()
     return 0
 

@@ -124,7 +124,7 @@ class FeatureStreamer:
         if keep is not None:
             _check_indices(keep, n_channels, "channel selection")
         self._n_channels = n_channels
-        self._keep = None if keep is None else list(keep)
+        self._keep = None if keep is None else np.array(keep, dtype=np.intp)
         self._width = self.dim = n_channels if keep is None else len(keep)
         self._sources = None
         if directional is not None:
@@ -141,21 +141,22 @@ class FeatureStreamer:
             self.dim += len(sources)
 
     def push(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The features of ``block``; the directional features are written into ``out``.
+        """The features of ``block``, written into ``out`` when it is given.
 
-        ``out`` is ignored without directional features: the result is then
-        ``block`` or its kept channels.
+        Without a selection and without directional features the result is
+        ``block`` itself and ``out`` is ignored.
         """
         if block.shape[1] != self._n_channels:
             raise DataError(f"expected blocks of {self._n_channels} channels, got shape {block.shape}")
-        if self._keep is not None:
-            block = block[:, self._keep]
+        keep, dim = self._keep, self._width
+        # Channels are taken with mode="clip", which skips the buffered copy
+        # of mode="raise"; __init__ checked the indices against n_channels.
         if self._sources is None:
-            return block
-        n, dim, lag, ring, q = len(block), self._width, self._lag, self._ring, self._pos
-        # Source columns are taken with mode="clip", which skips the buffered
-        # copy of mode="raise"; __init__ checked the indices against n_channels.
+            return block if keep is None else block.take(keep, axis=1, out=out, mode="clip")
+        n, lag, ring, q = len(block), self._lag, self._ring, self._pos
         if n != 1:
+            if keep is not None:
+                block = block[:, keep]
             src = np.empty((lag + n, len(self._sources)))
             src[:lag] = ring[q : q + lag]
             block.take(self._sources, axis=1, out=src[lag:], mode="clip")
@@ -167,9 +168,13 @@ class FeatureStreamer:
             return np.concatenate((block, d), axis=1, out=out)
         if out is None:
             out = np.empty((1, self.dim))
-        out[:, :dim] = block
+        kept = out[0, :dim]
+        if keep is None:
+            kept[...] = block[0]
+        else:
+            block[0].take(keep, out=kept, mode="clip")
         new = ring[q + lag]  # the oldest row's second copy, free once it is subtracted
-        block[0].take(self._sources, out=new, mode="clip")
+        kept.take(self._sources, out=new, mode="clip")
         np.subtract(new, ring[q], out=out[0, dim:])
         if self._rows < lag:
             out[0, dim:] = 0.0

@@ -45,6 +45,12 @@ def random_model_set(rng, dim, k_lo=1, k_hi=3):
     return ActivityModelSet(models)
 
 
+def identical_model_set(dim=3):
+    """Every activity the same one-component mixture, so every window score ties."""
+    base = GmmModel(np.array([1.0]), np.zeros((1, dim)), np.ones((1, dim)))
+    return ActivityModelSet({label: base for label in ALL_LABELS})
+
+
 def log_pdf_oracle(model, x):
     """Direct mixture summation in 80-bit extended precision."""
     x = np.asarray(x, dtype=np.longdouble)

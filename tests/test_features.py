@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,32 @@ def test_a_block_of_the_wrong_width_is_a_data_error():
         for block in (np.zeros((1, 2)), np.zeros((5, 4))):
             with pytest.raises(DataError, match="expected blocks of 3 channels"):
                 streamer.push(block)
+
+
+@pytest.mark.parametrize("directional", [DirectionalConfig(3, (1, 5, 1999)), None], ids=["df", "no-df"])
+def test_a_one_row_push_with_a_selection_writes_into_out_and_allocates_no_row(directional):
+    """``predict -`` hands each push the row the last one returned; a selection copies into it.
+
+    A new array of the kept channels would be 8000 bytes; what the pushes
+    after the first allocate stays far below that.
+    """
+    rows = np.random.default_rng(0).uniform(-1, 1, (40, 1, 2000))
+    cfg = FeatureConfig(tuple(range(1999, -1, -2)), directional)
+    streamer, expected = cfg.streamer(2000), cfg.apply(seq_of(rows[:, 0])).frames
+    out = streamer.push(rows[0])
+    for i, row in enumerate(rows[1:20], 1):
+        assert streamer.push(row, out) is out
+        assert np.array_equal(out[0], expected[i])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for row in rows[20:]:
+            streamer.push(row, out)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000
+    assert np.array_equal(out[0], expected[-1])
 
 
 @st.composite

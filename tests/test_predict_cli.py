@@ -17,10 +17,11 @@ from rapidhare.cli import main
 from rapidhare.data import CHUNK_LINES, LabeledSequence, full_sensor_channels, write_recording
 from rapidhare.features import MAX_DIRECTIONAL_LAG
 from rapidhare.gmm import save_model_set
-from rapidhare.predictor import MAX_WINDOW_K, posterior
+from rapidhare.predictor import MAX_WINDOW_K, PredictorSession, posterior
 
 from conftest import (
-    child_env, predict_file_oracle, random_model_set, traced_main_peak, write_predictions_oracle,
+    child_env, identical_model_set, predict_file_oracle, random_model_set, traced_main_peak,
+    write_predictions_oracle,
 )
 from test_data import TWO_CHANNELS, _recordings
 
@@ -38,10 +39,30 @@ def _printed(write, first_index, scores):
     return out.getvalue()
 
 
+def _write_frame_lines(first_index, scores):
+    """The block's rows one at a time through ``cli._frame_line``, as ``predict -`` prints them."""
+    probs = np.empty(len(ALL_LABELS))
+    for i, row in enumerate(scores, first_index):
+        sys.stdout.write(cli._frame_line(i, row, probs) + "\n")
+
+
+_WRITERS = pytest.mark.parametrize(
+    "write", [cli._write_predictions, _write_frame_lines], ids=["block", "frame"]
+)
+
+
+def _near_the_gap(ulps):
+    """The settled gap moved by ``ulps`` units in the last place, up for positive ``ulps``."""
+    gap = cli._SETTLED_GAP
+    for _ in range(abs(ulps)):
+        gap = math.nextafter(gap, math.inf if ulps > 0 else 0.0)
+    return gap
+
+
 @st.composite
 def _score_rows(draw):
     """One row of 8 finite window scores, often with posteriors at or near the settled cut."""
-    kind = draw(st.sampled_from(["any", "cut", "exact", "tie", "half"]))
+    kind = draw(st.sampled_from(["any", "cut", "gap", "exact", "tie", "half"]))
     if kind == "any":
         return draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8))
     order = draw(st.permutations(range(8)))
@@ -50,6 +71,9 @@ def _score_rows(draw):
     if kind == "cut":  # posteriors from 4e-9 to 6e-9, so the maximum's is from 1 - 6e-9 to 1 - 4e-9
         for j in order[1 : 1 + draw(st.integers(1, 3))]:
             row[j] = math.log(draw(st.floats(4e-9, 6e-9)))
+    elif kind == "gap":  # a runner-up, or more than one, within a few ulps of the settled gap
+        for j in order[1 : 1 + draw(st.integers(1, 3))]:
+            row[j] = -_near_the_gap(draw(st.integers(-4, 4)))
     elif kind == "tie":  # two or more scores at the maximum
         for j in order[1 : 1 + draw(st.integers(1, 7))]:
             row[j] = 0.0
@@ -61,21 +85,60 @@ def _score_rows(draw):
     return [v + shift for v in row]
 
 
+@_WRITERS
 @settings(max_examples=500)
 @given(first_index=st.integers(0, 10**7), rows=st.lists(_score_rows(), max_size=10))
-def test_write_predictions_matches_the_per_line_oracle(first_index, rows):
+def test_write_predictions_matches_the_per_line_oracle(write, first_index, rows):
     scores = np.array(rows, dtype=np.float64).reshape(-1, len(ALL_LABELS))
-    assert _printed(cli._write_predictions, first_index, scores) == _printed(
-        write_predictions_oracle, first_index, scores
-    )
+    assert _printed(write, first_index, scores) == _printed(write_predictions_oracle, first_index, scores)
 
 
+@_WRITERS
 @pytest.mark.parametrize("p", [3.9e-9, 4e-9, 4.1e-9, 4.99e-9, 5.01e-9, 6e-9])
-def test_rows_either_side_of_the_settled_cut_print_as_the_oracle_does(p):
+def test_rows_either_side_of_the_settled_cut_print_as_the_oracle_does(write, p):
     row = np.full(len(ALL_LABELS), _FAR)
     row[2], row[5] = 0.0, math.log(p)
     scores = np.array([row, row[::-1]])
-    assert _printed(cli._write_predictions, 7, scores) == _printed(write_predictions_oracle, 7, scores)
+    assert _printed(write, 7, scores) == _printed(write_predictions_oracle, 7, scores)
+
+
+@_WRITERS
+@pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
+@pytest.mark.parametrize("shift", [0.0, -700.0, 1e6])
+def test_rows_either_side_of_the_settled_gap_print_as_the_oracle_does(write, ulps, shift):
+    """Leads a few ulps either side of ``_SETTLED_GAP``, with one or seven runners-up, and exact ties."""
+    lead = _near_the_gap(ulps)
+    one = np.full(len(ALL_LABELS), _FAR)
+    one[3], one[6] = 0.0, -lead
+    seven = np.full(len(ALL_LABELS), -lead)
+    seven[1] = 0.0
+    tie = np.full(len(ALL_LABELS), -lead)
+    tie[4] = tie[0] = 0.0
+    scores = np.array([one, one[::-1], seven, seven[::-1], tie, tie[::-1]]) + shift
+    assert _printed(write, 11, scores) == _printed(write_predictions_oracle, 11, scores)
+
+
+def test_a_settled_frame_computes_no_posterior(monkeypatch):
+    """A lead of ``_SETTLED_GAP`` or more prints with no posterior call, a smaller one with exactly one.
+
+    The gap is ln(7 / 4e-9), about 21.28, so a lead of 21.3 is settled.
+    """
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return posterior(*args)
+
+    monkeypatch.setattr(cli, "posterior", counted)
+    probs = np.empty(len(ALL_LABELS))
+    row = np.full(len(ALL_LABELS), _FAR)
+    row[5] = 0.0
+    for lead, want in ((_near_the_gap(0), 0), (21.3, 0), (_near_the_gap(-1), 1), (0.0, 1)):
+        row[2] = -lead
+        calls.clear()
+        line = cli._frame_line(9, row, probs)
+        assert len(calls) == want, lead
+        assert line == _printed(write_predictions_oracle, 9, row[np.newaxis])[:-1]
 
 
 def test_the_strategy_rows_hit_exact_and_half_way_posteriors():
@@ -245,6 +308,35 @@ def test_a_byte_stdin_cannot_decode_is_a_non_numeric_field(models):
     assert child.returncode == 2
     assert child.stderr == b"error: stdin:3: non-numeric frame value\n"
     assert child.stdout.startswith(b"0\t") and child.stdout.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("window", [0, 1, 26])
+@pytest.mark.parametrize("tied", [False, True], ids=["drawn", "identical"])
+def test_predict_stdin_prints_the_oracle_lines_of_its_window_scores(window, tied, models, tmp_path):
+    """Every ``predict -`` line is the block oracle's line for that frame's window scores.
+
+    On the drawn model these frames give both settled and unsettled lines at
+    every window; on identical mixtures every frame ties.
+    """
+    model = models(4)
+    if tied:
+        model = tmp_path / "identical.txt"
+        save_model_set(identical_model_set(4), model)
+    frames = np.random.default_rng(window).uniform(-5, 5, (300, 4))
+    session = PredictorSession(load_model_set(model), window)
+    scores = np.array([session.push_frame(x) for x in frames])
+    ranked = np.sort(scores, axis=1)
+    settled = np.count_nonzero(ranked[:, -1] - ranked[:, -2] >= cli._SETTLED_GAP)
+    assert settled == 0 if tied else 0 < settled < len(frames)
+    stdin = "".join("\t".join(map(repr, row)) + "\n" for row in frames.tolist()).encode()
+    out = io.StringIO()
+    old_stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main(["predict", "-", f"--model={model}", f"--window={window}"]) == 0
+    finally:
+        sys.stdin = old_stdin
+    assert out.getvalue() == _printed(write_predictions_oracle, 0, scores)
 
 
 # ------------------------------------------------------- the chunked file reader

@@ -17,16 +17,11 @@ from rapidhare import (
     predict_sequence_naive,
 )
 from rapidhare.gmm import DEFAULT_COMPONENT_COUNTS
-from conftest import log_pdf_oracle, random_gmm, random_model_set
+from conftest import identical_model_set, log_pdf_oracle, random_gmm, random_model_set
 
 
 def label_of(scores):
     return ALL_LABELS[int(scores.argmax())]
-
-
-def identical_model_set(dim=3):
-    base = GmmModel(np.array([1.0]), np.zeros((1, dim)), np.ones((1, dim)))
-    return ActivityModelSet({label: base for label in ALL_LABELS})
 
 
 def test_new_session_starts_empty(rng):

@@ -9,7 +9,9 @@ must record spans under the names its layers go through.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -21,13 +23,18 @@ import numpy as np
 import pytest
 
 import rapidhare
-from rapidhare import ALL_LABELS, parse_recording
-from rapidhare.cli import main
-from rapidhare.predictor import BLOCK_ROWS
+from rapidhare import ALL_LABELS, load_model_set, parse_recording
+from rapidhare.cli import _SETTLED_GAP, main
+from rapidhare.features import DirectionalConfig, FeatureConfig
+from rapidhare.gmm import save_model_set
+from rapidhare.predictor import BLOCK_ROWS, PredictorSession
+
+from conftest import identical_model_set, write_predictions_oracle
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 N_FRAMES = 2400  # per recording
 DF = ["--df", "lag=5,channels=0,2"]  # directional features, so the streamer runs too
+FEATURES = FeatureConfig(None, DirectionalConfig(5, (0, 2)))  # what DF selects
 TWO_EACH = ",".join(f"{label.label_name}=2" for label in ALL_LABELS)  # small, quick models
 
 
@@ -94,7 +101,7 @@ def test_every_tracer_hook_names_a_function_of_the_package():
 
 
 def _traced(tmp_path, args, stdin=None):
-    """Span counts by name and the metadata (counters, frames seen) of one traced command."""
+    """Span counts by name, the metadata (counters, frames seen) and the stdout of one traced command."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(Path(rapidhare.__file__).resolve().parents[1])
     out = tmp_path / "spans.npz"
@@ -107,7 +114,7 @@ def _traced(tmp_path, args, stdin=None):
         meta = json.loads(str(npz["meta"]))
         spans = npz["spans"]
     counts = Counter(meta["names"][int(nid)] for nid in spans[:, 0])
-    return counts, meta
+    return counts, meta, child.stdout.decode()
 
 
 def _frames_as_stdin(recording: Path) -> bytes:
@@ -120,7 +127,7 @@ def test_predict_file_hits_its_layers(inputs, tmp_path):
     """The recording is read in chunks, so neither the whole-file parse nor ``apply`` runs."""
     data, model = inputs
     recording = sorted(data.iterdir())[0]
-    counts, meta = _traced(tmp_path, ["predict", str(recording), "--model", str(model), *DF])
+    counts, meta, _ = _traced(tmp_path, ["predict", str(recording), "--model", str(model), *DF])
     assert meta["frames_seen"] == N_FRAMES
     assert meta["gmm_evaluations"] == 8 * N_FRAMES
     for name in ("cli.main", "gmm.load_model_set", "predictor.session_init"):
@@ -133,27 +140,61 @@ def test_predict_file_hits_its_layers(inputs, tmp_path):
 def test_predict_file_without_df_pushes_each_chunk_through_the_feature_span(inputs, plain_model, tmp_path):
     data, _ = inputs
     recording = sorted(data.iterdir())[0]
-    counts, meta = _traced(tmp_path, ["predict", str(recording), "--model", str(plain_model)])
+    counts, meta, _ = _traced(tmp_path, ["predict", str(recording), "--model", str(plain_model)])
     assert meta["frames_seen"] == N_FRAMES
     assert counts["features.stream_push"] == -(-N_FRAMES // rapidhare.data.CHUNK_LINES)
 
 
-def test_predict_stdin_hits_its_layers(inputs, tmp_path):
-    data, model = inputs
-    stdin = _frames_as_stdin(sorted(data.iterdir())[0])
-    counts, meta = _traced(tmp_path, ["predict", "-", "--model", str(model), *DF], stdin)
+def _window_scores(model_set, recording: Path) -> np.ndarray:
+    """The window scores ``predict -`` computes for the frames of ``recording``, one row per frame."""
+    frames = FEATURES.apply(parse_recording(recording)).frames
+    session = PredictorSession(model_set, 26)
+    return np.array([session.push_frame(x) for x in frames])
+
+
+def _check_predict_stdin(data, model, tmp_path) -> int:
+    """Checks one traced ``predict -`` run over the first recording; its count of unsettled frames.
+
+    A frame is unsettled when its best window score leads by less than the
+    settled gap, and only such a frame computes a posterior.
+    """
+    recording = sorted(data.iterdir())[0]
+    counts, meta, stdout = _traced(
+        tmp_path, ["predict", "-", "--model", str(model), *DF], _frames_as_stdin(recording)
+    )
     assert meta["frames_seen"] == N_FRAMES
-    for name in ("predictor.push_frame", "features.stream_push", "predictor.posterior"):
+    for name in ("predictor.push_frame", "features.stream_push"):
         assert counts[name] == N_FRAMES, (name, counts)
+    scores = _window_scores(load_model_set(model), recording)
+    with contextlib.redirect_stdout(io.StringIO()) as oracle:
+        write_predictions_oracle(0, scores)
+    assert stdout == oracle.getvalue()
+    ranked = np.sort(scores, axis=1)
+    unsettled = np.count_nonzero(ranked[:, -1] - ranked[:, -2] < _SETTLED_GAP)
+    assert counts["predictor.posterior"] == unsettled, counts
     assert counts["cli.stdin_read"] == N_FRAMES + 1  # the last read finds the end of input
     for name in ("cli.main", "gmm.load_model_set", "predictor.session_init"):
         assert counts[name] == 1, (name, counts)
+    return unsettled
+
+
+def test_predict_stdin_hits_its_layers(inputs, tmp_path):
+    data, model = inputs
+    _check_predict_stdin(data, model, tmp_path)
+
+
+def test_predict_stdin_on_identical_mixtures_computes_every_posterior(inputs, tmp_path):
+    """Every activity's mixture is the same, so every frame's scores tie."""
+    data, _ = inputs
+    model = tmp_path / "identical.txt"
+    save_model_set(identical_model_set(FEATURES.streamer(4).dim), model)
+    assert _check_predict_stdin(data, model, tmp_path) == N_FRAMES
 
 
 def test_evaluate_hits_its_layers(inputs, tmp_path):
     data, _ = inputs
     args = ["evaluate", str(data), "--components", TWO_EACH, "--em-iters", "10", "--seed", "5", *DF]
-    counts, meta = _traced(tmp_path, args)
+    counts, meta, _ = _traced(tmp_path, args)
     folds = 3
     assert meta["frames_seen"] == folds * N_FRAMES
     assert meta["counters"]["gmm.em_iters"] > 0
@@ -176,6 +217,6 @@ def test_evaluate_hits_its_layers(inputs, tmp_path):
 def test_evaluate_without_df_pushes_each_subject_through_the_feature_span(inputs, tmp_path):
     data, _ = inputs
     args = ["evaluate", str(data), "--components", TWO_EACH, "--em-iters", "10", "--seed", "5"]
-    counts, _ = _traced(tmp_path, args)
+    counts, _, _ = _traced(tmp_path, args)
     folds = 3
     assert counts["features.apply"] == counts["features.stream_push"] == 2 * folds
