@@ -148,10 +148,6 @@ def cmd_train(args) -> int:
 
 _LINE = "%d\t%s" + "\t%.8f" * len(ALL_LABELS)
 _NAMES = [label.label_name for label in ALL_LABELS]
-# A posterior within _SETTLED_CUT of 0 or 1 prints as 0.00000000 or 1.00000000.
-# In a row made only of such posteriors the one near 1 is the arg-max's (its
-# exponent is exactly 1, every other one at most 1), so the row prints as its
-# label's _SETTLED_TAIL.
 _SETTLED_CUT = 4e-9
 _SETTLED_TAIL = [
     name + "".join("\t1.00000000" if j == b else "\t0.00000000" for j in range(len(_NAMES)))
@@ -167,33 +163,22 @@ _SETTLED_GAP = math.log((len(ALL_LABELS) - 1) / _SETTLED_CUT)
 def _write_predictions(first_index: int, scores: np.ndarray) -> None:
     """One line per row of window scores (index, label, posteriors), in one write.
 
-    A settled row, every posterior within ``_SETTLED_CUT`` of 0 or 1, skips the
-    float formatting; its line is the same text ``_LINE`` would give.
+    A row whose best score leads every other by at least ``_SETTLED_GAP``
+    prints its label's ``_SETTLED_TAIL``. The block's posteriors are computed
+    once, at its first row with a smaller lead, and only if it has one.
     """
-    best = scores.argmax(axis=1).tolist()
-    probs = posterior(scores)
-    settled = ((probs <= _SETTLED_CUT) | (probs >= 1.0 - _SETTLED_CUT)).all(axis=1).tolist()
-    lines = [
-        f"{i}\t{_SETTLED_TAIL[b]}" if s else _LINE % (i, _NAMES[b], *row)
-        for i, (b, s, row) in enumerate(zip(best, settled, probs.tolist()), first_index)
-    ]
+    lines, probs = [], None
+    for i, values in enumerate(scores.tolist(), first_index):
+        ranked = sorted(values)
+        b = values.index(ranked[-1])  # the first maximum, the one argmax picks
+        if ranked[-1] - ranked[-2] >= _SETTLED_GAP:
+            lines.append(f"{i}\t{_SETTLED_TAIL[b]}")
+        else:
+            if probs is None:
+                probs = posterior(scores).tolist()
+            lines.append(_LINE % (i, _NAMES[b], *probs[i - first_index]))
     if lines:
         sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _frame_line(i: int, scores: np.ndarray, probs: np.ndarray) -> str:
-    """Frame ``i``'s line from its (8,) window scores, the text ``_write_predictions`` gives.
-
-    A frame whose best score leads every other by at least ``_SETTLED_GAP``
-    prints its label's ``_SETTLED_TAIL`` with no posterior computed; any other
-    computes its posterior into ``probs``.
-    """
-    values = scores.tolist()
-    ranked = sorted(values)
-    b = values.index(ranked[-1])  # the first maximum, the one argmax picks
-    if ranked[-1] - ranked[-2] >= _SETTLED_GAP:
-        return f"{i}\t{_SETTLED_TAIL[b]}"
-    return _LINE % (i, _NAMES[b], *posterior(scores, probs).tolist())
 
 
 def _predict_stream(model_set, args) -> int:
@@ -207,7 +192,6 @@ def _predict_stream(model_set, args) -> int:
         sys.stdin.reconfigure(errors="surrogateescape")
     feat = _feature_config(args, None)
     session = PredictorSession(model_set, args.window)
-    probs = np.empty(len(ALL_LABELS))
     streamer = row = features = None
     for lineno, line in enumerate(sys.stdin, 1):
         if line == "\n":
@@ -233,7 +217,7 @@ def _predict_stream(model_set, args) -> int:
             scores = session.push_frame(features[0])
         except DataError as exc:
             raise DataError(f"stdin:{lineno}: {exc}") from None
-        sys.stdout.write(_frame_line(session.frames_seen - 1, scores, probs) + "\n")
+        _write_predictions(session.frames_seen - 1, scores[None])
         sys.stdout.flush()
     return 0
 

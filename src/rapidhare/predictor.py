@@ -14,8 +14,8 @@ look-back is always one contiguous slice in window order. ``push_frame``
 scores the frame straight into the slot after that slice, which holds the
 oldest row's second copy, reduces the look-back and the new row as one slice
 and returns the frame's (8,) window-score row; a rejected frame gives the
-slot its old row back. ``posterior`` may write into a reused row. The frame's
-label is ``ALL_LABELS[int(scores.argmax())]`` and its class probabilities are
+slot its old row back. The frame's label is
+``ALL_LABELS[int(scores.argmax())]`` and its class probabilities are
 ``posterior(scores)``. The block form ``PredictorSession.push_block`` takes
 frames that are already in memory and returns one such row per frame. It
 scores ``BLOCK_ROWS`` frames per matrix product and adds the same rows in the
@@ -45,15 +45,14 @@ def checked_window(window_k: int) -> int:
     return window_k
 
 
-def posterior(scores, out: np.ndarray | None = None) -> np.ndarray:
+def posterior(scores) -> np.ndarray:
     """Normalize scores into class probabilities along the last axis.
 
     Softmax with max-subtraction, so any common shift of the scores cancels;
-    a block of score rows gives one probability row per frame. The result is
-    written into ``out``, of the scores' shape, when it is given.
+    a block of score rows gives one probability row per frame.
     """
     z = np.asarray(scores, dtype=np.float64)
-    e = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=out)
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e

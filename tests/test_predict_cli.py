@@ -39,15 +39,14 @@ def _printed(write, first_index, scores):
     return out.getvalue()
 
 
-def _write_frame_lines(first_index, scores):
-    """The block's rows one at a time through ``cli._frame_line``, as ``predict -`` prints them."""
-    probs = np.empty(len(ALL_LABELS))
+def _write_one_row_blocks(first_index, scores):
+    """The block's rows one at a time through ``cli._write_predictions``, as ``predict -`` prints them."""
     for i, row in enumerate(scores, first_index):
-        sys.stdout.write(cli._frame_line(i, row, probs) + "\n")
+        cli._write_predictions(i, row[np.newaxis])
 
 
 _WRITERS = pytest.mark.parametrize(
-    "write", [cli._write_predictions, _write_frame_lines], ids=["block", "frame"]
+    "write", [cli._write_predictions, _write_one_row_blocks], ids=["block", "frame"]
 )
 
 
@@ -119,26 +118,42 @@ def test_rows_either_side_of_the_settled_gap_print_as_the_oracle_does(write, ulp
 
 
 def test_a_settled_frame_computes_no_posterior(monkeypatch):
-    """A lead of ``_SETTLED_GAP`` or more prints with no posterior call, a smaller one with exactly one.
+    """A block of rows that lead by ``_SETTLED_GAP`` or more makes no posterior call; any other, one.
 
-    The gap is ln(7 / 4e-9), about 21.28, so a lead of 21.3 is settled.
+    The gap is ln(7 / 4e-9), about 21.28, so a lead of 21.3 is settled. A
+    block with one or with several unsettled rows computes its posteriors
+    once, whatever their number; a one-row block is how ``predict -`` writes.
     """
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return posterior(*args)
+    def counted(scores):
+        calls.append(scores)
+        return posterior(scores)
 
     monkeypatch.setattr(cli, "posterior", counted)
-    probs = np.empty(len(ALL_LABELS))
-    row = np.full(len(ALL_LABELS), _FAR)
-    row[5] = 0.0
-    for lead, want in ((_near_the_gap(0), 0), (21.3, 0), (_near_the_gap(-1), 1), (0.0, 1)):
-        row[2] = -lead
+
+    def row(lead):
+        values = np.full(len(ALL_LABELS), _FAR)
+        values[5], values[2] = 0.0, -lead
+        return values
+
+    settled = [row(_near_the_gap(0)), row(21.3), row(800.0)]
+    unsettled = [row(_near_the_gap(-1)), row(0.0), row(3.0)]
+    for rows, want in (
+        (settled, 0),
+        (settled[:1], 0),
+        (settled + unsettled[:1] + settled, 1),
+        (unsettled[1:2] + settled, 1),
+        (settled + unsettled, 1),
+        (unsettled + settled + unsettled, 1),
+        (unsettled[:1], 1),
+        (unsettled[1:2], 1),
+    ):
+        scores = np.array(rows)
         calls.clear()
-        line = cli._frame_line(9, row, probs)
-        assert len(calls) == want, lead
-        assert line == _printed(write_predictions_oracle, 9, row[np.newaxis])[:-1]
+        out = _printed(cli._write_predictions, 9, scores)
+        assert len(calls) == want, rows
+        assert out == _printed(write_predictions_oracle, 9, scores)
 
 
 def test_the_strategy_rows_hit_exact_and_half_way_posteriors():

@@ -123,18 +123,51 @@ def _frames_as_stdin(recording: Path) -> bytes:
     return "".join("\t".join(map(repr, row)) + "\n" for row in seq.frames.tolist()).encode()
 
 
-def test_predict_file_hits_its_layers(inputs, tmp_path):
-    """The recording is read in chunks, so neither the whole-file parse nor ``apply`` runs."""
-    data, model = inputs
+def _window_scores(model_set, recording: Path) -> np.ndarray:
+    """The window scores ``predict -`` and ``predict FILE`` compute for ``recording``, one row per frame."""
+    frames = FEATURES.apply(parse_recording(recording)).frames
+    session = PredictorSession(model_set, 26)
+    return np.array([session.push_frame(x) for x in frames])
+
+
+def _check_predict_file(data, model, tmp_path) -> int:
+    """Checks one traced ``predict FILE`` run over the first recording; its count of posterior calls.
+
+    The recording is read in chunks, so neither the whole-file parse nor
+    ``apply`` runs. A 256-row block computes its posteriors once if one of its
+    rows leads by less than the settled gap, and not at all otherwise.
+    """
     recording = sorted(data.iterdir())[0]
-    counts, meta, _ = _traced(tmp_path, ["predict", str(recording), "--model", str(model), *DF])
+    counts, meta, stdout = _traced(tmp_path, ["predict", str(recording), "--model", str(model), *DF])
     assert meta["frames_seen"] == N_FRAMES
     assert meta["gmm_evaluations"] == 8 * N_FRAMES
     for name in ("cli.main", "gmm.load_model_set", "predictor.session_init"):
         assert counts[name] == 1, (name, counts)
     assert counts["features.stream_push"] == -(-N_FRAMES // rapidhare.data.CHUNK_LINES)  # one per chunk
-    assert counts["predictor.posterior"] == -(-N_FRAMES // BLOCK_ROWS)
     assert counts["data.parse_recording"] == counts["features.apply"] == 0
+    scores = _window_scores(load_model_set(model), recording)
+    with contextlib.redirect_stdout(io.StringIO()) as oracle:
+        write_predictions_oracle(0, scores)
+    assert stdout == oracle.getvalue()
+    assert rapidhare.data.CHUNK_LINES % BLOCK_ROWS == 0  # so every block starts at a multiple of 256
+    ranked = np.sort(scores, axis=1)
+    unsettled = ranked[:, -1] - ranked[:, -2] < _SETTLED_GAP
+    blocks = sum(unsettled[lo : lo + BLOCK_ROWS].any() for lo in range(0, N_FRAMES, BLOCK_ROWS))
+    assert counts["predictor.posterior"] == blocks, counts
+    return blocks
+
+
+def test_predict_file_hits_its_layers(inputs, tmp_path):
+    data, model = inputs
+    _check_predict_file(data, model, tmp_path)
+
+
+def test_predict_file_on_identical_mixtures_computes_one_posterior_per_block(inputs, tmp_path):
+    """Every activity's mixture is the same, so every row ties and every block is unsettled."""
+    data, _ = inputs
+    model = tmp_path / "identical.txt"
+    save_model_set(identical_model_set(FEATURES.streamer(4).dim), model)
+    assert _check_predict_file(data, model, tmp_path) == -(-N_FRAMES // BLOCK_ROWS)
 
 
 def test_predict_file_without_df_pushes_each_chunk_through_the_feature_span(inputs, plain_model, tmp_path):
@@ -143,13 +176,6 @@ def test_predict_file_without_df_pushes_each_chunk_through_the_feature_span(inpu
     counts, meta, _ = _traced(tmp_path, ["predict", str(recording), "--model", str(plain_model)])
     assert meta["frames_seen"] == N_FRAMES
     assert counts["features.stream_push"] == -(-N_FRAMES // rapidhare.data.CHUNK_LINES)
-
-
-def _window_scores(model_set, recording: Path) -> np.ndarray:
-    """The window scores ``predict -`` computes for the frames of ``recording``, one row per frame."""
-    frames = FEATURES.apply(parse_recording(recording)).frames
-    session = PredictorSession(model_set, 26)
-    return np.array([session.push_frame(x) for x in frames])
 
 
 def _check_predict_stdin(data, model, tmp_path) -> int:
