@@ -13,7 +13,7 @@ makes one row per component and ``expansion_lift`` lifts the input, so all
 component densities are one matrix product. EM's E-step and the streaming
 frame scorer use it. Its absolute error grows with sum_d (x_d^2 + mu_d^2) /
 var_d, since the three terms cancel near a mean. EM reuses one (k, n) table: a
-frame's sum runs over components in order, a component's occupancy pairwise.
+frame's sum runs over components in order, occupancies from the lift's ones row.
 
 Training's random draws (k-means++ seeds, restarts of starved components)
 come from ``random.Random(seed)``, which ``import numpy`` already loads, and
@@ -190,26 +190,28 @@ def kmeans_init(
     spread (floored), weights the cluster occupancies. An empty cluster takes
     the point farthest from its centroid among clusters of two or more points,
     so every component keeps positive weight. Deterministic for a fixed seed.
-    Lloyd steps reuse one distance buffer and sum centroids in data order, as
-    a mean does for dim >= 2 (numpy sums a single column pairwise). Rows far
+    Lloyd steps reuse one (k, n) distance table, a row per center, and a tie
+    goes to the first nearest center, as in argmin. Centroids sum in data order,
+    as a mean does for dim >= 2 (numpy sums a single column pairwise). Rows far
     enough apart to overflow a squared distance raise NumericError.
     """
     data = _validate_training_data(data, k)
     n = len(data)
     centers = _kmeans_pp_seeds(data, k, random.Random(seed))
     sq_norms = (data * data).sum(axis=1)
-    columns = data.T.copy()  # contiguous weights for bincount
-    dists = np.empty((n, k))
+    columns = data.T.copy()  # contiguous weights for bincount, and the product's right operand
+    dists, nearest, assign = np.empty((k, n)), np.empty(n), np.zeros(n, dtype=np.intp)
     for _ in range(KMEANS_MAX_ITERS):
-        # |x - c|^2 = |x|^2 - 2 x.c + |c|^2 in place; adding -2 x.c is subtracting it.
-        np.matmul(data, centers.T, out=dists)
-        dists *= -2.0
-        dists += sq_norms[:, None]
-        dists += (centers * centers).sum(axis=1)
-        assign = dists.argmin(axis=1)
+        # |x - c|^2 = -2 c.x + |x|^2 + |c|^2 in place; scaling by -2 is exact.
+        np.matmul(centers * -2.0, columns, out=dists)
+        dists += sq_norms
+        dists += (centers * centers).sum(axis=1)[:, None]
+        np.minimum.reduce(dists, axis=0, out=nearest)
+        for j in range(k - 1, -1, -1):  # the first nearest center wins, as in argmin
+            np.copyto(assign, j, where=dists[j] == nearest)
         sizes = np.bincount(assign, minlength=k)
         for j in np.flatnonzero(sizes == 0):
-            d2min = np.where(sizes[assign] >= 2, dists[np.arange(n), assign], -np.inf)
+            d2min = np.where(sizes[assign] >= 2, dists[assign, np.arange(n)], -np.inf)
             far = int(np.argmax(d2min))
             sizes[assign[far]] -= 1
             sizes[j] = 1
@@ -252,17 +254,19 @@ class EmConfig:
 def _em(data, init: GmmModel, cfg: EmConfig, rng) -> tuple[GmmModel, list[float]]:
     """EM from ``init``, reusing one (k, n) table, a row per component, and two length-n buffers."""
     n, dim = data.shape
-    lifted = expansion_lift(data)
+    lifted = np.empty((2 * dim + 1, n))  # expansion_lift(data).T, built contiguous
+    np.multiply(data.T, data.T, out=lifted[:dim])
+    lifted[dim:-1], lifted[-1] = data.T, 1.0
     table = np.empty((init.n_components, n))
     frame_max, frame_sum = np.empty((2, n))
     weights, means, variances = init.weights, init.means, init.variances
     trace: list[float] = []
     for it in range(cfg.max_iters):
-        np.matmul(expansion_coefficients(weights, means, variances), lifted.T, out=table)
+        np.matmul(expansion_coefficients(weights, means, variances), lifted, out=table)
         np.maximum.reduce(table, axis=0, out=frame_max)
         table -= frame_max
         np.exp(table, out=table)
-        np.add.reduce(table, axis=0, out=frame_sum)
+        np.add.reduce(table, axis=0, out=frame_sum)  # >= 1: each frame's largest term is exp(0)
         ll = float((frame_max + np.log(frame_sum)).sum())
         if not np.isfinite(ll):
             raise NumericError("log-likelihood became non-finite during EM")
@@ -271,10 +275,10 @@ def _em(data, init: GmmModel, cfg: EmConfig, rng) -> tuple[GmmModel, list[float]
             break
         if it == cfg.max_iters - 1:
             break
-
-        resp = np.divide(table, frame_sum, out=table)
-        nk = resp.sum(axis=1)
-        moments = (resp @ lifted) / np.maximum(nk, 1e-300)[:, None]  # E[x*x], E[x], 1
+        resp = np.multiply(table, np.reciprocal(frame_sum, out=frame_sum), out=table)
+        sums = resp @ lifted.T  # the last column, against the row of ones, is the occupancy
+        nk = sums[:, -1]
+        moments = sums / np.maximum(nk, 1e-300)[:, None]  # E[x*x], E[x], 1
         means = moments[:, dim : 2 * dim].copy()
         variances = np.maximum(moments[:, :dim] - means * means, cfg.variance_floor)
         weights = nk / n

@@ -228,19 +228,22 @@ def kmeans_init_oracle(data, k, seed, variance_floor=1e-6):
 def _allocating_em(data, init, cfg, rng, component_major):
     """EM with allocating steps; starved components restart at ``rng``'s rows.
 
-    ``component_major`` keeps the densities as a (k, n) table, as ``gmm._em``
-    does; otherwise as the (n, k) table it used before.
+    ``component_major`` keeps the densities as a (k, n) table and the lift as
+    a contiguous (2 dim + 1, n) array, as ``gmm._em`` does; otherwise as the
+    (n, k) table and (n, 2 dim + 1) lift it used before.
     """
     data = np.asarray(data, dtype=np.float64)
     n, dim = data.shape
     lifted = np.hstack([data * data, data, np.ones((n, 1))])
+    if component_major:
+        lifted = lifted.T.copy()
     weights, means, variances = init.weights, init.means, init.variances
     trace = []
     prev = -np.inf
     for it in range(cfg.max_iters):
         coef = expansion_coefficients_oracle(weights, means, variances)
         if component_major:
-            table = coef @ lifted.T
+            table = coef @ lifted
             frame_max = table.max(axis=0)
             shifted = np.exp(table - frame_max)
             frame_sum = shifted.sum(axis=0)
@@ -257,9 +260,10 @@ def _allocating_em(data, init, cfg, rng, component_major):
             break
         prev = ll
         if component_major:
-            resp = shifted / frame_sum
-            nk = resp.sum(axis=1)
-            moments = (resp @ lifted) / np.maximum(nk, 1e-300)[:, None]
+            resp = shifted * (1.0 / frame_sum)
+            sums = resp @ lifted.T
+            nk = sums[:, -1]
+            moments = sums / np.maximum(nk, 1e-300)[:, None]
         else:
             resp = shifted / frame_sum[:, None]
             nk = resp.sum(axis=0)

@@ -1,4 +1,4 @@
-"""`synth --spec` and `bench` through ``cli.main`` over drawn spec files and flags.
+"""`synth --spec`, `bench`, `train` and `evaluate` through ``cli.main`` over drawn inputs and flags.
 
 Every run must end with exit 0, or with exit 1, 2 or 3 and one error line on
 stderr; never with a traceback or a RuntimeWarning. A usage error (exit 1)
@@ -17,14 +17,15 @@ from hypothesis import strategies as st
 
 from rapidhare.bench import BENCH_METHODS
 from rapidhare.cli import main
-from rapidhare.gmm import save_model_set
+from rapidhare.data import ALL_LABELS, load_dataset
+from rapidhare.gmm import load_model_set, save_model_set
 from rapidhare.predictor import MAX_WINDOW_K
 
 from conftest import random_model_set
 
 
 def _run(argv):
-    """Run the CLI in process and check how it ended; its exit code and stdout."""
+    """Run the CLI in process and check how it ended; its exit code, stdout and stderr lines."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -42,12 +43,12 @@ def _run(argv):
         assert rc in (2, 3)
         assert len(lines) == 1
         assert lines[0].startswith("error: " if rc == 2 else "numeric failure: ")
-    return rc, out.getvalue()
+    return rc, out.getvalue(), lines
 
 
-def _mostly(valid, other):
-    """Draws of ``valid`` about seven times in eight, of ``other`` otherwise."""
-    return st.sampled_from([valid] * 7 + [other]).flatmap(lambda strategy: strategy)
+def _mostly(valid, other, times=7):
+    """Draws of ``valid`` about ``times`` times in ``times + 1``, of ``other`` otherwise."""
+    return st.sampled_from([valid] * times + [other]).flatmap(lambda strategy: strategy)
 
 
 # ---------------------------------------------------------------- synth --spec
@@ -96,7 +97,7 @@ def test_synth_spec_ends_in_recordings_or_one_error(text, tmp_path_factory):
     spec = tmp_path_factory.getbasetemp() / "fuzz_spec.txt"
     spec.write_text(text)
     out_dir = tmp_path_factory.mktemp("synth")
-    rc, stdout = _run(["synth", "--out", str(out_dir), "--spec", str(spec)])
+    rc, stdout, _ = _run(["synth", "--out", str(out_dir), "--spec", str(spec)])
     if rc == 0:
         written = int(re.fullmatch(rf"wrote (\d+) recordings to {re.escape(str(out_dir))}\n", stdout)[1])
         assert written == len(list(out_dir.iterdir())) >= 1
@@ -130,7 +131,7 @@ def test_bench_ends_in_finite_fields_or_one_error(
     argv = ["bench", f"--model={bench_model}", f"--frames={frames}", f"--repeats={repeats}",
             f"--method={method}", f"--window={window}", f"--hmm-window={hmm_window}",
             f"--seed={seed}", f"--format={fmt}"]
-    rc, stdout = _run(argv)
+    rc, stdout, _ = _run(argv)
     if rc == 0:
         lines = stdout.splitlines()
         fields = dict(zip(*[line.split("\t") for line in lines])) if fmt == "tsv" else dict(
@@ -139,3 +140,116 @@ def test_bench_ends_in_finite_fields_or_one_error(
         assert (fields["method"], fields["frames"], fields["repeats"]) == (method, str(frames), str(repeats))
         for name in ("mean_us", "std_us", "p99_us"):
             assert math.isfinite(float(fields[name])) and float(fields[name]) >= 0.0
+
+
+# ----------------------------------------------------------- train, evaluate
+
+@pytest.fixture(scope="module")
+def synth_data(tmp_path_factory):
+    """A three-subject ``synth`` directory per (frames, dim, min_segment, seed), written once.
+
+    ``synth_data(*key)`` gives the directory and the activities it lacks.
+    """
+    written = {}
+
+    def get(frames, dim, min_segment, seed):
+        key = (frames, dim, min_segment, seed)
+        if key not in written:
+            out_dir = tmp_path_factory.mktemp("fuzz_data")
+            rc, _, _ = _run(["synth", f"--out={out_dir}", "--subjects=3", f"--frames={frames}",
+                             f"--dim={dim}", f"--min-segment={min_segment}", f"--seed={seed}"])
+            assert rc == 0
+            present = set(np.concatenate([s.labels for s in load_dataset(out_dir).sequences]).tolist())
+            written[key] = out_dir, [label for label in ALL_LABELS if int(label) not in present]
+        return written[key]
+
+    return get
+
+
+def _flag(valid, other):
+    """(value, True) from ``valid`` 15 times in 16, else (value, False) from ``other``.
+
+    So about half of ``evaluate``'s runs get all ten of its flags valid and reach training.
+    """
+    return _mostly(valid.map(lambda v: (v, True)), other.map(lambda v: (v, False)), times=15)
+
+
+_COMPONENTS = st.dictionaries(st.sampled_from(ALL_LABELS), st.integers(1, 40), min_size=1).map(
+    lambda counts: ",".join(f"{label.label_name}={k}" for label, k in counts.items())
+)
+_BAD_REALS = st.sampled_from(["0", "-1", "nan", "inf", "x"])
+# Up to 1000 frames a subject, 3000 in all; the longer segments leave activities out.
+# ``synth`` draws at least 3 channels, and ``--channels`` keeps 2 of them.
+_DATA = st.tuples(
+    st.integers(150, 1000), st.integers(3, 6), st.sampled_from([20, 30, 150]), st.integers(0, 20)
+)
+# Short segments over 1000 frames a subject: every fold's two subjects nearly always hold
+# every activity, so most of ``evaluate``'s runs with valid flags get to score.
+_FOLD_DATA = st.tuples(st.just(1000), st.integers(3, 6), st.just(20), st.integers(0, 20))
+_TRAIN_FLAGS = {
+    "--em-iters": _flag(st.integers(1, 12), st.sampled_from([0, -1, "x"])),
+    "--em-tol": _flag(st.sampled_from([1e-6, 1e-3, 0.5, 1e300]), _BAD_REALS),
+    "--variance-floor": _flag(st.sampled_from([1e-6, 1e-3, 0.5, 1e-320, 1e300]), _BAD_REALS),
+    "--restarts": _flag(st.integers(1, 2), st.sampled_from([0, -1])),
+    "--components": _flag(st.none() | _COMPONENTS, st.sampled_from(["walking=0", "walkin=3", "sitting=2,"])),
+    "--seed": _flag(st.integers(0, 2**64 + 1), st.integers(-(2**64), -1)),
+    "--channels": _flag(st.sampled_from([None, "0,1", "2,0"]), st.just("0,9")),
+}
+_EVALUATE_FLAGS = {
+    "--window": _flag(st.sampled_from([0, 1, 26, 1000]), st.sampled_from([-1, MAX_WINDOW_K + 1])),
+    "--method": _flag(st.sampled_from(["rapidhare", "hmm"]), st.just("viterbi")),
+    "--tolerance": _flag(st.integers(0, 60), st.just(-1)),
+}
+
+
+def _argv(flags):
+    return [f"{name}={value}" for name, (value, _) in flags.items() if value is not None]
+
+
+def _check_missing_activity(rc, lines, missing, flags, folds=False):
+    """With every flag valid, a dataset that lacks an activity ends in train's one-line exit 2.
+
+    Activities train in turn, so an earlier one can stop first: in ``folds``
+    (``evaluate``) an activity that only the held-out subject holds, and with a
+    subnormal variance floor exit 3, once a one-row cluster's 1 / variance
+    overflows.
+    """
+    if missing and all(ok for _, ok in flags.values()):
+        if rc == 3 and flags["--variance-floor"][0] == 1e-320:
+            return
+        assert rc == 2
+        match = re.fullmatch(r"error: activity (\w+): (\d+) training frames, need at least (\d+)", lines[0])
+        assert match and int(match[2]) < int(match[3])
+        if flags["--components"][0] is None and not folds:
+            assert (match[1], match[2]) == (missing[0].label_name, "0")
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150)
+@given(data=_DATA, flags=st.fixed_dictionaries(_TRAIN_FLAGS))
+def test_train_ends_in_a_model_or_one_error(data, flags, synth_data, tmp_path_factory):
+    data_dir, missing = synth_data(*data)
+    out = tmp_path_factory.getbasetemp() / "fuzz_model.txt"
+    rc, stdout, lines = _run(["train", str(data_dir), f"--out={out}"] + _argv(flags))
+    _check_missing_activity(rc, lines, missing, flags)
+    if rc == 0:
+        assert not missing
+        assert [line.split("\t")[0] for line in stdout.splitlines()] == [label.label_name for label in ALL_LABELS]
+        assert all(math.isfinite(float(line.split("\t")[1])) for line in stdout.splitlines())
+        assert load_model_set(out).dim == (2 if flags["--channels"][0] else data[1])
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=70)
+@given(data=_mostly(_FOLD_DATA, _DATA, times=3), flags=st.fixed_dictionaries({**_TRAIN_FLAGS, **_EVALUATE_FLAGS}))
+def test_evaluate_ends_in_two_reports_or_one_error(data, flags, synth_data):
+    data_dir, missing = synth_data(*data)
+    rc, stdout, lines = _run(["evaluate", str(data_dir), "--format=tsv"] + _argv(flags))
+    _check_missing_activity(rc, lines, missing, flags, folds=True)
+    if rc == 0:
+        assert not missing
+        out = stdout.splitlines()
+        starts = [i + 1 for i, line in enumerate(out) if line.startswith("confusion")]
+        assert len(starts) == 2
+        for i in starts:  # every frame of every subject, once
+            assert sum(int(v) for line in out[i : i + len(ALL_LABELS)] for v in line.split("\t")) == 3 * data[0]
