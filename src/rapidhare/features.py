@@ -63,7 +63,7 @@ class FeatureConfig:
 
     Kept channels come out in the order listed, then one directional column
     per source. ``keep_channels`` and ``directional.source_channels`` are both
-    expressed in the original channel index space; sources are remapped after
+    expressed in the original channel index space; sources are read before
     selection.
     """
 
@@ -130,8 +130,6 @@ class FeatureStreamer:
         if directional is not None:
             sources = directional.source_channels
             _check_indices(sources, n_channels, "directional source_channels")
-            if keep is not None:  # renumbered into the kept channels, which hold every source
-                sources = [keep.index(c) for c in sources]
             self._sources = np.array(sources)
             self._lag = directional.lag
             # Each source row is written at _pos and _pos + lag, so
@@ -155,11 +153,11 @@ class FeatureStreamer:
             return block if keep is None else block.take(keep, axis=1, out=out, mode="clip")
         n, lag, ring, q = len(block), self._lag, self._ring, self._pos
         if n != 1:
-            if keep is not None:
-                block = block[:, keep]
             src = np.empty((lag + n, len(self._sources)))
             src[:lag] = ring[q : q + lag]
             block.take(self._sources, axis=1, out=src[lag:], mode="clip")
+            if keep is not None:
+                block = block[:, keep]
             d = src[lag:] - src[:n]
             if self._rows < lag:
                 d[: lag - self._rows] = 0.0
@@ -174,7 +172,7 @@ class FeatureStreamer:
         else:
             block[0].take(keep, out=kept, mode="clip")
         new = ring[q + lag]  # the oldest row's second copy, free once it is subtracted
-        kept.take(self._sources, out=new, mode="clip")
+        block[0].take(self._sources, out=new, mode="clip")
         np.subtract(new, ring[q], out=out[0, dim:])
         if self._rows < lag:
             out[0, dim:] = 0.0

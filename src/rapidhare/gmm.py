@@ -9,10 +9,10 @@ There are two density evaluators. The reference, ``log_pdf`` and
 HMM emissions through ``ActivityModelSet.frame_log_likelihoods`` and the
 naive window oracle, and the tests hold it to extended precision. The fast
 one uses that log(w N(x)) is linear in (x*x, x, 1): ``expansion_coefficients``
-makes one row per component and ``expansion_lift`` lifts the input, so all
-component densities are one matrix product. EM's E-step and the streaming
+makes one row per component and ``expansion_lift`` one column per input row,
+so all component densities are one (k, n) matrix product. EM's E-step and the
 frame scorer use it. Its absolute error grows with sum_d (x_d^2 + mu_d^2) /
-var_d, since the three terms cancel near a mean. EM reuses one (k, n) table: a
+var_d, since the three terms cancel near a mean. EM reuses one such table: a
 frame's sum runs over components in order, occupancies from the lift's ones row.
 
 Training's random draws (k-means++ seeds, restarts of starved components)
@@ -120,7 +120,7 @@ def log_pdf_batch(model: GmmModel, X) -> np.ndarray:
 
 
 def expansion_coefficients(weights, means, variances) -> np.ndarray:
-    """One row c_j per component with log(w_j N(x; mu_j, var_j)) = c_j . expansion_lift(x)."""
+    """One row c_j per component with log(w_j N(x; mu_j, var_j)) = c_j . (x*x, x, 1)."""
     dim = means.shape[1]
     inv_var = 1.0 / variances
     coeffs = np.empty((len(means), 2 * dim + 1))
@@ -135,8 +135,12 @@ def expansion_coefficients(weights, means, variances) -> np.ndarray:
 
 
 def expansion_lift(X) -> np.ndarray:
-    """Each row x of a float array X as (x*x, x, 1), the input side of expansion_coefficients."""
-    return np.hstack([X * X, X, np.ones((len(X), 1))])
+    """Each row x of X as a column (x*x, x, 1) of a contiguous (2 dim + 1, n) array."""
+    n, dim = X.shape
+    lifted = np.empty((2 * dim + 1, n))
+    np.multiply(X.T, X.T, out=lifted[:dim])
+    lifted[dim:-1], lifted[-1] = X.T, 1.0
+    return lifted
 
 
 def _kmeans_pp_seeds(data, k, rng):
@@ -244,6 +248,9 @@ class EmConfig:
             value = getattr(self, name)
             if not 0 < value < np.inf:  # a NaN tol would never stop EM early
                 raise DataError(f"{name} must be finite and positive, got {value!r}")
+        tiny = float(np.finfo(np.float64).tiny)
+        if self.variance_floor < tiny:  # a subnormal floor's reciprocal can overflow
+            raise DataError(f"variance_floor must be at least {tiny!r}, got {self.variance_floor!r}")
         if self.n_init_restarts < 1:
             raise DataError("n_init_restarts must be positive")
         if self.seed < 0:
@@ -254,9 +261,7 @@ class EmConfig:
 def _em(data, init: GmmModel, cfg: EmConfig, rng) -> tuple[GmmModel, list[float]]:
     """EM from ``init``, reusing one (k, n) table, a row per component, and two length-n buffers."""
     n, dim = data.shape
-    lifted = np.empty((2 * dim + 1, n))  # expansion_lift(data).T, built contiguous
-    np.multiply(data.T, data.T, out=lifted[:dim])
-    lifted[dim:-1], lifted[-1] = data.T, 1.0
+    lifted = expansion_lift(data)
     table = np.empty((init.n_components, n))
     frame_max, frame_sum = np.empty((2, n))
     weights, means, variances = init.weights, init.means, init.variances
@@ -346,24 +351,26 @@ def fit_activity_models(
 ) -> tuple[ActivityModelSet, dict[ActivityLabel, float]]:
     """Train one mixture per activity on the frames of ``sequences`` that carry its label.
 
-    Only one activity's frames are gathered at a time. ``counts`` overrides
+    Every activity's frame count is checked before the first fit, and only
+    one activity's frames are gathered at a time. ``counts`` overrides
     DEFAULT_COMPONENT_COUNTS for the activities it names. Each activity gets a
     seed derived from the base seed so training whole sets stays deterministic.
     """
     if not sequences:
         raise DataError("no training sequences")
     counts = {**DEFAULT_COMPONENT_COUNTS, **(counts or {})}
+    for label in ALL_LABELS:
+        n = sum(int(np.count_nonzero(s.labels == label)) for s in sequences)
+        if n < counts[label]:
+            raise DataError(
+                f"activity {label.label_name}: {n} training frames, need at least {counts[label]}"
+            )
     models = {}
     final_ll = {}
     for label in ALL_LABELS:
-        k = counts[label]
         frames = np.concatenate([s.frames[s.labels == label] for s in sequences])
-        if len(frames) < k:
-            raise DataError(
-                f"activity {label.label_name}: {len(frames)} training frames, need at least {k}"
-            )
         per_label_cfg = replace(cfg, seed=cfg.seed + int(label))
-        models[label], final_ll[label] = fit_em(frames, k, per_label_cfg)
+        models[label], final_ll[label] = fit_em(frames, counts[label], per_label_cfg)
         del frames  # before the next activity's are gathered
     return ActivityModelSet(models), final_ll
 

@@ -62,10 +62,9 @@ class _FrameScorer:
     """All activities' log-densities from one precompiled matrix product.
 
     Every component of every activity is one row of ``expansion_coefficients``
-    stacked into a single matrix, and ``_x_buf`` holds the frame's
-    ``expansion_lift``. One product plus one segmented log-sum-exp yields the
-    per-activity log-likelihood vector without per-frame allocation;
-    ``block_scores`` does the same for a block of frames with one product.
+    stacked into one matrix. ``scores`` multiplies it by one frame lifted into
+    ``_x_buf``, ``block_scores`` by ``expansion_lift`` of a block, a column per
+    frame; both end in ``_log_sums``, one segmented log-sum-exp per activity.
     """
 
     def __init__(self, model_set: ActivityModelSet):
@@ -83,32 +82,30 @@ class _FrameScorer:
         self._comp = np.empty(total)
         self._seg_max = np.empty(N_ACTIVITIES)
         self._max_rep = np.empty(total)
-        self._seg_sum = np.empty(N_ACTIVITIES)
+
+    def _log_sums(self, comp, seg_max, max_rep, out):
+        """Each activity's log-sum-exp of its rows of ``comp`` into ``out``; ``comp`` is overwritten."""
+        np.maximum.reduceat(comp, self._starts, axis=0, out=seg_max)
+        # The method form with mode="clip" skips np.take's dispatch and its
+        # buffered copy; _segment_of holds valid indices by construction.
+        seg_max.take(self._segment_of, axis=0, out=max_rep, mode="clip")
+        np.subtract(comp, max_rep, out=comp)
+        np.exp(comp, out=comp)
+        np.add.reduceat(comp, self._starts, axis=0, out=out)
+        np.log(out, out=out)
+        out += seg_max
+        return out
 
     def scores(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(x, x, out=self._x_sq)
         self._x_lin[...] = x
         np.dot(self._coef, self._x_buf, out=self._comp)
-        np.maximum.reduceat(self._comp, self._starts, out=self._seg_max)
-        # The method form with mode="clip" skips np.take's dispatch and its
-        # buffered copy; _segment_of holds valid indices by construction.
-        self._seg_max.take(self._segment_of, out=self._max_rep, mode="clip")
-        np.subtract(self._comp, self._max_rep, out=self._comp)
-        np.exp(self._comp, out=self._comp)
-        np.add.reduceat(self._comp, self._starts, out=self._seg_sum)
-        np.log(self._seg_sum, out=self._seg_sum)
-        np.add(self._seg_sum, self._seg_max, out=out)
-        return out
+        return self._log_sums(self._comp, self._seg_max, self._max_rep, out)
 
     def block_scores(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``scores`` of every row of X into the same row of ``out``."""
-        comp = expansion_lift(X) @ self._coef.T
-        seg_max = np.maximum.reduceat(comp, self._starts, axis=1)
-        comp -= seg_max[:, self._segment_of]
-        np.exp(comp, out=comp)
-        np.log(np.add.reduceat(comp, self._starts, axis=1), out=out)
-        out += seg_max
-        return out
+        comp = self._coef @ expansion_lift(X)
+        return self._log_sums(comp, np.empty((N_ACTIVITIES, len(X))), np.empty_like(comp), out.T)
 
 
 class PredictorSession:

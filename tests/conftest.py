@@ -174,6 +174,35 @@ def expansion_coefficients_oracle(weights, means, variances):
     return np.hstack([-0.5 * inv_var, means * inv_var, const[:, None]])
 
 
+def _scorer_parts(model_set):
+    """Every activity's coefficient rows stacked in ``ALL_LABELS`` order, each block's first row and owner."""
+    models = [model_set.models[label] for label in ALL_LABELS]
+    coef = np.vstack([expansion_coefficients_oracle(m.weights, m.means, m.variances) for m in models])
+    counts = [m.n_components for m in models]
+    return coef, np.cumsum([0] + counts[:-1]), np.repeat(np.arange(len(models)), counts)
+
+
+def block_scores_oracle(model_set, X):
+    """Per-activity log-likelihoods of X's rows by the row-major block formula.
+
+    An (n, 2 dim + 1) ``np.hstack`` lift, an (n, K) product, then ``reduceat``
+    along axis 1 and each row's segment maxima fanned out by fancy indexing.
+    """
+    coef, starts, segment_of = _scorer_parts(model_set)
+    comp = np.hstack([X * X, X, np.ones((len(X), 1))]) @ coef.T
+    seg_max = np.maximum.reduceat(comp, starts, axis=1)
+    comp -= seg_max[:, segment_of]
+    return np.log(np.add.reduceat(np.exp(comp), starts, axis=1)) + seg_max
+
+
+def frame_scores_oracle(model_set, x):
+    """Per-activity log-likelihoods of one frame: a 1-D lift, a length-K product, 1-D ``reduceat``s."""
+    coef, starts, segment_of = _scorer_parts(model_set)
+    comp = coef @ np.concatenate([x * x, x, [1.0]])
+    seg_max = np.maximum.reduceat(comp, starts)
+    return np.log(np.add.reduceat(np.exp(comp - seg_max[segment_of]), starts)) + seg_max
+
+
 def kmeans_pp_seeds_oracle(data, k, rng):
     """k-means++ seeds by brute force: each row's distance to every seed so far, anew.
 

@@ -22,6 +22,7 @@ from rapidhare import (
     log_pdf_batch,
     save_model_set,
 )
+from rapidhare import gmm
 from rapidhare.gmm import DEFAULT_COMPONENT_COUNTS, _em, _kmeans_pp_seeds, expansion_coefficients
 from conftest import (
     em_oracle,
@@ -359,6 +360,13 @@ def test_em_config_validation():
         EmConfig(n_init_restarts=0)
 
 
+@pytest.mark.parametrize("floor", [1e-320, 5e-324, np.nextafter(np.finfo(np.float64).tiny, 0)])
+def test_a_subnormal_variance_floor_is_rejected(floor):
+    with pytest.raises(DataError, match=r"^variance_floor must be at least 2\.2250738585072014e-308, got "):
+        EmConfig(variance_floor=floor)
+    EmConfig(variance_floor=np.finfo(np.float64).tiny)  # the smallest normal float is kept
+
+
 def test_model_set_round_trip(tmp_path, rng):
     model_set = random_model_set(rng, dim=5, k_lo=1, k_hi=4)
     path = tmp_path / "model.txt"
@@ -477,6 +485,16 @@ def test_fit_activity_models_insufficient_data(rng):
     counts[ActivityLabel.WALKING] = 18
     with pytest.raises(DataError, match="walking: 5 training frames"):
         fit_activity_models([seq], counts, EmConfig(seed=1))
+
+
+def test_every_activity_count_is_checked_before_the_first_fit(rng, monkeypatch):
+    """A lacking activity fails at once, however late in ``ALL_LABELS`` order it comes."""
+    seqs = [_one_sequence(rng, [40] * 7 + [0], 2), _one_sequence(rng, [30] * 7 + [0], 2)]
+    calls = []
+    monkeypatch.setattr(gmm, "fit_em", lambda *args: calls.append(args))
+    with pytest.raises(DataError, match=r"^activity standing: 0 training frames, need at least 4$"):
+        fit_activity_models(seqs, None, EmConfig(seed=1))
+    assert calls == []
 
 
 def test_fit_activity_models_needs_a_sequence():

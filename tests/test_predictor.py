@@ -17,7 +17,15 @@ from rapidhare import (
     predict_sequence_naive,
 )
 from rapidhare.gmm import DEFAULT_COMPONENT_COUNTS
-from conftest import identical_model_set, log_pdf_oracle, random_gmm, random_model_set
+from rapidhare.predictor import _FrameScorer
+from conftest import (
+    block_scores_oracle,
+    frame_scores_oracle,
+    identical_model_set,
+    log_pdf_oracle,
+    random_gmm,
+    random_model_set,
+)
 
 
 def label_of(scores):
@@ -445,3 +453,46 @@ def test_posterior_of_a_block_is_each_row_posterior(rng):
     block = posterior(scores)
     assert block.shape == scores.shape
     assert np.array_equal(block, np.vstack([posterior(row) for row in scores]))
+
+
+def _scorer_case(name, rng):
+    if name == "drawn":  # the default component counts at 42 dimensions: segments of 2 to 18 rows
+        dim = 42
+        models = {label: random_gmm(rng, dim, DEFAULT_COMPONENT_COUNTS[label]) for label in ALL_LABELS}
+    elif name == "far":  # every other component far from the data, its terms 0 after exp
+        dim, models = 6, {}
+        for label in ALL_LABELS:
+            m = random_gmm(rng, dim, 18)
+            means = m.means.copy()
+            means[1::2] = rng.choice([-30.0, 30.0], size=(9, dim))
+            models[label] = GmmModel(m.weights, means, m.variances)
+    else:  # every row ties: one 18-component mixture for every activity
+        dim = 6
+        models = dict.fromkeys(ALL_LABELS, random_gmm(rng, dim, 18))
+    return ActivityModelSet(models), rng.uniform(-1.0, 1.0, size=(300, dim))
+
+
+@pytest.mark.parametrize("rows", [1, 37, 256])
+@pytest.mark.parametrize("case", ["drawn", "far", "identical"])
+def test_scorer_equals_the_row_major_and_frame_formulas_bit_for_bit(rng, case, rows):
+    """Both scorer forms give the bits of the formulas they replaced, block by block and frame by frame.
+
+    Segments of 16 to 18 rows are longer than numpy's 8-way unrolled sums, so
+    summing each segment with ``np.add.reduce`` instead of ``reduceat`` shows
+    here. Blocks are whole: the (K, n) product is the old (n, K) one with its
+    operands swapped, and at 42 dimensions OpenBLAS's Haswell kernels round
+    the edge tiles of most other block lengths differently.
+    """
+    models, X = _scorer_case(case, rng)
+    X = X[: len(X) // rows * rows]
+    scorer = _FrameScorer(models)
+    out = np.empty((len(X), len(ALL_LABELS)))
+    for lo in range(0, len(X), rows):
+        scorer.block_scores(X[lo : lo + rows], out[lo : lo + rows])
+        assert np.array_equal(out[lo : lo + rows], block_scores_oracle(models, X[lo : lo + rows]))
+    if case == "far":  # each far term lies below a live one of its activity by more than exp's range
+        comp = scorer._coef @ np.hstack([X * X, X, np.ones((len(X), 1))]).T
+        assert (comp[1::2] - comp[0::2]).max() < -745.2
+    frame = np.empty(len(ALL_LABELS))
+    for x in X[:64]:
+        assert np.array_equal(scorer.scores(x, frame), frame_scores_oracle(models, x))
