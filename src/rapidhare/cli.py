@@ -28,6 +28,7 @@ from .features import (
     MAX_DIRECTIONAL_LAG,
     DirectionalConfig,
     FeatureConfig,
+    FeatureStreamer,
     directional_sources_by_name,
 )
 from .gmm import EmConfig, fit_activity_models, load_model_set, save_model_set
@@ -125,7 +126,7 @@ def _dataset_and_features(args):
     def check_features(channels):
         nonlocal feat
         feat = _feature_config(args, channels)
-        feat.streamer(len(channels))  # checks --channels and the --df sources
+        FeatureStreamer(feat, len(channels))  # checks --channels and the --df sources
 
     return load_dataset(args.data_dir, check_features), feat
 
@@ -209,7 +210,7 @@ def _predict_stream(model_set, args) -> int:
         except ValueError:
             raise DataError(f"stdin:{lineno}: non-numeric frame value") from None
         if streamer is None:
-            streamer = feat.streamer(row.shape[1])
+            streamer = FeatureStreamer(feat, row.shape[1])
         try:
             # The returned row is handed back as ``out``, so the directional
             # features reuse the buffer their first push allocated.
@@ -231,7 +232,7 @@ def _predict_file(model_set, args) -> int:
     chunks = recording_chunks(args.input)
     channels = next(chunks)
     feat = _feature_config(args, channels)
-    streamer = feat.streamer(len(channels))
+    streamer = FeatureStreamer(feat, len(channels))
     if streamer.dim != model_set.dim:
         raise DataError(
             f"{args.input}: model has {model_set.dim} dimensions, the features have {streamer.dim}"

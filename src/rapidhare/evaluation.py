@@ -16,13 +16,9 @@ from .predictor import PredictorSession, checked_window
 
 def _as_label_ids(labels) -> np.ndarray:
     arr = np.asarray(labels)
-    if arr.dtype.kind != "i":
-        arr = np.array([int(v) for v in labels], dtype=np.int64)
-    else:
-        arr = arr.astype(np.int64, copy=False)
-    if arr.size and (arr.min() < 1 or arr.max() > N_ACTIVITIES):
+    if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 1 or arr.max() > N_ACTIVITIES):
         raise DataError("labels must be activity ids in 1..8")
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 def confusion(true_labels, predicted) -> np.ndarray:
@@ -206,7 +202,7 @@ def run_cv(
                     pred[lo : lo + CHUNK_LINES] = block.argmax(axis=1) + 1
             else:
                 decoded = predict_stream_hmm(model_set, trans, window_w, fseq.frames)
-                pred = np.asarray([int(label) for label in decoded])
+                pred = np.asarray(decoded)
             conf_raw += confusion(fseq.labels, pred)
             adjusted = apply_border_tolerance(fseq.labels, pred, tolerance)
             conf_tol += confusion(fseq.labels, adjusted)

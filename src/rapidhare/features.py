@@ -3,13 +3,13 @@
 Directional features are causal lagged differences d[t] = s[t] - s[t - lag]
 appended to the frame; they encode which way a signal is moving and are left
 unclamped (magnitude at most 2 for inputs in [-1, 1]). Both are computed in
-one class, ``FeatureStreamer``, which checks each block's width, selects the
-kept channels and appends the differences: ``FeatureConfig.apply`` pushes a
-whole recording through it as one block, ``predict FILE`` pushes each chunk
-of the recording, and ``predict -`` pushes each frame into one reused output
-row. The streamer keeps the last ``lag`` source rows twice over in one ring,
-so a one-row push is one subtraction against the oldest row and two row
-writes, with no concatenation.
+one class, ``FeatureStreamer``, which checks every setting against the input
+width, then each block's width, selects the kept channels and appends the
+differences: ``FeatureConfig.apply`` pushes a whole recording through it as
+one block, ``predict FILE`` pushes each chunk of the recording, and
+``predict -`` pushes each frame into one reused output row. The streamer keeps
+the last ``lag`` source rows twice over in one ring, so a one-row push is one
+subtraction against the oldest row and two row writes, with no concatenation.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def _check_indices(indices, dim, what):
 
 @dataclass(frozen=True)
 class DirectionalConfig:
-    """Lag length and source channel indices for directional augmentation."""
+    """Lag length and source channel indices; ``FeatureStreamer`` checks the indices."""
 
     lag: int = DEFAULT_DIRECTIONAL_LAG
     source_channels: tuple[int, ...] = ()
@@ -49,12 +49,6 @@ class DirectionalConfig:
         if not 1 <= self.lag <= MAX_DIRECTIONAL_LAG:
             raise DataError(f"directional lag must be in 1..{MAX_DIRECTIONAL_LAG}, got {self.lag}")
         object.__setattr__(self, "source_channels", tuple(int(i) for i in self.source_channels))
-        if not self.source_channels:
-            raise DataError("directional source_channels must not be empty")
-        if len(set(self.source_channels)) != len(self.source_channels):
-            raise DataError("directional source_channels contains duplicates")
-        if any(i < 0 for i in self.source_channels):
-            raise DataError("directional source_channels must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -73,21 +67,13 @@ class FeatureConfig:
     def __post_init__(self):
         if self.keep_channels is not None:
             object.__setattr__(self, "keep_channels", tuple(int(i) for i in self.keep_channels))
-            if self.directional is not None:
-                missing = set(self.directional.source_channels) - set(self.keep_channels)
-                if missing:
-                    raise DataError(f"directional source channels {sorted(missing)} are not kept")
 
     def apply(self, seq: LabeledSequence) -> LabeledSequence:
-        """The whole recording pushed through ``streamer`` as one block; labels are untouched."""
+        """The recording pushed through a ``FeatureStreamer`` as one block; labels are untouched."""
         return LabeledSequence(
-            seq.subject_id, self.streamer(seq.dim).push(seq.frames), seq.labels.copy(),
+            seq.subject_id, FeatureStreamer(self, seq.dim).push(seq.frames), seq.labels.copy(),
             seq.sample_rate_hz,
         )
-
-    def streamer(self, n_channels: int) -> FeatureStreamer:
-        """The streaming form of ``apply`` for frames of ``n_channels`` values."""
-        return FeatureStreamer(self, n_channels)
 
 
 def directional_sources_by_name(channels: list[ChannelSpec], keep=None) -> tuple[int, ...]:
@@ -130,6 +116,8 @@ class FeatureStreamer:
         if directional is not None:
             sources = directional.source_channels
             _check_indices(sources, n_channels, "directional source_channels")
+            if keep is not None and (missing := set(sources) - set(keep)):
+                raise DataError(f"directional source channels {sorted(missing)} are not kept")
             self._sources = np.array(sources)
             self._lag = directional.lag
             # Each source row is written at _pos and _pos + lag, so

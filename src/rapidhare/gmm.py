@@ -335,10 +335,6 @@ class ActivityModelSet:
     def dim(self) -> int:
         return next(iter(self.models.values())).dim
 
-    @property
-    def n_total_components(self) -> int:
-        return sum(m.n_components for m in self.models.values())
-
     def frame_log_likelihoods(self, x) -> np.ndarray:
         """Per-activity log densities of one frame, in activity id order."""
         return np.array([log_pdf(self.models[label], x) for label in ALL_LABELS])

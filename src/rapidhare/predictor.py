@@ -17,10 +17,10 @@ and returns the frame's (8,) window-score row; a rejected frame gives the
 slot its old row back. The frame's label is
 ``ALL_LABELS[int(scores.argmax())]`` and its class probabilities are
 ``posterior(scores)``. The block form ``PredictorSession.push_block`` takes
-frames that are already in memory and returns one such row per frame. It
-scores ``BLOCK_ROWS`` frames per matrix product and adds the same rows in the
-same order, so both forms give the same sums for the same rows. They share one
-state and can be mixed freely.
+frames that are already in memory and returns one such row per frame; it adds
+each window's rows in the same order, but its rows come from one matrix product
+per ``BLOCK_ROWS`` frames, so their low bits can differ from ``push_frame``'s.
+The two forms share one state and can be mixed freely.
 """
 
 from __future__ import annotations
@@ -161,9 +161,9 @@ class PredictorSession:
     def push_block(self, frames) -> np.ndarray:
         """Score a block of frames and return their window scores, one row per frame.
 
-        The result and the session afterwards are those of pushing the rows
-        one by one: every window is summed oldest row first, from the
-        session's last ``window_k`` rows onwards. If any frame's window
+        Every window is summed oldest row first, as in ``push_frame``, from the
+        session's last ``window_k`` rows onwards; the rows' low bits can differ
+        from ``push_frame``'s and with the block length. If any frame's window
         scores or their total would not be finite, DataError names that frame
         by its index in the whole stream and the session is left exactly as
         it was.

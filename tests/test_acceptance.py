@@ -243,7 +243,7 @@ def _bench_model_set():
 def test_criterion_7_latency_ratio():
     """Streaming per-frame time at most a quarter of blockwise Viterbi's."""
     models = _bench_model_set()
-    assert models.n_total_components == 86
+    assert sum(m.n_components for m in models.models.values()) == 86
     fast = run_bench(
         models, method="rapidhare", frames=1500, repeats=3,
         window_k=26, seed=3,

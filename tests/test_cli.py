@@ -96,7 +96,7 @@ def test_train_prints_per_activity_loglik(synth_dir, model_path, capsys):
     assert len(lines) == 8
     assert lines[0].startswith("walking\t")
     model_set = load_model_set(model_path)
-    assert model_set.n_total_components == 16
+    assert sum(m.n_components for m in model_set.models.values()) == 16
 
 
 def test_components_override_is_partial(synth_dir, tmp_path, capsys):

@@ -43,6 +43,21 @@ def test_confusion_empty_lists():
     assert conf.sum() == 0
 
 
+@pytest.mark.parametrize("labels", [[1.7, 2.0], [True, True], ["1", "2"]], ids=["float", "bool", "str"])
+def test_labels_that_are_not_integers_are_a_data_error(labels):
+    """A float, a bool or a string is not an activity id, even where it would convert to one."""
+    for args in ((labels, [1, 2]), ([1, 2], labels)):
+        with pytest.raises(DataError, match="activity ids in 1..8"):
+            confusion(*args)
+        with pytest.raises(DataError, match="activity ids in 1..8"):
+            apply_border_tolerance(*args, 1)
+
+
+def test_activity_labels_and_unsigned_ids_are_label_ids():
+    conf = confusion([ActivityLabel(1), ActivityLabel(8)], np.array([1, 8], dtype=np.uint8))
+    assert conf[0, 0] == conf[7, 7] == 1 and conf.sum() == 2
+
+
 def test_confusion_length_mismatch():
     with pytest.raises(DataError, match="differ in length"):
         confusion([1, 2], [1])

@@ -14,6 +14,7 @@ from rapidhare import (
     directional_sources_by_name,
     full_sensor_channels,
 )
+from rapidhare.features import FeatureStreamer
 
 
 def seq_of(frames, rate=56.35):
@@ -104,12 +105,14 @@ def test_directional_bounded_by_two(rng):
 
 
 def test_directional_config_validation():
+    """The lag is checked by the record; its sources when a streamer is built."""
     with pytest.raises(DataError, match="lag"):
         DirectionalConfig(lag=0, source_channels=(0,))
+    seq = seq_of(np.zeros((5, 3)))
     with pytest.raises(DataError, match="empty"):
-        DirectionalConfig(lag=5, source_channels=())
-    with pytest.raises(DataError, match="duplicates"):
-        DirectionalConfig(lag=5, source_channels=(1, 1))
+        FeatureConfig(directional=DirectionalConfig(lag=5, source_channels=())).apply(seq)
+    with pytest.raises(DataError, match="duplicate"):
+        FeatureConfig(directional=DirectionalConfig(lag=5, source_channels=(1, 1))).apply(seq)
 
 
 def test_directional_short_sequence_is_all_zero():
@@ -128,8 +131,36 @@ def test_feature_config_applies_selection_then_directional(rng):
 
 
 def test_feature_config_requires_sources_kept():
+    cfg = FeatureConfig(keep_channels=(0, 1), directional=DirectionalConfig(4, (2,)))
     with pytest.raises(DataError, match="not kept"):
-        FeatureConfig(keep_channels=(0, 1), directional=DirectionalConfig(4, (2,)))
+        cfg.apply(seq_of(np.zeros((5, 3))))
+
+
+@pytest.mark.parametrize(
+    "keep, sources, message",
+    [
+        ((), None, "channel selection must not be empty"),
+        ((0, 0), None, "channel selection contains duplicate indices"),
+        ((0, 6), None, "channel selection: channel index 6 out of range for 6 channels"),
+        ((-1,), None, "channel selection: channel index -1 out of range for 6 channels"),
+        (None, (), "directional source_channels must not be empty"),
+        (None, (1, 1), "directional source_channels contains duplicate indices"),
+        (None, (-1,), "directional source_channels: channel index -1 out of range for 6 channels"),
+        (None, (2, 6), "directional source_channels: channel index 6 out of range for 6 channels"),
+        ((0, 1, 3), (1, 2, 4), "directional source channels [2, 4] are not kept"),
+    ],
+    ids=[
+        "keep-empty", "keep-duplicate", "keep-too-large", "keep-negative", "sources-empty",
+        "sources-duplicate", "sources-negative", "sources-too-large", "source-not-kept",
+    ],
+)
+def test_every_feature_index_error_is_raised_by_the_streamer(keep, sources, message):
+    """The records take any indices; building the streamer checks them against the width."""
+    directional = None if sources is None else DirectionalConfig(3, sources)
+    cfg = FeatureConfig(keep, directional)
+    with pytest.raises(DataError) as err:
+        cfg.apply(seq_of(np.zeros((5, 6))))
+    assert str(err.value) == message
 
 
 def test_directional_sources_respect_selection():
@@ -144,13 +175,13 @@ def test_streaming_matches_batch(rng):
     frames = rng.uniform(-1, 1, size=(80, 5))
     cfg = DirectionalConfig(lag=9, source_channels=(0, 3))
     batch = FeatureConfig(directional=cfg).apply(seq_of(frames))
-    streamer = FeatureConfig(directional=cfg).streamer(5)
+    streamer = FeatureStreamer(FeatureConfig(directional=cfg), 5)
     streamed = np.vstack([streamer.push(x[np.newaxis]) for x in frames])
     assert np.array_equal(streamed, batch.frames)
 
     # The FeatureConfig forms agree too when a permuted selection renumbers the sources.
     for feat in (FeatureConfig((4, 0, 3), cfg), FeatureConfig((2, 0)), FeatureConfig()):
-        streamer = feat.streamer(5)
+        streamer = FeatureStreamer(feat, 5)
         streamed = np.vstack([streamer.push(x[np.newaxis]) for x in frames])
         assert np.array_equal(streamed, feat.apply(seq_of(frames)).frames)
 
@@ -159,7 +190,7 @@ def test_a_block_of_the_wrong_width_is_a_data_error():
     """Every config checks the width of what it is given, not only a directional one."""
     configs = (FeatureConfig((2, 0)), FeatureConfig(directional=DirectionalConfig(4, (1,))), FeatureConfig())
     for cfg in configs:
-        streamer = cfg.streamer(3)
+        streamer = FeatureStreamer(cfg, 3)
         for block in (np.zeros((1, 2)), np.zeros((5, 4))):
             with pytest.raises(DataError, match="expected blocks of 3 channels"):
                 streamer.push(block)
@@ -174,7 +205,7 @@ def test_a_one_row_push_with_a_selection_writes_into_out_and_allocates_no_row(di
     """
     rows = np.random.default_rng(0).uniform(-1, 1, (40, 1, 2000))
     cfg = FeatureConfig(tuple(range(1999, -1, -2)), directional)
-    streamer, expected = cfg.streamer(2000), cfg.apply(seq_of(rows[:, 0])).frames
+    streamer, expected = FeatureStreamer(cfg, 2000), cfg.apply(seq_of(rows[:, 0])).frames
     out = streamer.push(rows[0])
     for i, row in enumerate(rows[1:20], 1):
         assert streamer.push(row, out) is out
@@ -228,7 +259,7 @@ def test_block_pushes_concatenate_to_apply(case):
     """
     frames, cfg, pieces, use_out = case
     out = cfg.apply(seq_of(frames)).frames
-    streamer = cfg.streamer(frames.shape[1])
+    streamer = FeatureStreamer(cfg, frames.shape[1])
     pushed = []
     for lo, hi in pieces:
         buf = np.full((hi - lo, out.shape[1]), np.nan) if use_out else None

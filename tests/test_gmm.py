@@ -507,7 +507,7 @@ def test_fit_activity_models_defaults(rng):
     counts = {label: 2 for label in ActivityLabel}
     model_set, final_ll = fit_activity_models([seq], counts, EmConfig(seed=1))
     assert model_set.dim == 2
-    assert model_set.n_total_components == 16
+    assert sum(m.n_components for m in model_set.models.values()) == 16
     assert set(final_ll) == set(ActivityLabel)
 
 

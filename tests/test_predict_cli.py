@@ -325,6 +325,22 @@ def test_a_byte_stdin_cannot_decode_is_a_non_numeric_field(models):
     assert child.stdout.startswith(b"0\t") and child.stdout.count(b"\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--df=lag=5,channels=1,1", "directional source_channels contains duplicate indices"),
+        ("--channels=0,0", "channel selection contains duplicate indices"),
+    ],
+)
+def test_a_bad_feature_index_on_stdin_is_reported_at_the_first_frame(flag, message, models, monkeypatch, capsys):
+    """The first frame sets the input width, so both flags' indices are checked there; no frame, no check."""
+    argv = ["predict", "-", f"--model={models(4)}", flag]
+    frames = b"0.1\t0.2\t0.3\t0.4\n" * 3
+    for stdin, want in ((b"\n\n", (0, "", "")), (frames, (2, "", f"error: {message}\n"))):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"))
+        assert (main(argv), *capsys.readouterr()) == want
+
+
 @pytest.mark.parametrize("window", [0, 1, 26])
 @pytest.mark.parametrize("tied", [False, True], ids=["drawn", "identical"])
 def test_predict_stdin_prints_the_oracle_lines_of_its_window_scores(window, tied, models, tmp_path):

@@ -25,7 +25,7 @@ import pytest
 import rapidhare
 from rapidhare import ALL_LABELS, load_model_set, parse_recording
 from rapidhare.cli import _SETTLED_GAP, main
-from rapidhare.features import DirectionalConfig, FeatureConfig
+from rapidhare.features import DirectionalConfig, FeatureConfig, FeatureStreamer
 from rapidhare.gmm import save_model_set
 from rapidhare.predictor import BLOCK_ROWS, PredictorSession
 
@@ -166,7 +166,7 @@ def test_predict_file_on_identical_mixtures_computes_one_posterior_per_block(inp
     """Every activity's mixture is the same, so every row ties and every block is unsettled."""
     data, _ = inputs
     model = tmp_path / "identical.txt"
-    save_model_set(identical_model_set(FEATURES.streamer(4).dim), model)
+    save_model_set(identical_model_set(FeatureStreamer(FEATURES, 4).dim), model)
     assert _check_predict_file(data, model, tmp_path) == -(-N_FRAMES // BLOCK_ROWS)
 
 
@@ -213,7 +213,7 @@ def test_predict_stdin_on_identical_mixtures_computes_every_posterior(inputs, tm
     """Every activity's mixture is the same, so every frame's scores tie."""
     data, _ = inputs
     model = tmp_path / "identical.txt"
-    save_model_set(identical_model_set(FEATURES.streamer(4).dim), model)
+    save_model_set(identical_model_set(FeatureStreamer(FEATURES, 4).dim), model)
     assert _check_predict_stdin(data, model, tmp_path) == N_FRAMES
 
 
