@@ -13,7 +13,6 @@ from .data import (
     ChannelSpec,
     Dataset,
     LabeledSequence,
-    channel,
     full_sensor_channels,
     load_dataset,
     parse_recording,

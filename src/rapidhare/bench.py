@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError
 from .gmm import ActivityModelSet
-from .hmm import block_decoder, block_starts, default_transition_matrix
+from .hmm import block_decoder, default_transition_matrix
 from .predictor import BLOCK_ROWS, PredictorSession
 
 BENCH_METHODS = ("rapidhare", "hmm", "batch")
@@ -50,7 +50,7 @@ def _time_blocks(X: np.ndarray, width: int, step) -> np.ndarray:
     """
     samples = np.empty(len(X))
     clock = time.perf_counter
-    for lo in block_starts(len(X), width):
+    for lo in range(0, len(X), width):
         block = X[lo : lo + width]
         t0 = clock()
         step(block)
@@ -81,6 +81,8 @@ def run_bench(
         raise DataError("seed must be non-negative")
     if method not in BENCH_METHODS:
         raise DataError(f"unknown bench method: {method!r}")
+    if method == "hmm" and window_w < 1:
+        raise DataError("window_w must be positive")
     trans = default_transition_matrix()
     X = _bench_frames(models.dim, frames, seed)
 

@@ -70,16 +70,21 @@ def _parse_components(text: str) -> dict[ActivityLabel, int]:
         name, _, value = item.partition("=")
         try:
             label = ActivityLabel[name.strip().upper()]
-            overrides[label] = _int_in(1)(value)
+            k = _int_in(1)(value)
         except (KeyError, ValueError, argparse.ArgumentTypeError):
             raise argparse.ArgumentTypeError(f"bad component override: {item!r}") from None
+        if label in overrides:
+            raise argparse.ArgumentTypeError(f"component override given twice: {item!r}")
+        overrides[label] = k
     return overrides
 
 
 def _parse_df(text: str) -> dict:
-    spec = {"lag": DEFAULT_DIRECTIONAL_LAG, "channels": None}
+    spec = {"channels": None}
     for item in text.split(","):
         key, sep, value = item.partition("=")
+        if key == "lag" and sep and "lag" in spec:
+            raise argparse.ArgumentTypeError(f"directional option given twice: {item!r}")
         if key == "lag" and sep:
             try:
                 spec["lag"] = _int_in(1, MAX_DIRECTIONAL_LAG)(value)
@@ -93,7 +98,7 @@ def _parse_df(text: str) -> dict:
             break
         else:
             raise argparse.ArgumentTypeError(f"bad directional option: {item!r}")
-    return spec
+    return {"lag": DEFAULT_DIRECTIONAL_LAG, **spec}
 
 
 def _feature_config(args, channels) -> FeatureConfig:

@@ -18,8 +18,11 @@ A recording is read one way: its header's channel specs, then chunks of
 ``CHUNK_LINES`` data lines (``recording_chunks``), which ``parse_recording``
 joins, so every command reports a recording's errors in one order.
 
-Raw integers are scaled to [-1, 1] at parse time with the affine map of each
-channel's declared raw range, so everything downstream sees scaled reals.
+A column's header name is all a recording says about it: its prefix (``acc``,
+``gyro`` or ``emg``, ``RAW_RANGES``) decides the raw integer range, and any
+other prefix is a header error. Raw integers are scaled to [-1, 1] at parse
+time with the affine map of that range, so everything downstream sees scaled
+reals.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +67,9 @@ class ActivityLabel(enum.IntEnum):
 
 ALL_LABELS: tuple[ActivityLabel, ...] = tuple(ActivityLabel)
 
-# Raw integer encodings per channel kind.
+# Raw integer encodings per channel-name prefix.
 RAW_RANGES: dict[str, tuple[int, int]] = {
-    "accel": (-32768, 32767),
+    "acc": (-32768, 32767),
     "gyro": (-32768, 32767),
     "emg": (0, 255),
 }
@@ -74,26 +77,19 @@ RAW_RANGES: dict[str, tuple[int, int]] = {
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """One sensor channel: name, kind, and the raw integer interval it uses."""
+    """One sensor channel: its header name and the raw integer range its name's prefix implies."""
 
     name: str
-    kind: str
-    raw_min: int
-    raw_max: int
+    raw_min: int = field(init=False)
+    raw_max: int = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in RAW_RANGES:
-            raise DataError(f"unknown channel kind: {self.kind!r}")
-        if self.raw_min >= self.raw_max:
-            raise DataError(
-                f"degenerate raw range [{self.raw_min}, {self.raw_max}] for channel {self.name!r}"
-            )
-
-
-def channel(name: str, kind: str) -> ChannelSpec:
-    """Build a ChannelSpec with the default raw range of its kind."""
-    lo, hi = RAW_RANGES.get(kind, (0, 0))
-    return ChannelSpec(name, kind, lo, hi)
+        for prefix, (lo, hi) in RAW_RANGES.items():
+            if self.name.startswith(prefix):
+                object.__setattr__(self, "raw_min", lo)
+                object.__setattr__(self, "raw_max", hi)
+                return
+        raise DataError(f"cannot infer sensor kind from column name {self.name!r}")
 
 
 SENSOR_LOCATIONS = ("rf", "rs", "rt", "lf", "ls", "lt")  # right/left foot, shin, thigh
@@ -101,31 +97,9 @@ SENSOR_LOCATIONS = ("rf", "rs", "rt", "lf", "ls", "lt")  # right/left foot, shin
 
 def full_sensor_channels() -> list[ChannelSpec]:
     """The full 38-channel layout: accel and gyro triples on six leg sites plus two EMG channels."""
-    chans: list[ChannelSpec] = []
-    for loc in SENSOR_LOCATIONS:
-        for axis in "xyz":
-            chans.append(channel(f"acc_{loc}_{axis}", "accel"))
-        for axis in "xyz":
-            chans.append(channel(f"gyro_{loc}_{axis}", "gyro"))
-    chans.append(channel("emg_r", "emg"))
-    chans.append(channel("emg_l", "emg"))
-    return chans
-
-
-def channels_from_names(names: list[str]) -> list[ChannelSpec]:
-    """Infer channel specs from header column names (``acc_``/``gyro_``/``emg`` prefixes)."""
-    chans = []
-    for name in names:
-        if name.startswith("acc"):
-            kind = "accel"
-        elif name.startswith("gyro"):
-            kind = "gyro"
-        elif name.startswith("emg"):
-            kind = "emg"
-        else:
-            raise DataError(f"cannot infer sensor kind from column name {name!r}")
-        chans.append(channel(name, kind))
-    return chans
+    names = [f"{kind}_{loc}_{axis}" for loc in SENSOR_LOCATIONS for kind in ("acc", "gyro")
+             for axis in "xyz"]
+    return [ChannelSpec(name) for name in names + ["emg_r", "emg_l"]]
 
 
 @dataclass
@@ -150,6 +124,7 @@ class LabeledSequence:
             raise DataError("labels must be activity ids in 1..8")
         if not 0 < self.sample_rate_hz < np.inf:
             raise DataError(f"sample rate must be finite and positive, got {self.sample_rate_hz!r}")
+        self.sample_rate_hz = float(self.sample_rate_hz)  # a Python float, whose repr "#rate" reads
         self.frames = frames
         self.labels = labels
 
@@ -384,7 +359,7 @@ def recording_chunks(path, channels: list[ChannelSpec] | None = None):
         subject, rate, names, n_head = _parse_header(path, fh)
         if channels is None:
             try:
-                channels = channels_from_names(names)
+                channels = [ChannelSpec(name) for name in names]
             except DataError as exc:
                 raise DataError(f"{path}:{n_head}: {exc}") from None
         elif names != [c.name for c in channels]:
@@ -438,6 +413,8 @@ def parse_recording(path, channels: list[ChannelSpec] | None = None) -> LabeledS
 
 def write_recording(seq: LabeledSequence, channels: list[ChannelSpec], path) -> None:
     """Write a sequence back to the recording format, inverting the raw scaling."""
+    if not (seq.subject_id.isascii() and seq.subject_id.split() == [seq.subject_id]):
+        raise DataError(f"{path}: subject id {seq.subject_id!r} is not one ASCII word")
     if seq.dim != len(channels):
         raise DataError(f"sequence has {seq.dim} channels, spec has {len(channels)}")
     mins = np.array([c.raw_min for c in channels], dtype=np.float64)

@@ -2,8 +2,8 @@
 
 The transition matrix is fixed rather than learned; zero entries are exact
 minus-infinity in the log domain so forbidden transitions can never appear
-inside a decoded block. A stream is cut into consecutive blocks at
-``block_starts``, and ``block_decoder`` carries the state prior from each
+inside a decoded block. A stream is cut into consecutive blocks of
+``window_w`` frames, and ``block_decoder`` carries the state prior from each
 block to the next; ``predict_stream_hmm`` and the ``hmm`` bench method both
 decode through it.
 """
@@ -98,13 +98,6 @@ def viterbi_block(
     return [ALL_LABELS[s] for s in path]
 
 
-def block_starts(n_frames: int, window_w: int) -> range:
-    """First frame of each consecutive ``window_w``-frame decoding block."""
-    if window_w < 1:
-        raise DataError("window_w must be positive")
-    return range(0, n_frames, window_w)
-
-
 def block_decoder(models: ActivityModelSet, trans: TransitionMatrix):
     """A decoder of one stream's consecutive blocks, called once per block in order.
 
@@ -133,9 +126,11 @@ def predict_stream_hmm(
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     if frames.size == 0:
         raise DataError("predict_stream_hmm needs a non-empty sequence")
+    if window_w < 1:
+        raise DataError("window_w must be positive")
     decode = block_decoder(models, trans)
     labels: list[ActivityLabel] = []
-    for lo in block_starts(len(frames), window_w):
+    for lo in range(0, len(frames), window_w):
         labels.extend(decode(frames[lo : lo + window_w]))
     return labels
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel, ChannelSpec, Dataset, LabeledSequence, _LineReader, channel
+from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel, ChannelSpec, Dataset, LabeledSequence, _LineReader
 from .errors import DataError
 from .gmm import GmmModel
 from .hmm import TransitionMatrix
@@ -117,7 +117,7 @@ def default_spec(**overrides) -> SynthSpec:
 
 
 def synth_channels(dim: int) -> list[ChannelSpec]:
-    return [channel(f"acc_sig_{i}", "accel") for i in range(dim)]
+    return [ChannelSpec(f"acc_sig_{i}") for i in range(dim)]
 
 
 def _label_stream(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:

@@ -519,6 +519,37 @@ def test_em_settings_are_checked_before_any_recording_is_read(
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        ("train", "--components=walking=3,walking=4",
+         "argument --components: component override given twice: 'walking=4'"),
+        ("evaluate", "--components=sitting=2,running=3,SITTING=2",
+         "argument --components: component override given twice: 'SITTING=2'"),
+        ("train", "--df=lag=5,lag=7", "argument --df: directional option given twice: 'lag=7'"),
+        ("evaluate", "--df=lag=5,lag=5", "argument --df: directional option given twice: 'lag=5'"),
+        ("predict", "--df=lag=5,lag=7,channels=0",
+         "argument --df: directional option given twice: 'lag=7'"),
+    ],
+)
+def test_a_key_given_twice_is_a_usage_error(
+    command, flag, message, synth_dir, model_path, tmp_path, capsys
+):
+    """Not the last value silently: a model or spec file rejects a repeated key too."""
+    args = {
+        "train": ["train", str(synth_dir), "--out", str(tmp_path / "m.txt")],
+        "evaluate": ["evaluate", str(synth_dir)],
+        "predict": ["predict", "-", "--model", str(model_path)],
+    }[command]
+    with mock.patch.object(cli, "load_dataset", side_effect=AssertionError("read data")):
+        with pytest.raises(SystemExit) as err:
+            main([*args, flag])
+    assert err.value.code == 1
+    out, stderr = capsys.readouterr()
+    assert out == "" and stderr.endswith(f"rapidhare {command}: error: {message}\n")
+    assert not (tmp_path / "m.txt").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 @pytest.mark.parametrize(
     "lag, message",

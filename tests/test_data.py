@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -13,7 +14,6 @@ from rapidhare import (
     Dataset,
     EmConfig,
     LabeledSequence,
-    channel,
     fit_activity_models,
     fit_em,
     full_sensor_channels,
@@ -23,11 +23,10 @@ from rapidhare import (
     write_recording,
 )
 from rapidhare import data
-from rapidhare.data import channels_from_names
 
 from conftest import parse_recording_oracle
 
-TWO_CHANNELS = [channel("acc_rt_x", "accel"), channel("emg_r", "emg")]
+TWO_CHANNELS = [ChannelSpec("acc_rt_x"), ChannelSpec("emg_r")]
 
 
 def header_channels(path):
@@ -241,7 +240,7 @@ _FIELD_ALPHABET = " \t\v\f\x1c\x1f+-_.e0579#"
 def _recordings(draw):
     """A recording as bytes with its channel spec, valid before its corruption."""
     kinds = draw(st.lists(st.sampled_from(["acc", "gyro", "emg"]), min_size=1, max_size=3))
-    channels = channels_from_names([f"{kind}_{i}" for i, kind in enumerate(kinds)])
+    channels = [ChannelSpec(f"{kind}_{i}") for i, kind in enumerate(kinds)]
     rows = draw(
         st.lists(
             st.tuples(*[st.integers(c.raw_min, c.raw_max) for c in channels], st.integers(1, 8)),
@@ -375,14 +374,16 @@ def test_header_channels_are_yielded_before_any_data_line_is_checked(tmp_path):
 
 
 def test_round_trip_is_bit_exact(tmp_path, rng):
+    """acc, gyro and emg rows, both ends of each range among them, read, write and read back."""
     channels = full_sensor_channels()
     raw = np.column_stack(
-        [rng.integers(c.raw_min, c.raw_max + 1, size=50) for c in channels]
-        + [rng.integers(1, 9, size=50)]
+        [np.r_[c.raw_min, c.raw_max, rng.integers(c.raw_min, c.raw_max + 1, size=50)]
+         for c in channels]
+        + [rng.integers(1, 9, size=52)]
     )
     src = make_recording(tmp_path / "orig.tsv", raw.tolist(), channels=channels)
     seq = parse_recording(src, channels)
-    assert np.abs(seq.frames).max() <= 1.0
+    assert np.abs(seq.frames).max() == 1.0
     out = tmp_path / "copy.tsv"
     write_recording(seq, channels, out)
 
@@ -391,6 +392,9 @@ def test_round_trip_is_bit_exact(tmp_path, rng):
         return lines[1:]  # drop the header
 
     assert data_rows(src) == data_rows(out)
+    again = parse_recording(out)
+    assert np.array_equal(again.frames.view(np.int64), seq.frames.view(np.int64))
+    assert np.array_equal(again.labels, seq.labels)
 
 
 def test_write_recording_text_is_the_tab_joined_integers(tmp_path, rng):
@@ -422,6 +426,23 @@ def test_write_out_of_range_error_names_file_subject_and_channel(tmp_path):
         "scaled values fall outside the representable raw range"
     )
     assert not (tmp_path / "bad.tsv").exists()
+
+
+def test_a_numpy_rate_is_written_as_the_reader_reads_it(tmp_path):
+    seq = LabeledSequence("01", np.zeros((1, 2)), np.array([1]), np.float64(50.0))
+    write_recording(seq, TWO_CHANNELS, tmp_path / "r.tsv")
+    rate = parse_recording(tmp_path / "r.tsv").sample_rate_hz
+    assert type(rate) is float and rate == 50.0
+
+
+@pytest.mark.parametrize("subject", ["a b", "", " 01", "01\n", "\u00e9"])
+def test_write_rejects_a_subject_id_that_is_not_one_ascii_word(subject, tmp_path):
+    """Before anything is written: "#subject" reads only one ASCII word back."""
+    seq = LabeledSequence(subject, np.zeros((1, 2)), np.array([1]))
+    path = tmp_path / "r.tsv"
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: subject id .* is not one ASCII word$"):
+        write_recording(seq, TWO_CHANNELS, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, 0.0, -5.0])
@@ -495,10 +516,10 @@ def test_sequence_validation():
 
 
 def test_channels_from_names():
-    chans = channels_from_names(["acc_rt_x", "gyro_lf_y", "emg_r"])
-    assert [c.kind for c in chans] == ["accel", "gyro", "emg"]
+    chans = [ChannelSpec(name) for name in ["acc_rt_x", "gyro_lf_y", "emg_r"]]
+    assert [(c.raw_min, c.raw_max) for c in chans] == [(-32768, 32767), (-32768, 32767), (0, 255)]
     with pytest.raises(DataError, match="infer"):
-        channels_from_names(["mystery"])
+        ChannelSpec("mystery")
 
 
 def test_load_dataset_round_trip(tmp_path, rng):
@@ -534,6 +555,12 @@ def test_fit_activity_models_concatenates_each_activity_across_sequences():
 
 def test_channel_spec_validation():
     with pytest.raises(DataError, match="kind"):
-        ChannelSpec("x", "sonar", 0, 1)
-    with pytest.raises(DataError, match="degenerate"):
-        ChannelSpec("x", "emg", 5, 5)
+        ChannelSpec("x")
+
+
+def test_a_channel_spec_is_its_name_alone():
+    """A raw range other than the name's would write recordings that read back wrong."""
+    with pytest.raises(TypeError):
+        ChannelSpec("acc_x", "accel", -10, 10)
+    with pytest.raises(TypeError):
+        ChannelSpec("acc_x", raw_min=-10)

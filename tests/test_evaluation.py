@@ -6,13 +6,13 @@ import pytest
 from rapidhare import (
     ALL_LABELS,
     ActivityLabel,
+    ChannelSpec,
     DataError,
     Dataset,
     EmConfig,
     LabeledSequence,
     aggregate_reports,
     apply_border_tolerance,
-    channel,
     confusion,
     evaluation,
     metrics,
@@ -268,7 +268,7 @@ def test_run_cv_hmm_small():
 
 def test_run_cv_needs_three_subjects():
     rng = np.random.default_rng(0)
-    chans = [channel("acc_rt_x", "accel")]
+    chans = [ChannelSpec("acc_rt_x")]
     seqs = [
         LabeledSequence("01", rng.uniform(-1, 1, (30, 1)), np.ones(30, dtype=int)),
     ]
@@ -295,7 +295,7 @@ def test_run_cv_scores_each_test_recording_one_block_at_a_time():
     for n in (2000, 8000):
         labels = np.repeat(np.arange(n // 100) % 8 + 1, 100)
         seqs = [LabeledSequence(f"0{i}", rng.uniform(-1, 1, (n, 1)), labels) for i in range(3)]
-        dataset = Dataset(seqs, [channel("acc_rt_x", "accel")])
+        dataset = Dataset(seqs, [ChannelSpec("acc_rt_x")])
         with mock.patch.object(evaluation, "fit_activity_models", lambda *args: (model_set, {})):
             peaks.append(traced_peak(lambda: run_cv(dataset)))
     assert peaks[1] - peaks[0] < 8 * 8 * 6000

@@ -63,6 +63,11 @@ def test_hmm_config_validation(rng):
         predict_stream_hmm(models, default_transition_matrix(), 0, rng.uniform(-1, 1, (3, 2)))
 
 
+def test_bench_hmm_rejects_a_block_below_one_frame(rng):
+    with pytest.raises(DataError, match="^window_w must be positive$"):
+        run_bench(random_model_set(rng, dim=2), method="hmm", frames=5, repeats=1, window_w=0)
+
+
 def test_single_frame_block_is_prior_weighted_argmax(rng):
     models = random_model_set(rng, dim=3)
     prior = np.full(8, 0.125)
