@@ -6,6 +6,12 @@ feature augmentation, a border-tolerant evaluation protocol, a blockwise
 Viterbi baseline, and a per-frame latency benchmark.
 """
 
+import os
+
+# One OpenBLAS thread unless set otherwise, before any submodule loads numpy:
+# a second thread doubles these small products' CPU time at no wall-time gain.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bench import run_bench
 from .data import (
     ALL_LABELS,

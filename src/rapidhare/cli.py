@@ -29,12 +29,13 @@ from .features import (
     DirectionalConfig,
     FeatureConfig,
     FeatureStreamer,
+    check_feature_config,
     directional_sources_by_name,
 )
 from .gmm import EmConfig, fit_activity_models, load_model_set, save_model_set
 from .hmm import load_transition_matrix
 from .predictor import BLOCK_ROWS, MAX_WINDOW_K, PredictorSession, naive_window_scores, posterior
-from .synth import default_spec, generate, load_spec
+from .synth import default_spec, generate
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -197,6 +198,7 @@ def _predict_stream(model_set, args) -> int:
     if hasattr(sys.stdin, "reconfigure"):
         sys.stdin.reconfigure(errors="surrogateescape")
     feat = _feature_config(args, None)
+    check_feature_config(feat)  # all but the range check, which needs the first frame's width
     session = PredictorSession(model_set, args.window)
     streamer = row = features = None
     for lineno, line in enumerate(sys.stdin, 1):
@@ -340,16 +342,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.spec:
-        spec = load_spec(args.spec)
-    else:
-        spec = default_spec(
-            n_subjects=args.subjects,
-            frames_per_subject=args.frames,
-            dim=args.dim,
-            min_segment=args.min_segment,
-            seed=args.seed,
-        )
+    spec = default_spec(
+        n_subjects=args.subjects, frames_per_subject=args.frames, dim=args.dim,
+        separation=args.separation, sigma=args.sigma, min_segment=args.min_segment, seed=args.seed,
+    )
     paths = write_dataset(generate(spec), args.out)
     print(f"wrote {len(paths)} recordings to {args.out}")
     return 0
@@ -446,12 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
     p.add_argument("--out", required=True, help="output directory for recording files")
-    p.add_argument("--spec", default=None,
-                   help="key-value spec file; when given, the flags below are ignored")
     p.add_argument("--subjects", type=int, default=3, help="subjects to draw (default: 3)")
     p.add_argument("--frames", type=int, default=20000,
                    help="frames per subject (default: 20000)")
     p.add_argument("--dim", type=int, default=6, help="channels per frame (default: 6)")
+    p.add_argument("--separation", type=float, default=0.6,
+                   help="distance of each activity's mean from 0 per channel (default: 0.6)")
+    p.add_argument("--sigma", type=float, default=0.02,
+                   help="standard deviation of each channel around its mean (default: 0.02)")
     p.add_argument("--min-segment", type=int, default=200,
                    help="minimum activity segment length in frames (default: 200)")
     seed_flag(p)

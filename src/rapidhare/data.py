@@ -413,8 +413,9 @@ def parse_recording(path, channels: list[ChannelSpec] | None = None) -> LabeledS
 
 def write_recording(seq: LabeledSequence, channels: list[ChannelSpec], path) -> None:
     """Write a sequence back to the recording format, inverting the raw scaling."""
-    if not (seq.subject_id.isascii() and seq.subject_id.split() == [seq.subject_id]):
-        raise DataError(f"{path}: subject id {seq.subject_id!r} is not one ASCII word")
+    sid = seq.subject_id  # it names the file write_dataset writes
+    if not (sid.isascii() and sid.split() == [sid] and "/" not in sid):
+        raise DataError(f"{path}: subject id {sid!r} is not one ASCII word without '/'")
     if seq.dim != len(channels):
         raise DataError(f"sequence has {seq.dim} channels, spec has {len(channels)}")
     mins = np.array([c.raw_min for c in channels], dtype=np.float64)

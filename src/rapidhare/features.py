@@ -29,13 +29,26 @@ THIGH_XZ_ACCEL_NAMES = ("acc_rt_x", "acc_rt_z", "acc_lt_x", "acc_lt_z")
 
 
 def _check_indices(indices, dim, what):
+    """Empty or duplicate indices, then, when ``dim`` is known, indices outside it."""
     if len(indices) == 0:
         raise DataError(f"{what} must not be empty")
     if len(set(indices)) != len(indices):
         raise DataError(f"{what} contains duplicate indices")
-    for i in indices:
+    for i in indices if dim is not None else ():
         if not 0 <= int(i) < dim:
             raise DataError(f"{what}: channel index {i} out of range for {dim} channels")
+
+
+def check_feature_config(cfg: FeatureConfig, n_channels: int | None = None) -> None:
+    """The checks of ``FeatureStreamer(cfg, n_channels)``; without a width, all but the range."""
+    keep, directional = cfg.keep_channels, cfg.directional
+    if keep is not None:
+        _check_indices(keep, n_channels, "channel selection")
+    if directional is not None:
+        sources = directional.source_channels
+        _check_indices(sources, n_channels, "directional source_channels")
+        if keep is not None and (missing := set(sources) - set(keep)):
+            raise DataError(f"directional source channels {sorted(missing)} are not kept")
 
 
 @dataclass(frozen=True)
@@ -106,25 +119,20 @@ class FeatureStreamer:
     """
 
     def __init__(self, cfg: FeatureConfig, n_channels: int):
+        check_feature_config(cfg, n_channels)
         keep, directional = cfg.keep_channels, cfg.directional
-        if keep is not None:
-            _check_indices(keep, n_channels, "channel selection")
         self._n_channels = n_channels
         self._keep = None if keep is None else np.array(keep, dtype=np.intp)
         self._width = self.dim = n_channels if keep is None else len(keep)
         self._sources = None
         if directional is not None:
-            sources = directional.source_channels
-            _check_indices(sources, n_channels, "directional source_channels")
-            if keep is not None and (missing := set(sources) - set(keep)):
-                raise DataError(f"directional source channels {sorted(missing)} are not kept")
-            self._sources = np.array(sources)
+            self._sources = np.array(directional.source_channels)
             self._lag = directional.lag
             # Each source row is written at _pos and _pos + lag, so
             # _ring[_pos : _pos + lag] holds the last lag rows, oldest first.
-            self._ring = np.zeros((2 * directional.lag, len(sources)))
+            self._ring = np.zeros((2 * directional.lag, len(self._sources)))
             self._pos = self._rows = 0
-            self.dim += len(sources)
+            self.dim += len(self._sources)
 
     def push(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The features of ``block``, written into ``out`` when it is given.

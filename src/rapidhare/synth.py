@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel, ChannelSpec, Dataset, LabeledSequence, _LineReader
+from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel, ChannelSpec, Dataset, LabeledSequence
 from .errors import DataError
 from .gmm import GmmModel
 from .hmm import TransitionMatrix
@@ -159,30 +159,3 @@ def generate(spec: SynthSpec) -> Dataset:
             )
         sequences.append(LabeledSequence(f"{i + 1:02d}", frames, labels))
     return Dataset(sequences, synth_channels(spec.dim))
-
-
-_INT_KEYS = {"n_subjects", "frames_per_subject", "dim", "min_segment", "seed"}
-_FLOAT_KEYS = {"separation", "sigma"}
-
-
-def load_spec(path) -> SynthSpec:
-    """Read a spec from a ``key value`` text file; blank and ``#`` lines are skipped.
-
-    A bad line names ``file:line``; a spec that fails its own checks names the file.
-    """
-    r = _LineReader(path, "spec", skip=lambda line: line.lstrip()[:1] in ("", "#"))
-    overrides = {}
-    while r.remaining:
-        parts = r.next("").split()
-        if len(parts) != 2:
-            r.fail("expected 'key value'")
-        key, value = parts
-        if key not in _INT_KEYS | _FLOAT_KEYS:
-            r.fail(f"unknown key {key!r}")
-        if key in overrides:
-            r.fail(f"key {key!r} given twice")
-        try:
-            overrides[key] = int(value) if key in _INT_KEYS else float(value)
-        except ValueError:
-            r.fail(f"bad value for {key!r}")
-    return r.check(0, lambda: default_spec(**overrides))

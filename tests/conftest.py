@@ -22,7 +22,6 @@ from rapidhare.data import N_ACTIVITIES, recording_chunks
 from rapidhare.gmm import KMEANS_MAX_ITERS, MODEL_FORMAT_TAG
 from rapidhare.hmm import TransitionMatrix
 from rapidhare.predictor import BLOCK_ROWS, posterior
-from rapidhare.synth import default_spec
 
 # Every property test draws the same examples on every run, however long it takes.
 settings.register_profile("rapidhare", derandomize=True, deadline=None)
@@ -467,39 +466,6 @@ def load_transition_matrix_oracle(path):
         except ValueError:
             raise DataError(f"{path}:{i}: non-numeric value") from None
     return _named(path, lambda: TransitionMatrix(np.array(rows)))
-
-
-def load_spec_oracle(path):
-    """``load_spec`` as it numbered its own lines, kept as its oracle.
-
-    A key given twice is an error at its line, and a bad spec is named by ``_named``.
-    """
-    int_keys = {"n_subjects", "frames_per_subject", "dim", "min_segment", "seed"}
-    float_keys = {"separation", "sigma"}
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such spec file: {path}")
-    overrides = {}
-    for lineno, line in enumerate(_read_lines_oracle(path), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 'key value'")
-        key, value = parts
-        if key in overrides:
-            raise DataError(f"{path}:{lineno}: key {key!r} given twice")
-        try:
-            if key in int_keys:
-                overrides[key] = int(value)
-            elif key in float_keys:
-                overrides[key] = float(value)
-            else:
-                raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad value for {key!r}") from None
-    return _named(path, lambda: default_spec(**overrides))
 
 
 def child_env(**extra):

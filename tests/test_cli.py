@@ -18,6 +18,8 @@ import rapidhare
 from rapidhare import cli, evaluation
 from rapidhare.bench import MAX_BENCH_FRAMES
 from rapidhare.cli import main
+from rapidhare.data import write_dataset
+from rapidhare.synth import default_spec, generate
 from rapidhare import (
     ALL_LABELS, DataError, PredictorSession, load_dataset, load_model_set, parse_recording,
 )
@@ -535,7 +537,7 @@ def test_em_settings_are_checked_before_any_recording_is_read(
 def test_a_key_given_twice_is_a_usage_error(
     command, flag, message, synth_dir, model_path, tmp_path, capsys
 ):
-    """Not the last value silently: a model or spec file rejects a repeated key too."""
+    """Not the last value silently: a model file rejects a repeated key too."""
     args = {
         "train": ["train", str(synth_dir), "--out", str(tmp_path / "m.txt")],
         "evaluate": ["evaluate", str(synth_dir)],
@@ -674,6 +676,42 @@ def test_train_evaluate_and_predict_load_no_random_number_generator(synth_dir, t
     assert (child.returncode, child.stdout, child.stderr) == (0, "[0, 0, 0, 0] False\n", "")
 
 
+def _without_openblas_threads():
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env
+
+
+def test_train_writes_the_same_model_with_openblas_threads_unset_or_one(tmp_path):
+    """The package sets one OpenBLAS thread when the variable is unset.
+
+    On 2 cores, OpenBLAS's two threads gave this model other low bits than one
+    thread did. On a single core OpenBLAS runs one thread anyway, so there this
+    test passes whether or not the package sets the variable.
+    """
+    data = tmp_path / "data"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", f"--out={data}", "--frames=10000", "--min-segment=100", "--seed=7"]) == 0
+    for name, env in [("unset", _without_openblas_threads()), ("one", child_env(OPENBLAS_NUM_THREADS="1"))]:
+        child = subprocess.run(
+            [sys.executable, "-m", "rapidhare.cli", "train", str(data),
+             "--out", str(tmp_path / f"{name}.txt"), "--seed", "5"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (child.returncode, child.stderr) == (0, "")
+    assert (tmp_path / "unset.txt").read_bytes() == (tmp_path / "one.txt").read_bytes()
+
+
+@pytest.mark.parametrize("before, after", [(None, "1"), ("2", "2"), ("", "")])
+def test_importing_the_package_sets_one_openblas_thread_unless_one_was_set(before, after):
+    env = _without_openblas_threads() if before is None else child_env(OPENBLAS_NUM_THREADS=before)
+    child = subprocess.run(
+        [sys.executable, "-c", "import os, rapidhare; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, f"{after}\n", "")
+
+
 def test_train_holds_one_activitys_frames_at_a_time(tmp_path):
     """The traced peak of ``train``, in units of the dataset's frame table, stays below 3.3.
 
@@ -743,21 +781,34 @@ def test_bench_rejects_zero_frames(model_path, capsys):
     assert capsys.readouterr().err == "error: seed must be non-negative\n"
 
 
-def test_synth_spec_file(tmp_path, capsys):
-    spec = tmp_path / "spec.txt"
-    spec.write_text("n_subjects 2\nframes_per_subject 300\ndim 4\nmin_segment 50\nseed 3\n")
+def test_synth_flags_set_the_draw_and_a_negative_seed_exits_two(tmp_path, capsys):
     out = tmp_path / "generated"
-    rc = main(["synth", "--out", str(out), "--spec", str(spec)])
-    capsys.readouterr()
-    assert rc == 0
-    assert len(list(out.iterdir())) == 2
+    flags = ["--subjects", "2", "--frames", "300", "--dim", "4", "--min-segment", "50", "--seed", "3"]
+    assert main(["synth", "--out", str(out), *flags]) == 0
+    assert capsys.readouterr() == (f"wrote 2 recordings to {out}\n", "")
+    assert [parse_recording(p).frames.shape for p in sorted(out.iterdir())] == [(300, 4)] * 2
 
-    spec.write_text("n_subjects 2\nseed -1\n")
-    for args, where in ((["--spec", str(spec)], f"{spec}: "), (["--seed", "-1"], "")):
-        assert main(["synth", "--out", str(tmp_path / "negative"), *args]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {where}seed must be non-negative\n"
-        assert captured.out == ""
+    assert main(["synth", "--out", str(tmp_path / "negative"), "--subjects", "2", "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: seed must be non-negative\n")
+    assert not (tmp_path / "negative").exists()
+
+
+def test_synth_flags_write_the_bytes_of_the_draw_they_name(tmp_path, capsys):
+    """Every setting of ``default_spec`` is a flag, and a default written out changes nothing."""
+    values = dict(separation=0.2, sigma=0.15, dim=3, seed=7, frames_per_subject=300, min_segment=50)
+    write_dataset(generate(default_spec(**values)), tmp_path / "in_process")
+    flags = ["--separation", "0.2", "--sigma", "0.15", "--dim", "3", "--seed", "7",
+             "--frames", "300", "--min-segment", "50"]
+    defaults = ["--separation", "0.6", "--sigma", "0.02"]
+    for name, args in [("flags", flags), ("plain", []), ("defaults", defaults)]:
+        assert main(["synth", "--out", str(tmp_path / name), *args]) == 0
+    capsys.readouterr()
+
+    def files(name):
+        return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+    assert files("flags") == files("in_process")
+    assert len(files("plain")) == 3 and files("defaults") == files("plain")
 
 
 def test_synth_onto_an_existing_file_exits_two(tmp_path, capsys):
@@ -790,34 +841,27 @@ _TIMED_MAIN = (
 
 
 @pytest.mark.parametrize(
-    "key, flag, value, n_values",
+    "flag, value, n_values",
     [
-        ("dim", "--dim", "1000000000000000", 3 * 20000 * 10**15),
-        ("n_subjects", "--subjects", "1000000000000", 10**12 * 20000 * 6),
+        ("--dim", "1000000000000000", 3 * 20000 * 10**15),
+        ("--subjects", "1000000000000", 10**12 * 20000 * 6),
     ],
 )
-@pytest.mark.parametrize("through", ["spec", "flags"])
-def test_synth_rejects_a_draw_beyond_its_cap_at_once(key, flag, value, n_values, through, tmp_path):
+def test_synth_rejects_a_draw_beyond_its_cap_at_once(flag, value, n_values, tmp_path):
     """A huge count exits 2 in under a second, before anything is drawn or written.
 
     The child runs under a 1 GiB address-space limit and a timeout, so a
     missing check fails the test instead of filling memory.
     """
     out = tmp_path / "generated"
-    if through == "spec":
-        spec = tmp_path / "spec.txt"
-        spec.write_text(f"{key} {value}\n")
-        args, where = ["--spec", str(spec)], f"{spec}: "
-    else:
-        args, where = [flag, value], ""
     child = subprocess.run(
-        [sys.executable, "-c", _TIMED_MAIN, "synth", "--out", str(out), *args],
+        [sys.executable, "-c", _TIMED_MAIN, "synth", "--out", str(out), flag, value],
         capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS="1"), timeout=10,
         preexec_fn=_limit_memory,
     )
     assert child.returncode == 2
     assert child.stderr == (
-        f"error: {where}a draw of {n_values} frame values "
+        f"error: a draw of {n_values} frame values "
         "(n_subjects * frames_per_subject * dim) exceeds the cap of 100000000\n"
     )
     assert float(child.stdout) < 1.0
@@ -839,10 +883,9 @@ def test_bench_rejects_frames_beyond_the_cap_at_once(frames, model_path):
 
 def test_synth_out_of_range_draws_name_file_subject_and_channel(tmp_path, capsys):
     """A spread too wide for the raw range exits 2 naming where the first value fell outside."""
-    spec = tmp_path / "spec.txt"
-    spec.write_text("sigma 0.3\nframes_per_subject 300\nmin_segment 50\nseed 3\n")
     out = tmp_path / "generated"
-    assert main(["synth", "--out", str(out), "--spec", str(spec)]) == 2
+    flags = ["--sigma", "0.3", "--frames", "300", "--min-segment", "50", "--seed", "3"]
+    assert main(["synth", "--out", str(out), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
         f"error: {out / 'subject_01.tsv'}: subject 01, channel 'acc_sig_0': "
@@ -851,30 +894,26 @@ def test_synth_out_of_range_draws_name_file_subject_and_channel(tmp_path, capsys
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["predict", "bench", "evaluate", "synth"])
+@pytest.mark.parametrize("command", ["predict", "bench", "evaluate"])
 def test_non_ascii_byte_in_an_input_file_exits_two_naming_the_line(
     command, synth_dir, model_path, tmp_path, capsys
 ):
-    """Model, transition matrix and spec files report a non-ASCII byte at its line."""
+    """Model and transition matrix files report a non-ASCII byte at its line."""
     if command in ("predict", "bench"):
         path = tmp_path / "model.txt"
         lines = model_path.read_bytes().split(b"\n")
         lines[2] += b"\xe9"
-    elif command == "evaluate":
+    else:
         path = tmp_path / "transitions.txt"
         names = " ".join(label.label_name for label in ALL_LABELS)
         lines = [names.encode()] + [b" ".join([b"0.125"] * len(ALL_LABELS))] * len(ALL_LABELS)
         lines[2] += b"\xe9"
-    else:
-        path = tmp_path / "spec.txt"
-        lines = [b"n_subjects 2", b"frames_per_subject 300", b"seed 3\xe9"]
     path.write_bytes(b"\n".join(lines))
     recording = sorted(synth_dir.iterdir())[0]
     args = {
         "predict": ["predict", str(recording), "--model", str(path)],
         "bench": ["bench", "--model", str(path)],
         "evaluate": ["evaluate", str(synth_dir), "--transitions", str(path)],
-        "synth": ["synth", "--out", str(tmp_path / "out"), "--spec", str(path)],
     }[command]
     assert main(args) == 2
     captured = capsys.readouterr()
@@ -920,30 +959,25 @@ def test_a_bad_transition_matrix_names_the_file(synth_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text,where,message",
+    "flag, message",
     [
-        ("sigma nan\n", "", "mixture parameters must be finite"),
-        ("seed 3\n# again\nseed 4\n", ":3", "key 'seed' given twice"),
+        ("--sigma=nan", "mixture parameters must be finite"),
+        ("--separation=-inf", "mixture parameters must be finite"),
+        ("--sigma=0", "mixture variances must be positive"),
     ],
 )
-def test_a_bad_spec_names_the_file_and_a_key_given_twice_its_line(
-    text, where, message, tmp_path, capsys
-):
-    spec = tmp_path / "spec.txt"
-    spec.write_text(text)
-    assert main(["synth", "--out", str(tmp_path / "out"), "--spec", str(spec)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {spec}{where}: {message}\n"
-    assert captured.out == ""
+def test_synth_rejects_generators_that_fail_their_checks(flag, message, tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "out"), flag]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("kind", ["model", "transition matrix", "spec"])
+@pytest.mark.parametrize("kind", ["model", "transition matrix"])
 def test_a_missing_input_file_is_named_with_its_kind(kind, synth_dir, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     args = {
         "model": ["bench", "--model", "./absent.txt"],
         "transition matrix": ["evaluate", str(synth_dir), "--transitions", "./absent.txt"],
-        "spec": ["synth", "--out", "out", "--spec", "./absent.txt"],
     }[kind]
     assert main(args) == 2
     captured = capsys.readouterr()

@@ -1,4 +1,4 @@
-"""`synth --spec`, `bench`, `train` and `evaluate` through ``cli.main`` over drawn inputs and flags.
+"""`synth`, `bench`, `train` and `evaluate` through ``cli.main`` over drawn inputs and flags.
 
 Every run must end with exit 0, or with exit 1, 2 or 3 and one error line on
 stderr; never with a traceback or a RuntimeWarning. A usage error (exit 1)
@@ -51,53 +51,49 @@ def _mostly(valid, other, times=7):
     return st.sampled_from([valid] * times + [other]).flatmap(lambda strategy: strategy)
 
 
-# ---------------------------------------------------------------- synth --spec
+# ---------------------------------------------------------------------- synth
 
 # Small counts, and counts far past the draw cap: a draw in between would write
 # a recording too long for the time this test has.
-_SPEC_INTS = st.integers(-3, 40) | st.sampled_from([10**9, 10**30, -(10**30), 2**63])
-_SPEC_ANY = (
-    _SPEC_INTS.map(str)
+_SYNTH_INTS = st.integers(-3, 40) | st.sampled_from([10**9, 10**30, -(10**30), 2**63])
+_SYNTH_ANY = (
+    _SYNTH_INTS.map(str)
     | st.floats().map(repr)  # nan, inf, huge and negative values among them
     | st.sampled_from(["nan", "-inf", "1e400", "0.5", "1_0", "0x10", "x"])
 )
-_SPEC_VALID = {
-    "n_subjects": st.integers(1, 3),
-    "frames_per_subject": st.integers(1, 60),
-    "dim": st.integers(3, 8),
-    "min_segment": st.integers(1, 10),
-    "seed": st.integers(0, 2**64),
-    "separation": st.floats(-0.9, 0.9),
-    "sigma": st.floats(0.001, 0.1) | st.floats(-0.1, -0.001),
+_SYNTH_VALID = {
+    "--subjects": st.integers(1, 3),
+    "--frames": st.integers(1, 60),
+    "--dim": st.integers(3, 8),
+    "--min-segment": st.integers(1, 10),
+    "--seed": st.integers(0, 2**64),
+    "--separation": st.floats(-0.9, 0.9),
+    "--sigma": st.floats(0.001, 0.1) | st.floats(-0.1, -0.001),
 }
 
 
 @st.composite
-def _spec_text(draw):
-    """Known keys with mostly valid values, now and then an unknown or repeated key.
+def _synth_flags(draw):
+    """The ``synth`` flags in any order, with mostly valid values.
 
-    ``frames_per_subject`` and ``min_segment`` are always given: no draw
-    writes the default 20,000 frames per subject, and a short one can still
-    hold its segments.
+    ``--frames`` and ``--min-segment`` are always given: no draw writes the
+    default 20,000 frames per subject, and a short one can still hold its
+    segments. Each value follows an ``=``, so a negative one is not read as a flag.
     """
-    optional = [key for key in _SPEC_VALID if key not in ("frames_per_subject", "min_segment")]
-    keys = ["frames_per_subject", "min_segment"] + draw(st.lists(st.sampled_from(optional), unique=True))
-    keys += draw(_mostly(st.just([]), st.lists(st.sampled_from(["frames", "Seed", "dim"]), max_size=1)))
-    lines = []
-    for key in draw(st.permutations(keys)):
-        value = draw(_mostly(_SPEC_VALID.get(key, _SPEC_INTS).map(str), _SPEC_ANY))
-        lines.append(f"{key} {value}")
-    return "\n".join(lines) + "\n"
+    optional = [flag for flag in _SYNTH_VALID if flag not in ("--frames", "--min-segment")]
+    flags = ["--frames", "--min-segment"] + draw(st.lists(st.sampled_from(optional), unique=True))
+    return [
+        f"{flag}={draw(_mostly(_SYNTH_VALID[flag].map(repr), _SYNTH_ANY))}"
+        for flag in draw(st.permutations(flags))
+    ]
 
 
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=200)
-@given(text=_spec_text())
-def test_synth_spec_ends_in_recordings_or_one_error(text, tmp_path_factory):
-    spec = tmp_path_factory.getbasetemp() / "fuzz_spec.txt"
-    spec.write_text(text)
+@given(flags=_synth_flags())
+def test_synth_ends_in_recordings_or_one_error(flags, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("synth")
-    rc, stdout, _ = _run(["synth", "--out", str(out_dir), "--spec", str(spec)])
+    rc, stdout, _ = _run(["synth", "--out", str(out_dir), *flags])
     if rc == 0:
         written = int(re.fullmatch(rf"wrote (\d+) recordings to {re.escape(str(out_dir))}\n", stdout)[1])
         assert written == len(list(out_dir.iterdir())) >= 1

@@ -435,12 +435,12 @@ def test_a_numpy_rate_is_written_as_the_reader_reads_it(tmp_path):
     assert type(rate) is float and rate == 50.0
 
 
-@pytest.mark.parametrize("subject", ["a b", "", " 01", "01\n", "\u00e9"])
+@pytest.mark.parametrize("subject", ["a b", "", " 01", "01\n", "\u00e9", "a/b"])
 def test_write_rejects_a_subject_id_that_is_not_one_ascii_word(subject, tmp_path):
-    """Before anything is written: "#subject" reads only one ASCII word back."""
+    """Before anything is written: "#subject" reads only one ASCII word back, and the id names a file."""
     seq = LabeledSequence(subject, np.zeros((1, 2)), np.array([1]))
     path = tmp_path / "r.tsv"
-    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: subject id .* is not one ASCII word$"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: subject id .* is not one ASCII word without '/'$"):
         write_recording(seq, TWO_CHANNELS, path)
     assert not path.exists()
 

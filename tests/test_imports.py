@@ -1,15 +1,18 @@
-"""Static checks of the package's imports; the repo has no linter to make them.
+"""Static checks of the package's imports and of its README; the repo has no linter to make them.
 
-No module imports a name it never uses, and only ``synth`` and ``bench`` use
-``numpy.random``.
+No module imports a name it never uses, only ``synth`` and ``bench`` use
+``numpy.random``, and the README names every flag of every command.
 """
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import rapidhare
+from rapidhare.cli import build_parser
 
 MODULES = sorted(p for p in Path(rapidhare.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -69,3 +72,22 @@ def test_only_synth_and_bench_use_numpys_random_module(path):
     """Importing ``numpy.random`` costs about 6 MB of RSS; training has its own generator."""
     lines = numpy_random_references(ast.parse(path.read_text(encoding="utf-8")))
     assert [f"{path.name}:{line}" for line in lines] == []
+
+
+def long_flags(parser: argparse.ArgumentParser) -> list[tuple[str, str]]:
+    """(command, flag) for every long flag of every subcommand, apart from ``--help``."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (name, flag)
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        for flag in action.option_strings if flag.startswith("--") and flag != "--help"
+    ]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("command, flag", long_flags(build_parser()))
+def test_the_readme_names_every_flag(command, flag):
+    assert re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", README.read_text(encoding="utf-8"))

@@ -326,17 +326,24 @@ def test_a_byte_stdin_cannot_decode_is_a_non_numeric_field(models):
 
 
 @pytest.mark.parametrize(
-    "flag, message",
+    "flags, message, before_read",
     [
-        ("--df=lag=5,channels=1,1", "directional source_channels contains duplicate indices"),
-        ("--channels=0,0", "channel selection contains duplicate indices"),
+        (["--df=lag=5,channels=1,1"], "directional source_channels contains duplicate indices", True),
+        (["--channels=0,0"], "channel selection contains duplicate indices", True),
+        (["--channels=0,1", "--df=channels=2"], "directional source channels [2] are not kept", True),
+        (["--channels=0,4"], "channel selection: channel index 4 out of range for 4 channels", False),
+        (["--df=channels=-1"], "directional source_channels: channel index -1 out of range for 4 channels",
+         False),
     ],
 )
-def test_a_bad_feature_index_on_stdin_is_reported_at_the_first_frame(flag, message, models, monkeypatch, capsys):
-    """The first frame sets the input width, so both flags' indices are checked there; no frame, no check."""
-    argv = ["predict", "-", f"--model={models(4)}", flag]
+def test_a_bad_feature_index_on_stdin_is_reported_before_the_first_read_or_at_the_first_frame(
+    flags, message, before_read, models, monkeypatch, capsys
+):
+    """What needs no input width is checked before stdin is read; the range, at the first frame."""
+    argv = ["predict", "-", f"--model={models(4)}", *flags]
     frames = b"0.1\t0.2\t0.3\t0.4\n" * 3
-    for stdin, want in ((b"\n\n", (0, "", "")), (frames, (2, "", f"error: {message}\n"))):
+    error = (2, "", f"error: {message}\n")
+    for stdin, want in ((b"\n\n", error if before_read else (0, "", "")), (frames, error)):
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"))
         assert (main(argv), *capsys.readouterr()) == want
 

@@ -1,4 +1,4 @@
-"""The model, transition matrix and spec readers against the readers they replaced.
+"""The model and transition matrix readers against the readers they replaced.
 
 Each test draws a valid file, applies at most one mutation to it, and requires
 the reader to give its oracle's parameters bit for bit, or its DataError text.
@@ -11,10 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rapidhare import ALL_LABELS, DataError, load_model_set, load_transition_matrix, save_model_set
-from rapidhare.synth import load_spec
 from conftest import (
     load_model_set_oracle,
-    load_spec_oracle,
     load_transition_matrix_oracle,
     random_model_set,
 )
@@ -122,36 +120,3 @@ def test_transition_reader_matches_its_oracle(scratch, data):
     path.write_bytes(data)
     expected = _outcome(load_transition_matrix_oracle, path, lambda t: t.probs.tobytes())
     assert _outcome(load_transition_matrix, path, lambda t: t.probs.tobytes()) == expected
-
-
-_SPEC_VALUES = {
-    "n_subjects": st.integers(1, 5).map(str),
-    "frames_per_subject": st.integers(200, 30000).map(str),
-    "dim": st.integers(3, 8).map(str),
-    "min_segment": st.integers(1, 200).map(str),
-    "seed": st.integers(0, 2**32).map(str),
-    "separation": st.floats(0.1, 1.0).map(repr),
-    "sigma": st.floats(0.01, 0.2).map(repr),
-}
-
-
-@st.composite
-def _spec_files(draw):
-    keys = draw(st.permutations(sorted(_SPEC_VALUES)))[: draw(st.integers(1, len(_SPEC_VALUES)))]
-    lines = [f"{key} {draw(_SPEC_VALUES[key])}" for key in keys]
-    return draw(_mutated(draw(_with_skipped_lines(lines, ["", " ", "# comment", "  #"]))))
-
-
-def _spec_params(spec):
-    gens = [(g.weights.tobytes(), g.means.tobytes(), g.variances.tobytes())
-            for g in (spec.generators[label] for label in ALL_LABELS)]
-    return (spec.n_subjects, spec.frames_per_subject, spec.min_segment, spec.seed, gens,
-            spec.activity_chain.probs.tobytes())
-
-
-@settings(max_examples=300)
-@given(data=_spec_files())
-def test_spec_reader_matches_its_oracle(scratch, data):
-    path = scratch / "spec.txt"
-    path.write_bytes(data)
-    assert _outcome(load_spec, path, _spec_params) == _outcome(load_spec_oracle, path, _spec_params)

@@ -10,7 +10,6 @@ from rapidhare.synth import (
     default_generators,
     default_spec,
     generate,
-    load_spec,
     uniform_activity_chain,
 )
 
@@ -106,21 +105,6 @@ def test_spec_validation():
     missing.pop(ActivityLabel.WALKING)
     with pytest.raises(DataError, match="per activity"):
         SynthSpec(missing, chain)
-
-
-def test_load_spec_file(tmp_path):
-    p = tmp_path / "spec.txt"
-    p.write_text("n_subjects 2\nframes_per_subject 400\ndim 4\nmin_segment 50\nseed 5\n")
-    spec = load_spec(p)
-    assert spec.n_subjects == 2
-    assert spec.frames_per_subject == 400
-    assert spec.dim == 4
-    assert spec.seed == 5
-
-    bad = tmp_path / "bad.txt"
-    bad.write_text("mystery 3\n")
-    with pytest.raises(DataError, match="unknown key"):
-        load_spec(bad)
 
 
 def test_default_spec_caps_the_draw_at_its_documented_size():
