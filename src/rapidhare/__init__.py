@@ -53,8 +53,8 @@ from .gmm import (
 )
 from .hmm import (
     TransitionMatrix,
+    count_transitions,
     default_transition_matrix,
-    load_transition_matrix,
     predict_stream_hmm,
     viterbi_block,
 )

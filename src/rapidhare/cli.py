@@ -33,7 +33,6 @@ from .features import (
     directional_sources_by_name,
 )
 from .gmm import EmConfig, fit_activity_models, load_model_set, save_model_set
-from .hmm import load_transition_matrix
 from .predictor import BLOCK_ROWS, MAX_WINDOW_K, PredictorSession, naive_window_scores, posterior
 from .synth import default_spec, generate
 
@@ -301,14 +300,13 @@ def _print_report(report: EvalReport, fmt: str, title: str) -> None:
 def cmd_evaluate(args) -> int:
     em_cfg = _em_config(args)
     dataset, feat = _dataset_and_features(args)
-    trans = load_transition_matrix(args.transitions) if args.transitions else None
     raw, tol = run_cv(
         dataset,
         counts=args.components,
         em_cfg=em_cfg,
         feat_cfg=feat,
         window_k=args.window,
-        trans=trans,
+        transitions=args.transitions,
         window_w=args.hmm_window,
         tolerance=args.tolerance,
         method=args.method,
@@ -416,8 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="context window look-back K (default: 26)")
     p.add_argument("--hmm-window", type=_int_in(1), default=10,
                    help="Viterbi block length (default: 10)")
-    p.add_argument("--transitions", default=None,
-                   help="transition matrix file (default: built-in matrix)")
+    p.add_argument("--transitions", choices=("builtin", "learned"), default="builtin",
+                   help="hmm transition matrix: built-in, or counted per fold from the "
+                   "training subjects' labels (default: builtin)")
     seed_flag(p)
     format_flag(p)
     em_flags(p)

@@ -176,13 +176,13 @@ def _open(path: Path, kind: str):
 
 
 class _LineReader:
-    """A cursor over an ASCII ``kind`` file's lines, past the lines ``skip`` matches.
+    """A cursor over an ASCII ``kind`` file's lines.
 
-    The first non-ASCII byte is reported before anything else. Every line
-    keeps its number in the file, and ``fail`` writes every error.
+    The first non-ASCII byte is reported before anything else, and ``fail``
+    writes every error.
     """
 
-    def __init__(self, path, kind: str, skip=None):
+    def __init__(self, path, kind: str):
         self.path = Path(path)
         self._lines = []
         with _open(self.path, kind) as fh:
@@ -190,21 +190,18 @@ class _LineReader:
                 line = line.removesuffix("\n")
                 if not line.isascii():
                     self.fail("non-ASCII byte", i)
-                if not (skip and skip(line)):
-                    self._lines.append((i, line))
-        self._pos = 0
-        self.lineno = 0  # of the line last read
+                self._lines.append(line)
+        self.lineno = 0  # of the line last read, so also the count of lines read
 
     @property
     def remaining(self) -> int:
-        return len(self._lines) - self._pos
+        return len(self._lines) - self.lineno
 
     def next(self, what: str) -> str:
         if not self.remaining:
             self.fail(f"unexpected end of file, expected {what}", 0)
-        self.lineno, line = self._lines[self._pos]
-        self._pos += 1
-        return line
+        self.lineno += 1
+        return self._lines[self.lineno - 1]
 
     def fail(self, msg: str, lineno: int | None = None):
         """Raise DataError at ``lineno``, by default the line last read; 0 names only the file."""

@@ -10,7 +10,7 @@ from .data import ALL_LABELS, CHUNK_LINES, N_ACTIVITIES, ActivityLabel, Dataset,
 from .errors import DataError
 from .features import FeatureConfig
 from .gmm import EmConfig, fit_activity_models
-from .hmm import TransitionMatrix, default_transition_matrix, predict_stream_hmm
+from .hmm import count_transitions, default_transition_matrix, predict_stream_hmm
 from .predictor import PredictorSession, checked_window
 
 
@@ -161,7 +161,7 @@ def run_cv(
     em_cfg: EmConfig = EmConfig(),
     feat_cfg: FeatureConfig = FeatureConfig(),
     window_k: int = 26,
-    trans: TransitionMatrix | None = None,
+    transitions: str = "builtin",
     window_w: int = 10,
     tolerance: int = 25,
     method: str = "rapidhare",
@@ -171,8 +171,10 @@ def run_cv(
     Every subject takes one turn as the test subject; its cyclic successor is
     held out for validation and stays unused by both methods here, keeping
     folds comparable. Per-fold training seeds derive from the base seed, so
-    the whole run is reproducible. The settings are checked, and then
-    ``split_loso`` rejects fewer than three subjects, before any training.
+    the whole run is reproducible. With ``transitions="learned"`` the ``hmm``
+    method counts each fold's matrix from its training subjects' labels
+    alone. The settings are checked, and then ``split_loso`` rejects fewer
+    than three subjects, before any training.
     """
     if method not in ("rapidhare", "hmm"):
         raise DataError(f"unknown method: {method!r}")
@@ -182,7 +184,8 @@ def run_cv(
         raise DataError("window_w must be positive")
     if tolerance < 0:
         raise DataError("tolerance must be non-negative")
-    trans = default_transition_matrix() if trans is None else trans
+    if transitions not in ("builtin", "learned"):
+        raise DataError(f"unknown transitions: {transitions!r}")
 
     def fold(i, subject):
         train, _validation, test = split_loso(dataset, subject)
@@ -190,6 +193,9 @@ def run_cv(
         model_set, _ = fit_activity_models(
             [feat_cfg.apply(s) for s in train.sequences], counts, fold_cfg
         )
+        trans = default_transition_matrix()
+        if transitions == "learned":
+            trans = count_transitions([s.labels for s in train.sequences])
         conf_raw = np.zeros((N_ACTIVITIES, N_ACTIVITIES), dtype=np.int64)
         conf_tol = np.zeros_like(conf_raw)
         for seq in test.sequences:

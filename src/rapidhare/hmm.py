@@ -1,6 +1,7 @@
 """Blockwise Viterbi baseline over the same per-activity mixtures.
 
-The transition matrix is fixed rather than learned; zero entries are exact
+The transition matrix is either the hand-set default or one counted from
+labelled training recordings (``count_transitions``); zero entries are exact
 minus-infinity in the log domain so forbidden transitions can never appear
 inside a decoded block. A stream is cut into consecutive blocks of
 ``window_w`` frames, and ``block_decoder`` carries the state prior from each
@@ -15,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel, _LineReader
+from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel
 from .errors import DataError, NumericError
 from .gmm import ActivityModelSet
 
@@ -56,6 +57,18 @@ def default_transition_matrix() -> TransitionMatrix:
         [0.002,    0.002,   0.002,  0.002,  0,      0.002,  0,      0.99],    # standing
     ]
     return TransitionMatrix(np.array(rows))
+
+
+def count_transitions(label_arrays) -> TransitionMatrix:
+    """Frame-to-frame moves counted within each label array, plus one per cell, rows normalized.
+
+    No move is counted across two arrays, so recordings never join.
+    """
+    counts = np.ones((N_ACTIVITIES, N_ACTIVITIES))
+    for labels in label_arrays:
+        ids = np.asarray(labels, dtype=np.int64) - 1
+        np.add.at(counts, (ids[:-1], ids[1:]), 1)
+    return TransitionMatrix(counts / counts.sum(axis=1, keepdims=True))
 
 
 def viterbi_block(
@@ -133,27 +146,3 @@ def predict_stream_hmm(
     for lo in range(0, len(frames), window_w):
         labels.extend(decode(frames[lo : lo + window_w]))
     return labels
-
-
-def load_transition_matrix(path) -> TransitionMatrix:
-    """Read a transition matrix file: a header of state names, then one row per state.
-
-    Blank lines are skipped; a matrix that fails its own checks names the file.
-    """
-    r = _LineReader(path, "transition matrix", skip=lambda line: not line.strip())
-    if not r.remaining:
-        r.fail("empty transition matrix file", 0)
-    if r.next("header").split() != [label.label_name for label in ALL_LABELS]:
-        r.fail(f"header must list the {N_ACTIVITIES} activity names in id order")
-    if r.remaining != N_ACTIVITIES:
-        r.fail(f"expected {N_ACTIVITIES} rows after the header", 0)
-    rows = []
-    while r.remaining:
-        parts = r.next("").split()
-        if len(parts) != N_ACTIVITIES:
-            r.fail(f"expected {N_ACTIVITIES} values")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError:
-            r.fail("non-numeric value")
-    return r.check(0, lambda: TransitionMatrix(np.array(rows)))

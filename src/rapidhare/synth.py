@@ -18,7 +18,6 @@ from .errors import DataError
 from .gmm import GmmModel
 from .hmm import TransitionMatrix
 
-DEFAULT_SYNTH_SEED = 20260101
 # The largest draws accepted: the frame width of default_generators, and the
 # frame values of a whole dataset (n_subjects * frames_per_subject * dim, 800 MB
 # as float64), which every SynthSpec checks. Both are checked before anything
@@ -45,7 +44,7 @@ class SynthSpec:
     n_subjects: int = 3
     frames_per_subject: int = 20000
     min_segment: int = 200
-    seed: int = DEFAULT_SYNTH_SEED
+    seed: int = 1
 
     def __post_init__(self):
         if set(self.generators) != set(ALL_LABELS):

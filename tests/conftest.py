@@ -18,9 +18,8 @@ from rapidhare import (
     PredictorSession, naive_window_scores, parse_recording,
 )
 from rapidhare.cli import _feature_config, _write_predictions, main
-from rapidhare.data import N_ACTIVITIES, recording_chunks
+from rapidhare.data import recording_chunks
 from rapidhare.gmm import KMEANS_MAX_ITERS, MODEL_FORMAT_TAG
-from rapidhare.hmm import TransitionMatrix
 from rapidhare.predictor import BLOCK_ROWS, posterior
 
 # Every property test draws the same examples on every run, however long it takes.
@@ -436,36 +435,6 @@ def load_model_set_oracle(path):
         r.pos += 1
         r.fail(f"unexpected line after the {n_activities} declared activities")
     return _named(r.path, lambda: ActivityModelSet(models))
-
-
-def load_transition_matrix_oracle(path):
-    """``load_transition_matrix`` as it numbered its own lines, kept as its oracle.
-
-    A bad matrix is named by ``_named``.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such transition matrix file: {path}")
-    lines = [(i, ln) for i, ln in enumerate(_read_lines_oracle(path), start=1) if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty transition matrix file")
-    (head_no, head), body = lines[0], lines[1:]
-    if head.split() != [label.label_name for label in ALL_LABELS]:
-        raise DataError(
-            f"{path}:{head_no}: header must list the {N_ACTIVITIES} activity names in id order"
-        )
-    if len(body) != N_ACTIVITIES:
-        raise DataError(f"{path}: expected {N_ACTIVITIES} rows after the header")
-    rows = []
-    for i, line in body:
-        parts = line.split()
-        if len(parts) != N_ACTIVITIES:
-            raise DataError(f"{path}:{i}: expected {N_ACTIVITIES} values")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError:
-            raise DataError(f"{path}:{i}: non-numeric value") from None
-    return _named(path, lambda: TransitionMatrix(np.array(rows)))
 
 
 def child_env(**extra):

@@ -201,7 +201,7 @@ def test_criterion_5_border_tolerance_properties():
 def test_criterion_6_synthetic_cv_end_to_end():
     """Full pipeline on the default synthetic spec must be near-perfect per fold."""
     t_start = time.perf_counter()
-    dataset = generate(default_spec())
+    dataset = generate(default_spec(seed=20260101))
     fold_stats = []
     for i, subject in enumerate(dataset.subjects()):
         train, _validation, test = split_loso(dataset, subject)

@@ -485,8 +485,12 @@ def test_evaluate_reports_both_tables(synth_dir, capsys):
         (["--tolerance", "-1"], "argument --tolerance: must be at least 0, got -1"),
         (["--method", "hmm", "--hmm-window", "0"], "argument --hmm-window: must be at least 1, got 0"),
         (["--window", "x"], "argument --window: invalid int value: 'x'"),
+        (
+            ["--method", "hmm", "--transitions", "transitions.txt"],
+            "argument --transitions: invalid choice: 'transitions.txt' (choose from 'builtin', 'learned')",
+        ),
     ],
-    ids=["window", "tolerance", "hmm-window", "non-integer"],
+    ids=["window", "tolerance", "hmm-window", "non-integer", "transitions-file"],
 )
 def test_evaluate_rejects_bad_settings_as_usage_errors(flags, message, synth_dir, capsys):
     """Rejected with the flags, before any recording is read."""
@@ -626,8 +630,9 @@ def test_a_model_file_that_cannot_be_written_exits_two(synth_dir, tmp_path, caps
         ({"window_k": 100001}, "window_k must be in 0..100000, got 100001"),
         ({"tolerance": -1}, "tolerance must be non-negative"),
         ({"method": "hmm", "window_w": 0}, "window_w must be positive"),
+        ({"method": "hmm", "transitions": "bogus"}, "unknown transitions: 'bogus'"),
     ],
-    ids=["window", "tolerance", "hmm-window"],
+    ids=["window", "tolerance", "hmm-window", "transitions"],
 )
 def test_run_cv_rejects_bad_settings_before_it_trains(overrides, message, synth_dir):
     def no_training(*args, **kwargs):
@@ -794,9 +799,13 @@ def test_synth_flags_set_the_draw_and_a_negative_seed_exits_two(tmp_path, capsys
 
 
 def test_synth_flags_write_the_bytes_of_the_draw_they_name(tmp_path, capsys):
-    """Every setting of ``default_spec`` is a flag, and a default written out changes nothing."""
+    """Every setting of ``default_spec`` is a flag, and a default written out changes nothing.
+
+    Plain ``synth`` writes the draw of plain ``default_spec()``: both default to seed 1.
+    """
     values = dict(separation=0.2, sigma=0.15, dim=3, seed=7, frames_per_subject=300, min_segment=50)
     write_dataset(generate(default_spec(**values)), tmp_path / "in_process")
+    write_dataset(generate(default_spec()), tmp_path / "in_process_default")
     flags = ["--separation", "0.2", "--sigma", "0.15", "--dim", "3", "--seed", "7",
              "--frames", "300", "--min-segment", "50"]
     defaults = ["--separation", "0.6", "--sigma", "0.02"]
@@ -809,6 +818,7 @@ def test_synth_flags_write_the_bytes_of_the_draw_they_name(tmp_path, capsys):
 
     assert files("flags") == files("in_process")
     assert len(files("plain")) == 3 and files("defaults") == files("plain")
+    assert files("plain") == files("in_process_default")
 
 
 def test_synth_onto_an_existing_file_exits_two(tmp_path, capsys):
@@ -894,26 +904,19 @@ def test_synth_out_of_range_draws_name_file_subject_and_channel(tmp_path, capsys
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["predict", "bench", "evaluate"])
+@pytest.mark.parametrize("command", ["predict", "bench"])
 def test_non_ascii_byte_in_an_input_file_exits_two_naming_the_line(
     command, synth_dir, model_path, tmp_path, capsys
 ):
-    """Model and transition matrix files report a non-ASCII byte at its line."""
-    if command in ("predict", "bench"):
-        path = tmp_path / "model.txt"
-        lines = model_path.read_bytes().split(b"\n")
-        lines[2] += b"\xe9"
-    else:
-        path = tmp_path / "transitions.txt"
-        names = " ".join(label.label_name for label in ALL_LABELS)
-        lines = [names.encode()] + [b" ".join([b"0.125"] * len(ALL_LABELS))] * len(ALL_LABELS)
-        lines[2] += b"\xe9"
+    """Model files report a non-ASCII byte at its line."""
+    path = tmp_path / "model.txt"
+    lines = model_path.read_bytes().split(b"\n")
+    lines[2] += b"\xe9"
     path.write_bytes(b"\n".join(lines))
     recording = sorted(synth_dir.iterdir())[0]
     args = {
         "predict": ["predict", str(recording), "--model", str(path)],
         "bench": ["bench", "--model", str(path)],
-        "evaluate": ["evaluate", str(synth_dir), "--transitions", str(path)],
     }[command]
     assert main(args) == 2
     captured = capsys.readouterr()
@@ -947,17 +950,6 @@ def test_a_bad_mixture_names_its_activity_line_and_a_bad_model_set_the_file(
         assert captured.out == ""
 
 
-def test_a_bad_transition_matrix_names_the_file(synth_dir, tmp_path, capsys):
-    rows = [" ".join(["0.125"] * len(ALL_LABELS))] * len(ALL_LABELS)
-    rows[5] = " ".join(["0.25"] * len(ALL_LABELS))
-    path = tmp_path / "transitions.txt"
-    path.write_text("\n".join([" ".join(label.label_name for label in ALL_LABELS)] + rows) + "\n")
-    assert main(["evaluate", str(synth_dir), "--transitions", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {path}: transition matrix rows must sum to 1\n"
-    assert captured.out == ""
-
-
 @pytest.mark.parametrize(
     "flag, message",
     [
@@ -972,12 +964,12 @@ def test_synth_rejects_generators_that_fail_their_checks(flag, message, tmp_path
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("kind", ["model", "transition matrix"])
-def test_a_missing_input_file_is_named_with_its_kind(kind, synth_dir, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("kind", ["model", "recording"])
+def test_a_missing_input_file_is_named_with_its_kind(kind, model_path, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     args = {
         "model": ["bench", "--model", "./absent.txt"],
-        "transition matrix": ["evaluate", str(synth_dir), "--transitions", "./absent.txt"],
+        "recording": ["predict", "./absent.txt", "--model", str(model_path)],
     }[kind]
     assert main(args) == 2
     captured = capsys.readouterr()

@@ -14,6 +14,7 @@ from rapidhare import (
     aggregate_reports,
     apply_border_tolerance,
     confusion,
+    count_transitions,
     evaluation,
     metrics,
     run_cv,
@@ -252,7 +253,8 @@ def test_run_cv_rapidhare_small():
     assert raw.macro.f1 > 50.0  # separable data must be mostly right
 
 
-def test_run_cv_hmm_small():
+@pytest.mark.parametrize("transitions", ["builtin", "learned"])
+def test_run_cv_hmm_small(transitions):
     ds = small_synth_dataset()
     counts = {label: 2 for label in ALL_LABELS}
     raw, tol = run_cv(
@@ -261,9 +263,46 @@ def test_run_cv_hmm_small():
         em_cfg=EmConfig(seed=3, max_iters=30),
         tolerance=10,
         method="hmm",
+        transitions=transitions,
     )
     assert tol.macro.accuracy >= raw.macro.accuracy
     assert raw.macro.f1 > 50.0
+
+
+def test_a_folds_learned_matrix_counts_only_its_training_subjects():
+    """Relabelling a fold's test and validation subjects leaves its counted matrix equal.
+
+    Subject 01 is the first fold's test subject and 02 its validation subject,
+    so that fold trains on 03 and 04 alone; the other folds train on 01.
+    """
+    rng = np.random.default_rng(0)
+    model_set = random_model_set(rng, 1)
+    frames = rng.uniform(-1, 1, (120, 1))
+    subjects = ["01", "02", "03", "04"]
+    labels = {s: np.repeat(np.arange(i, i + 6) % 8 + 1, 20) for i, s in enumerate(subjects)}
+
+    def counted(relabel):
+        seqs = [
+            LabeledSequence(s, frames, labels[s][::-1] if s in relabel else labels[s])
+            for s in subjects
+        ]
+        calls = []
+
+        def count(arrays):
+            trans = count_transitions(arrays)
+            calls.append(([a.tolist() for a in arrays], trans.probs))
+            return trans
+
+        with mock.patch.object(evaluation, "fit_activity_models", lambda *args: (model_set, {})), \
+                mock.patch.object(evaluation, "count_transitions", count):
+            run_cv(Dataset(seqs, [ChannelSpec("acc_rt_x")]), method="hmm", transitions="learned")
+        return calls
+
+    (arrays, probs), *rest = counted(relabel=())
+    (arrays_relabelled, probs_relabelled), *rest_relabelled = counted(relabel=("01", "02"))
+    assert arrays == arrays_relabelled == [labels["03"].tolist(), labels["04"].tolist()]
+    assert np.array_equal(probs, probs_relabelled)
+    assert rest[0][0] != rest_relabelled[0][0]  # the next fold trains on 01
 
 
 def test_run_cv_needs_three_subjects():

@@ -11,8 +11,8 @@ from rapidhare import (
     DataError,
     GmmModel,
     TransitionMatrix,
+    count_transitions,
     default_transition_matrix,
-    load_transition_matrix,
     log_pdf,
     predict_stream_hmm,
     viterbi_block,
@@ -235,30 +235,17 @@ def test_per_frame_time_grows_as_blocks_shrink(rng):
         raise AssertionError(f"per-frame time not growing as blocks shrink: {times}")
 
 
-def test_load_transition_matrix(tmp_path):
-    tm = default_transition_matrix()
-    names = " ".join(label.label_name for label in ALL_LABELS)
-    rows = "\n".join(" ".join(repr(float(v)) for v in row) for row in tm.probs)
-    path = tmp_path / "trans.txt"
-    path.write_text(f"{names}\n{rows}\n")
-    loaded = load_transition_matrix(path)
-    assert np.array_equal(loaded.probs, tm.probs)
-
-    bad = tmp_path / "bad.txt"
-    bad.write_text("walking running\n0.5 0.5\n")
-    with pytest.raises(DataError, match="header"):
-        load_transition_matrix(bad)
-
-
-def test_load_transition_matrix_errors_name_real_lines(tmp_path):
-    names = " ".join(label.label_name for label in ALL_LABELS)
-    rows = [" ".join(repr(float(v)) for v in row) for row in default_transition_matrix().probs]
-    rows[3] = "0.5 0.5"
-    path = tmp_path / "trans.txt"
-    path.write_text("\n".join([names, "", ""] + rows) + "\n")
-    with pytest.raises(DataError, match=r"trans\.txt:7: expected 8 values"):
-        load_transition_matrix(path)
-
-    path.write_text("\n\nwalking running\n" + "\n".join(rows) + "\n")
-    with pytest.raises(DataError, match=r"trans\.txt:3: header"):
-        load_transition_matrix(path)
+def test_count_transitions_counts_moves_within_each_array_plus_one():
+    walk, run, sit = ActivityLabel.WALKING, ActivityLabel.RUNNING, ActivityLabel.SITTING
+    # The junction sitting -> walking between the first two arrays is no move,
+    # and the one-frame array adds none.
+    arrays = [np.array([walk, walk, run, run, run, sit]), np.array([walk, run]), np.array([sit])]
+    counts = np.ones((8, 8))
+    counts[0, 0] += 1  # walking -> walking
+    counts[0, 1] += 2  # walking -> running, once in each of the first two arrays
+    counts[1, 1] += 2  # running -> running
+    counts[1, 4] += 1  # running -> sitting
+    expected = counts / counts.sum(axis=1, keepdims=True)
+    assert np.array_equal(count_transitions(arrays).probs, expected)
+    assert expected[4, 0] == 1 / 8  # sitting -> walking only at the junction: uncounted
+    assert np.array_equal(count_transitions([]).probs, np.full((8, 8), 1 / 8))

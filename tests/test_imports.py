@@ -1,7 +1,8 @@
 """Static checks of the package's imports and of its README; the repo has no linter to make them.
 
 No module imports a name it never uses, only ``synth`` and ``bench`` use
-``numpy.random``, and the README names every flag of every command.
+``numpy.random``, and the README names every flag of every command and every
+value a flag takes from a fixed set.
 """
 
 import argparse
@@ -74,11 +75,11 @@ def test_only_synth_and_bench_use_numpys_random_module(path):
     assert [f"{path.name}:{line}" for line in lines] == []
 
 
-def long_flags(parser: argparse.ArgumentParser) -> list[tuple[str, str]]:
-    """(command, flag) for every long flag of every subcommand, apart from ``--help``."""
+def long_flag_actions(parser: argparse.ArgumentParser) -> list[tuple[str, str, argparse.Action]]:
+    """(command, flag, action) for every long flag of every subcommand, apart from ``--help``."""
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return [
-        (name, flag)
+        (name, flag, action)
         for name, sub in commands.choices.items()
         for action in sub._actions
         for flag in action.option_strings if flag.startswith("--") and flag != "--help"
@@ -88,6 +89,24 @@ def long_flags(parser: argparse.ArgumentParser) -> list[tuple[str, str]]:
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-@pytest.mark.parametrize("command, flag", long_flags(build_parser()))
+def named(word: str) -> bool:
+    return bool(re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", README.read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(command, flag) for command, flag, _ in long_flag_actions(build_parser())]
+)
 def test_the_readme_names_every_flag(command, flag):
-    assert re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", README.read_text(encoding="utf-8"))
+    assert named(flag)
+
+
+@pytest.mark.parametrize(
+    "command, flag, choice",
+    [
+        (command, flag, choice)
+        for command, flag, action in long_flag_actions(build_parser())
+        for choice in action.choices or ()
+    ],
+)
+def test_the_readme_names_every_choice(command, flag, choice):
+    assert named(choice)

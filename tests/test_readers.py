@@ -1,6 +1,6 @@
-"""The model and transition matrix readers against the readers they replaced.
+"""The model reader against the reader it replaced.
 
-Each test draws a valid file, applies at most one mutation to it, and requires
+The test draws a valid file, applies at most one mutation to it, and requires
 the reader to give its oracle's parameters bit for bit, or its DataError text.
 Any other exception fails the test.
 """
@@ -10,12 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rapidhare import ALL_LABELS, DataError, load_model_set, load_transition_matrix, save_model_set
-from conftest import (
-    load_model_set_oracle,
-    load_transition_matrix_oracle,
-    random_model_set,
-)
+from rapidhare import DataError, load_model_set, save_model_set
+from conftest import load_model_set_oracle, random_model_set
 
 _TOKENS = ("nan", "inf", "1e400", "x", "0", "-1")
 _MUTATIONS = (
@@ -61,17 +57,6 @@ def _mutated(draw, lines: list[str]) -> bytes:
     return data
 
 
-@st.composite
-def _with_skipped_lines(draw, lines: list[str], skipped: list[str]) -> list[str]:
-    """``lines`` with lines the format skips drawn before, between and after them."""
-    out = []
-    for line in lines + [None]:
-        out.extend(draw(st.lists(st.sampled_from(skipped), max_size=2)))
-        if line is not None:
-            out.append(line)
-    return out
-
-
 def _outcome(load, path, params):
     """The parameters of what ``load`` reads, or the text of its DataError."""
     try:
@@ -100,23 +85,3 @@ def test_model_reader_matches_its_oracle(scratch, seed, dim, data):
     path.write_bytes(data.draw(_mutated(path.read_text().splitlines())))
     expected = _outcome(load_model_set_oracle, path, _model_params)
     assert _outcome(load_model_set, path, _model_params) == expected
-
-
-@st.composite
-def _transition_files(draw):
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    probs = rng.dirichlet(np.ones(len(ALL_LABELS)), size=len(ALL_LABELS))
-    probs[probs < 0.05] = 0.0
-    probs /= probs.sum(axis=1, keepdims=True)
-    lines = [" ".join(label.label_name for label in ALL_LABELS)]
-    lines += [" ".join(repr(float(v)) for v in row) for row in probs]
-    return draw(_mutated(draw(_with_skipped_lines(lines, ["", "  ", "\t"]))))
-
-
-@settings(max_examples=300)
-@given(data=_transition_files())
-def test_transition_reader_matches_its_oracle(scratch, data):
-    path = scratch / "transitions.txt"
-    path.write_bytes(data)
-    expected = _outcome(load_transition_matrix_oracle, path, lambda t: t.probs.tobytes())
-    assert _outcome(load_transition_matrix, path, lambda t: t.probs.tobytes()) == expected
