@@ -34,7 +34,7 @@ from .features import (
 )
 from .gmm import EmConfig, fit_activity_models, load_model_set, save_model_set
 from .predictor import BLOCK_ROWS, MAX_WINDOW_K, PredictorSession, naive_window_scores, posterior
-from .synth import default_spec, generate
+from .synth import generate
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -298,6 +298,11 @@ def _print_report(report: EvalReport, fmt: str, title: str) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    if args.method != "hmm":
+        for flag, given in (("--transitions learned", args.transitions == "learned"),
+                            ("--hmm-window", args.hmm_window is not None)):
+            if given:
+                args.usage_error(f"{flag} is used only with --method hmm")
     em_cfg = _em_config(args)
     dataset, feat = _dataset_and_features(args)
     raw, tol = run_cv(
@@ -307,7 +312,7 @@ def cmd_evaluate(args) -> int:
         feat_cfg=feat,
         window_k=args.window,
         transitions=args.transitions,
-        window_w=args.hmm_window,
+        window_w=10 if args.hmm_window is None else args.hmm_window,
         tolerance=args.tolerance,
         method=args.method,
     )
@@ -340,11 +345,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = default_spec(
+    dataset = generate(
         n_subjects=args.subjects, frames_per_subject=args.frames, dim=args.dim,
         separation=args.separation, sigma=args.sigma, min_segment=args.min_segment, seed=args.seed,
     )
-    paths = write_dataset(generate(spec), args.out)
+    paths = write_dataset(dataset, args.out)
     print(f"wrote {len(paths)} recordings to {args.out}")
     return 0
 
@@ -412,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="border tolerance in frames (default: 25)")
     p.add_argument("--window", type=_int_in(0, MAX_WINDOW_K), default=26,
                    help="context window look-back K (default: 26)")
-    p.add_argument("--hmm-window", type=_int_in(1), default=10,
+    p.add_argument("--hmm-window", type=_int_in(1), default=None,
                    help="Viterbi block length (default: 10)")
     p.add_argument("--transitions", choices=("builtin", "learned"), default="builtin",
                    help="hmm transition matrix: built-in, or counted per fold from the "
@@ -421,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     format_flag(p)
     em_flags(p)
     feature_flags(p)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, usage_error=p.error)
 
     p = sub.add_parser("bench", help="single-thread per-frame latency")
     p.add_argument("--model", required=True, help="model file to load")

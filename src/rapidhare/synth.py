@@ -9,62 +9,18 @@ so generated datasets can round-trip through the recording file format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import ALL_LABELS, N_ACTIVITIES, ActivityLabel, ChannelSpec, Dataset, LabeledSequence
 from .errors import DataError
 from .gmm import GmmModel
-from .hmm import TransitionMatrix
 
 # The largest draws accepted: the frame width of default_generators, and the
 # frame values of a whole dataset (n_subjects * frames_per_subject * dim, 800 MB
-# as float64), which every SynthSpec checks. Both are checked before anything
+# as float64), which generate checks first. Both are checked before anything
 # is allocated.
 MAX_DIM = 1024
 MAX_DRAW_VALUES = 100_000_000
-
-
-def _check_draw(n_subjects: int, frames_per_subject: int, dim: int) -> None:
-    n_values = n_subjects * frames_per_subject * dim
-    if n_values > MAX_DRAW_VALUES:
-        raise DataError(
-            f"a draw of {n_values} frame values (n_subjects * frames_per_subject * dim) "
-            f"exceeds the cap of {MAX_DRAW_VALUES}"
-        )
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    """Everything needed to draw a reproducible labeled dataset."""
-
-    generators: dict[ActivityLabel, GmmModel]
-    activity_chain: TransitionMatrix
-    n_subjects: int = 3
-    frames_per_subject: int = 20000
-    min_segment: int = 200
-    seed: int = 1
-
-    def __post_init__(self):
-        if set(self.generators) != set(ALL_LABELS):
-            raise DataError("need one generator mixture per activity")
-        dims = {g.dim for g in self.generators.values()}
-        if len(dims) != 1:
-            raise DataError("generator mixtures must share one dimensionality")
-        if self.n_subjects < 1 or self.frames_per_subject < 1 or self.min_segment < 1:
-            raise DataError("subject, frame, and segment counts must be positive")
-        _check_draw(self.n_subjects, self.frames_per_subject, self.dim)
-        if self.frames_per_subject < self.min_segment:
-            raise DataError("frames_per_subject must be at least min_segment")
-        if self.seed < 0:
-            raise DataError("seed must be non-negative")
-        if self.activity_chain.probs.shape != (N_ACTIVITIES, N_ACTIVITIES):
-            raise DataError("activity chain must cover all activities")
-
-    @property
-    def dim(self) -> int:
-        return next(iter(self.generators.values())).dim
 
 
 def default_generators(
@@ -90,46 +46,22 @@ def default_generators(
     return gens
 
 
-def uniform_activity_chain() -> TransitionMatrix:
-    """Segment-level chain: the next activity is uniform over the other seven."""
-    p = np.full((N_ACTIVITIES, N_ACTIVITIES), 1.0 / (N_ACTIVITIES - 1))
-    np.fill_diagonal(p, 0.0)
-    return TransitionMatrix(p)
-
-
-def default_spec(**overrides) -> SynthSpec:
-    """The desk-scale defaults: 3 subjects, 20k frames each, 6 dims, 200-frame segments.
-
-    A draw of more than ``MAX_DRAW_VALUES`` frame values is rejected first.
-    """
-    dim = overrides.pop("dim", 6)
-    _check_draw(
-        overrides.get("n_subjects", SynthSpec.n_subjects),
-        overrides.get("frames_per_subject", SynthSpec.frames_per_subject),
-        dim,
-    )
-    separation = overrides.pop("separation", 0.6)
-    sigma = overrides.pop("sigma", 0.02)
-    overrides.setdefault("generators", default_generators(dim, separation, sigma))
-    overrides.setdefault("activity_chain", uniform_activity_chain())
-    return SynthSpec(**overrides)
-
-
 def synth_channels(dim: int) -> list[ChannelSpec]:
     return [ChannelSpec(f"acc_sig_{i}") for i in range(dim)]
 
 
-def _label_stream(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
-    n = spec.frames_per_subject
+def _label_stream(n: int, min_segment: int, rng: np.random.Generator) -> np.ndarray:
+    # Segment-level chain: the next activity is uniform over the other seven.
+    chain = np.full((N_ACTIVITIES, N_ACTIVITIES), 1.0 / (N_ACTIVITIES - 1))
+    np.fill_diagonal(chain, 0.0)
     labels = np.empty(n, dtype=np.int64)
-    chain = spec.activity_chain.probs
     current = int(rng.integers(N_ACTIVITIES))
     pos = 0
     while pos < n:
-        length = spec.min_segment + int(rng.integers(spec.min_segment + 1))
+        length = min_segment + int(rng.integers(min_segment + 1))
         end = pos + length
         # The closing segment absorbs any remainder shorter than min_segment.
-        if n - end < spec.min_segment:
+        if n - end < min_segment:
             end = n
         labels[pos:end] = current + 1
         pos = end
@@ -143,18 +75,38 @@ def _sample_mixture(model: GmmModel, n: int, rng: np.random.Generator) -> np.nda
     return model.means[comp] + noise * np.sqrt(model.variances[comp])
 
 
-def generate(spec: SynthSpec) -> Dataset:
-    """Draw one labeled sequence per subject; bit-identical for a fixed seed."""
-    children = np.random.SeedSequence(spec.seed).spawn(spec.n_subjects)
+def generate(
+    n_subjects: int = 3, frames_per_subject: int = 20000, dim: int = 6, separation: float = 0.6,
+    sigma: float = 0.02, min_segment: int = 200, seed: int = 1,
+) -> Dataset:
+    """Draw one labeled sequence per subject of ``default_generators(dim, separation, sigma)``.
+
+    Bit-identical for a fixed seed. A draw of more than ``MAX_DRAW_VALUES``
+    frame values is rejected first, before the generators are built.
+    """
+    n_values = n_subjects * frames_per_subject * dim
+    if n_values > MAX_DRAW_VALUES:
+        raise DataError(
+            f"a draw of {n_values} frame values (n_subjects * frames_per_subject * dim) "
+            f"exceeds the cap of {MAX_DRAW_VALUES}"
+        )
+    generators = default_generators(dim, separation, sigma)
+    if n_subjects < 1 or frames_per_subject < 1 or min_segment < 1:
+        raise DataError("subject, frame, and segment counts must be positive")
+    if frames_per_subject < min_segment:
+        raise DataError("frames_per_subject must be at least min_segment")
+    if seed < 0:
+        raise DataError("seed must be non-negative")
+    children = np.random.SeedSequence(seed).spawn(n_subjects)
     sequences = []
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
-        labels = _label_stream(spec, rng)
-        frames = np.empty((spec.frames_per_subject, spec.dim))
+        labels = _label_stream(frames_per_subject, min_segment, rng)
+        frames = np.empty((frames_per_subject, dim))
         for label_id in np.unique(labels):
             mask = labels == label_id
             frames[mask] = _sample_mixture(
-                spec.generators[ActivityLabel(int(label_id))], int(mask.sum()), rng
+                generators[ActivityLabel(int(label_id))], int(mask.sum()), rng
             )
         sequences.append(LabeledSequence(f"{i + 1:02d}", frames, labels))
-    return Dataset(sequences, synth_channels(spec.dim))
+    return Dataset(sequences, synth_channels(dim))

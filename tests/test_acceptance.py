@@ -35,7 +35,7 @@ from rapidhare import (
     viterbi_block,
 )
 from rapidhare.gmm import DEFAULT_COMPONENT_COUNTS
-from rapidhare.synth import default_spec, generate
+from rapidhare.synth import generate
 from conftest import enumerate_viterbi, log_pdf_oracle, random_gmm, random_model_set
 
 
@@ -201,7 +201,7 @@ def test_criterion_5_border_tolerance_properties():
 def test_criterion_6_synthetic_cv_end_to_end():
     """Full pipeline on the default synthetic spec must be near-perfect per fold."""
     t_start = time.perf_counter()
-    dataset = generate(default_spec(seed=20260101))
+    dataset = generate(seed=20260101)
     fold_stats = []
     for i, subject in enumerate(dataset.subjects()):
         train, _validation, test = split_loso(dataset, subject)

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import inspect
 import io
 import os
 import resource
@@ -17,14 +19,19 @@ from hypothesis import strategies as st
 import rapidhare
 from rapidhare import cli, evaluation
 from rapidhare.bench import MAX_BENCH_FRAMES
-from rapidhare.cli import main
+from rapidhare.cli import build_parser, main
 from rapidhare.data import write_dataset
-from rapidhare.synth import default_spec, generate
+from rapidhare.synth import generate
 from rapidhare import (
     ALL_LABELS, DataError, PredictorSession, load_dataset, load_model_set, parse_recording,
 )
 
 from conftest import child_env, traced_main_peak
+
+
+def subparser(command: str) -> argparse.ArgumentParser:
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices[command]
 
 
 @pytest.fixture(scope="module")
@@ -489,17 +496,25 @@ def test_evaluate_reports_both_tables(synth_dir, capsys):
             ["--method", "hmm", "--transitions", "transitions.txt"],
             "argument --transitions: invalid choice: 'transitions.txt' (choose from 'builtin', 'learned')",
         ),
+        (["--transitions", "learned"], "--transitions learned is used only with --method hmm"),
+        (["--hmm-window", "10"], "--hmm-window is used only with --method hmm"),
+        (["--method", "rapidhare", "--hmm-window", "4"], "--hmm-window is used only with --method hmm"),
     ],
-    ids=["window", "tolerance", "hmm-window", "non-integer", "transitions-file"],
+    ids=["window", "tolerance", "hmm-window", "non-integer", "transitions-file",
+         "learned-without-hmm", "hmm-window-without-hmm", "hmm-window-with-rapidhare"],
 )
 def test_evaluate_rejects_bad_settings_as_usage_errors(flags, message, synth_dir, capsys):
-    """Rejected with the flags, before any recording is read."""
+    """Rejected with the flags, before any recording is read.
+
+    ``--hmm-window`` and ``--transitions learned`` are not accepted and ignored
+    without ``--method hmm``.
+    """
     with mock.patch.object(cli, "load_dataset", side_effect=AssertionError("evaluate read data")):
         with pytest.raises(SystemExit) as err:
             main(["evaluate", str(synth_dir), *flags])
     assert err.value.code == 1
-    out, stderr = capsys.readouterr()
-    assert out == "" and stderr.endswith(f"rapidhare evaluate: error: {message}\n")
+    usage = subparser("evaluate").format_usage()
+    assert capsys.readouterr() == ("", f"{usage}rapidhare evaluate: error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -799,13 +814,18 @@ def test_synth_flags_set_the_draw_and_a_negative_seed_exits_two(tmp_path, capsys
 
 
 def test_synth_flags_write_the_bytes_of_the_draw_they_name(tmp_path, capsys):
-    """Every setting of ``default_spec`` is a flag, and a default written out changes nothing.
+    """Every keyword of ``generate`` is a flag, and a default written out changes nothing.
 
-    Plain ``synth`` writes the draw of plain ``default_spec()``: both default to seed 1.
+    Plain ``synth`` writes the draw of plain ``generate()``: both default to seed 1.
     """
+    flag_defaults = {a.dest: a.default for a in subparser("synth")._actions
+                     if a.dest not in ("help", "out")}
+    dest = {"n_subjects": "subjects", "frames_per_subject": "frames"}
+    keywords = inspect.signature(generate).parameters.values()
+    assert {dest.get(k.name, k.name): k.default for k in keywords} == flag_defaults
     values = dict(separation=0.2, sigma=0.15, dim=3, seed=7, frames_per_subject=300, min_segment=50)
-    write_dataset(generate(default_spec(**values)), tmp_path / "in_process")
-    write_dataset(generate(default_spec()), tmp_path / "in_process_default")
+    write_dataset(generate(**values), tmp_path / "in_process")
+    write_dataset(generate(), tmp_path / "in_process_default")
     flags = ["--separation", "0.2", "--sigma", "0.15", "--dim", "3", "--seed", "7",
              "--frames", "300", "--min-segment", "50"]
     defaults = ["--separation", "0.6", "--sigma", "0.02"]

@@ -19,7 +19,7 @@ from rapidhare import (
     metrics,
     run_cv,
 )
-from rapidhare.synth import default_spec, generate
+from rapidhare.synth import generate
 from conftest import random_model_set, traced_peak
 
 
@@ -232,10 +232,7 @@ def test_aggregate_reports_averages_metrics():
 
 def small_synth_dataset():
     # Enough segments per subject that every activity shows up in training.
-    spec = default_spec(
-        n_subjects=3, frames_per_subject=2400, dim=4, min_segment=40, seed=99
-    )
-    return generate(spec)
+    return generate(n_subjects=3, frames_per_subject=2400, dim=4, min_segment=40, seed=99)
 
 
 def test_run_cv_rapidhare_small():

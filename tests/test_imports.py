@@ -1,8 +1,8 @@
 """Static checks of the package's imports and of its README; the repo has no linter to make them.
 
-No module imports a name it never uses, only ``synth`` and ``bench`` use
-``numpy.random``, and the README names every flag of every command and every
-value a flag takes from a fixed set.
+No module imports a name it never uses or defines one that nothing uses,
+only ``synth`` and ``bench`` use ``numpy.random``, and the README names every
+flag of every command and every value a flag takes from a fixed set.
 """
 
 import argparse
@@ -16,6 +16,9 @@ import rapidhare
 from rapidhare.cli import build_parser
 
 MODULES = sorted(p for p in Path(rapidhare.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+# Kept for the tests alone: the from-scratch reference the fast predictor is checked against.
+TEST_ORACLES = {"predict_sequence_naive"}
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -34,6 +37,43 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported_names(tree) - used) == []
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    """The functions, classes and constants a module defines at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """The names a module reads, the attributes it takes and the names it imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_every_defined_name_is_used():
+    """Named by other code in the package or in perfbench; a re-export in ``__init__`` is no use."""
+    used = set().union(*(used_names(ast.parse(p.read_text(encoding="utf-8"))) for p in MODULES + PERFBENCH))
+    unused = [
+        f"{path.name}:{name}"
+        for path in MODULES
+        for name in sorted(top_level_names(ast.parse(path.read_text(encoding="utf-8"))) - used)
+        if name not in TEST_ORACLES
+    ]
+    assert unused == []
 
 
 def numpy_random_references(tree: ast.Module) -> list[int]:
